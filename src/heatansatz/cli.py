@@ -49,6 +49,17 @@ def emit_csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for grid counts: an empty grid is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_poles(text: str) -> tuple[MobiusParam, ...]:
     return tuple(MobiusParam.parse(part) for part in text.split(","))
 
@@ -235,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, default=10)
         p.add_argument("--z0", type=float, default=-1.0)
         p.add_argument("--z1", type=float, default=1.0)
-        p.add_argument("--znum", type=int, default=21)
+        p.add_argument("--znum", type=_positive_int, default=21)
         p.add_argument("--t", default=None, help="comma-separated sample times")
         p.add_argument("--t0", default="1")
         p.add_argument("--t1", default=None)
-        p.add_argument("--tnum", type=int, default=None)
+        p.add_argument("--tnum", type=_positive_int, default=None)
         if name == "burgers":
             p.add_argument("--mu", default="0.5")
         p.set_defaults(fn=fn)
@@ -254,6 +265,9 @@ def run(argv=None) -> int:
         return args.fn(args)
     except (PoleError, IntegrationError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: floating-point overflow ({exc})", file=sys.stderr)
         return 1
 
 

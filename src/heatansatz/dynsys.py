@@ -197,11 +197,13 @@ def rk4_integrate(
     IntegrationError (with the offending time) if the state leaves
     [-max_abs, max_abs] or turns non-finite.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step, t_end = float(step), float(t_end)
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError("step must be positive and finite")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     t = float(start.t)
     x = tuple(float(v) for v in start.x)
-    t_end = float(t_end)
     if t_end < t:
         raise ValueError("t_end must not precede the start time")
 

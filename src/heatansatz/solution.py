@@ -11,15 +11,19 @@ series side is exact: coefficients, order-by-order heat residuals, the
 Cole-Hopf image and its Burgers residual are all computed in rational
 arithmetic.  Floats appear only in pointwise evaluation and in the
 finite-difference residual checks.
+
+Pointwise evaluation goes by time slice: everything that depends on t
+alone (h, the prefactor, the series coefficients) is computed once per
+time and converted to float, and each point is then a Horner pass in z^2.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, ansatz_to_jet, phi_table_for
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, Trajectory
@@ -27,6 +31,66 @@ from .grpoly import GradedPoly, Numeric, VariableFamily
 from .operators import derivative_chain, jet_derivative
 
 HALF = Fraction(1, 2)
+
+
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """sum_k coeffs[k] x^k; OverflowError when that leaves the float range."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    if not math.isfinite(acc):
+        raise OverflowError(f"series not finite at z^2 = {x}")
+    return acc
+
+
+class PsiSlice(NamedTuple):
+    """A series solution at one time t, as floats.
+
+    psi(z, t) = prefactor * e^{-h z^2 / 2} * z^delta * sum_k coeffs[k] z^(2k)
+    with coeffs[k] = Phi_k(x(t)) / (2k+delta)!.
+    """
+
+    delta: int
+    h: float
+    prefactor: float
+    coeffs: tuple[float, ...]
+
+    def bracket(self, z: float) -> float:
+        z = float(z)
+        value = _horner(self.coeffs, z * z)
+        return value * z if self.delta else value
+
+    def psi(self, z: float) -> float:
+        z = float(z)
+        return math.exp(-0.5 * self.h * (z * z)) * self.prefactor * self.bracket(z)
+
+
+class BurgersSlice(NamedTuple):
+    """A Cole-Hopf image at one time t, as floats.
+
+    v(z, t) = -delta/z + h z - sum_{k>=2} c_k z^(2k-1) with
+    coeffs = (c_2, ..., c_K).
+    """
+
+    delta: int
+    h: float
+    coeffs: tuple[float, ...]
+
+    def v(self, z: float) -> float:
+        z = float(z)
+        if z == 0 and self.delta:
+            raise ZeroDivisionError("odd-parity Burgers image has a pole at z = 0")
+        zz = z * z
+        # the pole and the linear term first: for odd parity they nearly
+        # cancel, and their difference is then exact
+        lead = self.h * z - self.delta / z if self.delta else self.h * z
+        return lead - z * zz * _horner(self.coeffs, zz)
+
+
+def _same_time(memo, t: Numeric) -> bool:
+    """Whether a memo (t, slice) holds this time: 2 == 2.0 == Fraction(2),
+    but exact and float times give different slices."""
+    return bool(memo) and type(memo[0]) is type(t) and memo[0] == t
 
 
 @dataclass(frozen=True)
@@ -148,6 +212,8 @@ class SeriesSolution:
         self.gauge = gauge
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source)
         self._bracket_cache: Union[list[GradedPoly], None] = None
+        self._scaled_phi: Union[list[GradedPoly], None] = None
+        self._last: Union[tuple[Numeric, PsiSlice], None] = None
 
     # -- state access -------------------------------------------------------
 
@@ -222,19 +288,34 @@ class SeriesSolution:
 
     # -- evaluation ----------------------------------------------------------
 
-    def bracket(self, z: float, t: Numeric) -> float:
+    def at(self, t: Numeric) -> PsiSlice:
+        """The float data of psi at time t: h(t), e^{r(t)} with the gauge
+        factor, and a_k = Phi_k(x(t)) / (2k+delta)! for k = 0..K.
+
+        The table is divided by (2k+delta)! in exact arithmetic before
+        anything becomes a float, so every truncation order evaluates (the
+        factorial alone overflows a float from K = 86 on).  The last slice
+        is memoised: a grid that loops over t outside z builds one slice
+        per time.
+        """
+        if _same_time(self._last, t):
+            return self._last[1]
+        if self._scaled_phi is None:
+            self._scaled_phi = [
+                entry * Fraction(1, math.factorial(2 * k + self.delta))
+                for k, entry in enumerate(self.phi.entries[: self.truncation + 1])
+            ]
         xs = self.parameter_values(t)
-        d = self.delta
-        acc = float(z) ** d
-        zz = float(z) * float(z)
-        for k in range(2, self.truncation + 1):
-            phi_k = float(self.phi.entries[k].evaluate(xs[1:]))
-            acc += phi_k * zz**k * float(z) ** d / math.factorial(2 * k + d)
-        return acc
+        coeffs = tuple(float(entry.evaluate(xs[1:])) for entry in self._scaled_phi)
+        data = PsiSlice(self.delta, float(xs[0]), self.r_exponential(t), coeffs)
+        self._last = (t, data)
+        return data
+
+    def bracket(self, z: float, t: Numeric) -> float:
+        return self.at(t).bracket(z)
 
     def psi(self, z: float, t: Numeric) -> float:
-        h = float(self.parameter_values(t)[0])
-        return math.exp(-0.5 * h * float(z) ** 2) * self.r_exponential(t) * self.bracket(z, t)
+        return self.at(t).psi(z)
 
     __call__ = psi
 
@@ -327,11 +408,18 @@ def diffusion_residual_numeric(
     mu: float = 0.5,
     loss: Union[Callable, None] = None,
 ) -> float:
-    """Max |D_t psi - mu D_zz psi (+ f(t) psi)| by central differences."""
+    """Max |D_t psi - mu D_zz psi (+ f(t) psi)| by central differences.
+
+    psi is read one time row at a time (t + dt, t - dt, then t), so a psi
+    that memoises its last time slice builds three slices per grid time.
+    """
     worst = 0.0
+    zs = grid.z_points()
     for t in grid.t_points():
-        for z in grid.z_points():
-            d_t = (psi(z, t + grid.dt) - psi(z, t - grid.dt)) / (2 * grid.dt)
+        later = [psi(z, t + grid.dt) for z in zs]
+        earlier = [psi(z, t - grid.dt) for z in zs]
+        for z, ahead, behind in zip(zs, later, earlier):
+            d_t = (ahead - behind) / (2 * grid.dt)
             d_zz = (psi(z + grid.dz, t) - 2 * psi(z, t) + psi(z - grid.dz, t)) / (grid.dz * grid.dz)
             value = d_t - mu * d_zz
             if loss is not None:
@@ -364,6 +452,8 @@ class BurgersSolution:
     h_source: RationalH
     truncation: int
     series_jets: tuple[GradedPoly, ...]
+    # one-entry memo (t, BurgersSlice) of the last slice built by at()
+    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def pole_coefficient(self) -> int:
@@ -382,18 +472,23 @@ class BurgersSolution:
             out.append(scale * value)
         return out
 
-    def v(self, z: float, t: Numeric) -> float:
-        z = float(z)
-        if z == 0 and self.delta:
-            raise ZeroDivisionError("odd-parity Burgers image has a pole at z = 0")
+    def at(self, t: Numeric) -> BurgersSlice:
+        """The float data of v at time t: h(t) and c_2(t), ..., c_K(t).
+
+        Each c_k is evaluated from its jet polynomial before it becomes a
+        float.  The last slice is memoised: a grid that loops over t outside
+        z builds one slice per time.
+        """
+        if _same_time(self._last, t):
+            return self._last[1]
         jets = self.h_source.jets(t, self.truncation + 1)
-        acc = -self.delta / z if self.delta else 0.0
-        acc += float(jets[0]) * z
-        for k in range(2, self.truncation + 1):
-            c = self.series_jets[k]
-            if not c.is_zero:
-                acc -= float(c.evaluate(jets)) * z ** (2 * k - 1)
-        return acc
+        coeffs = tuple(0.0 if c.is_zero else float(c.evaluate(jets)) for c in self.series_jets[2:])
+        data = BurgersSlice(self.delta, float(jets[0]), coeffs)
+        self._last[:] = (t, data)
+        return data
+
+    def v(self, z: float, t: Numeric) -> float:
+        return self.at(t).v(z)
 
     __call__ = v
 
@@ -490,11 +585,15 @@ def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Se
 
 
 def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) -> float:
+    # time rows as in diffusion_residual_numeric: three slices per grid time
     v = image.v
     worst = 0.0
+    zs = grid.z_points()
     for t in grid.t_points():
-        for z in grid.z_points():
-            v_t = (v(z, t + grid.dt) - v(z, t - grid.dt)) / (2 * grid.dt)
+        later = [v(z, t + grid.dt) for z in zs]
+        earlier = [v(z, t - grid.dt) for z in zs]
+        for z, ahead, behind in zip(zs, later, earlier):
+            v_t = (ahead - behind) / (2 * grid.dt)
             v_z = (v(z + grid.dz, t) - v(z - grid.dz, t)) / (2 * grid.dz)
             v_zz = (v(z + grid.dz, t) - 2 * v(z, t) + v(z - grid.dz, t)) / (grid.dz * grid.dz)
             value = v_t + v(z, t) * v_z - mu * v_zz

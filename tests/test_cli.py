@@ -9,7 +9,7 @@ import pytest
 
 from heatansatz.cli import build_parser, emit_csv, fmt, run
 from heatansatz.dynsys import MobiusParam
-from heatansatz.solution import closed_form_0ansatz
+from heatansatz.solution import closed_form_0ansatz, closed_form_1ansatz
 
 
 def cli(*args):
@@ -202,6 +202,44 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _, _ = cli()
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "burgers"])
+@pytest.mark.parametrize("grid", [("--znum", "0"), ("--znum", "-2"), ("--t1", "2", "--tnum", "0")])
+def test_empty_grid_is_usage_error(command, grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--family", "0ansatz", "--t0", "1", *grid])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "0ansatz", "--r0", "1000", "--t", "2"],
+    ["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "30", "--z0", "2e6", "--znum", "1", "--t", "2"],
+])
+def test_float_overflow_is_domain_error(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("kmax", [90, 120])
+def test_eval_high_truncation(kmax, delta, capsys):
+    # (2k+delta)! overflows a float from K = 86 on; the series must not
+    argv = [
+        "eval", "--family", "nansatz", "--poles", "1:0,1:1", "--delta", str(delta), "--kmax", str(kmax),
+        "--t", "1.5,3", "--z0", "-2", "--z1", "2", "--znum", "9",
+    ]
+    assert run(argv) == 0
+    psi = closed_form_1ansatz(delta, MobiusParam(1, 0), MobiusParam(1, 1))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 2 * 9
+    for line in lines[1:]:
+        t, z, value = (float(p) for p in line.split(","))
+        assert value == pytest.approx(psi(z, t), rel=1e-12)
 
 
 def test_help_available():

@@ -134,6 +134,10 @@ def test_rk4_rejects_bad_args():
         rk4_integrate(field, DynState(0.0, (1.0,)), 1.0, 0.0)
     with pytest.raises(ValueError):
         rk4_integrate(field, DynState(2.0, (1.0,)), 1.0, 0.1)
+    # non-finite ends and steps used to return the start state alone
+    for t_end, step in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            rk4_integrate(field, DynState(0.0, (1.0,)), t_end, step)
 
 
 def test_rk4_tracks_exact_trajectory():

@@ -12,6 +12,7 @@ from heatansatz.dynsys import (
     MobiusParam,
     PoleError,
     RationalH,
+    rational_top,
     reduced_field,
     reduced_initial_state,
     rk4_integrate,
@@ -119,6 +120,55 @@ def test_closed_form_1ansatz_matches_series():
         for z in (-0.8, 0.3, 1.1):
             for t in (1.5, 2.0, 4.25):
                 assert psi(z, t) == pytest.approx(sol.psi(z, t), rel=1e-12)
+
+
+def test_truncation_200_evaluates():
+    psi = closed_form_1ansatz(1, MobiusParam(1, 0), MobiusParam(1, 1))
+    sol = assemble_psi(AnsatzSpec.chain(1, 1), H2, 0, 200)
+    for z in (-2.5, 0.3, 1.7):
+        for t in (1.5, 3.0):
+            value = sol.psi(z, t)
+            assert math.isfinite(value)
+            assert value == pytest.approx(psi(z, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_slices_match_exact_series(n, delta):
+    # psi and v at rational points against the series summed in Fractions
+    poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3))
+    K = 10
+    sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)), RationalH(n, poles[: n + 1]), 0.25, K)
+    image = cole_hopf(sol)
+    for t in (Fraction(5, 2), Fraction(7, 2)):
+        xs = sol.parameter_values(t)
+        c = image.series_values(t)
+        for z in (Fraction(-5, 4), Fraction(1, 2), Fraction(3, 2)):
+            series = sum(
+                sol.phi.entries[k].evaluate(xs[1:]) * z ** (2 * k + delta) / math.factorial(2 * k + delta)
+                for k in range(K + 1)
+            )
+            expect = math.exp(-float(xs[0] * z * z / 2)) * sol.r_exponential(t) * float(series)
+            assert sol.psi(z, t) == pytest.approx(expect, rel=1e-13)
+            v = -delta / z + xs[0] * z - sum(c[k] * z ** (2 * k - 1) for k in range(2, K + 1))
+            assert image.v(z, t) == pytest.approx(float(v), rel=1e-13)
+
+
+def test_slice_memo_keys_on_time():
+    spec = AnsatzSpec.chain(1, 0)
+    sol = assemble_psi(spec, H2, 0, 10)
+    image = cole_hopf(sol)
+    # 4.25 == Fraction(17, 4), yet exact and float times give slices that
+    # differ in the last bit here, so they must not share a memo entry
+    for t in (2.2, 3.1, 2.2, Fraction(17, 4), 4.25, Fraction(17, 4)):
+        fresh = assemble_psi(spec, H2, 0, 10)
+        assert sol.psi(1.1, t) == fresh.psi(1.1, t)
+        assert image.v(0.7, t) == cole_hopf(fresh).v(0.7, t)
+    # a gauged copy builds its own slice, with the gauge factor in it
+    gauged = sol.with_gauge(lambda t: 0.25, lambda t: 0.25 * t)
+    plain = sol.psi(0.7, 2.2)
+    assert gauged.psi(0.7, 2.2) == pytest.approx(plain * math.exp(-0.55), rel=1e-14)
+    assert sol.psi(0.7, 2.2) == plain
 
 
 def test_closed_form_1ansatz_degenerate_pole():
