@@ -6,12 +6,12 @@ prefactor times the bracket series
     z^delta + sum_{k>=2} Phi_k * z^(2k+delta) / (2k+delta)!
 
 and the heat equation pins the coefficients order by order.  This module
-builds the Phi_k three ways and keeps them exactly consistent:
+builds the Phi_k two ways and keeps them exactly consistent:
 
 * in jet variables (Phi_k as a polynomial of h and its derivatives),
-* over the ansatz parameters x2..x_{n+1} for a general polynomial family,
-* over x2..x_{n+1} for the reduced chain family driven by one top
-  polynomial P_n.
+* over the ansatz parameters x2..x_{n+1} for a polynomial family; the
+  reduced chain family driven by one top polynomial P_n is the family
+  (x2, ..., x_{n+1}, P_n).
 
 Parity is delta in {0, 1}; odd-order entries vanish for the closed-form
 families but are carried by the recursions regardless.
@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .grpoly import GradedPoly, Numeric, VariableFamily
-from .operators import basis_elements, derivative_chain, jet_derivative, weighted_derivative
+from .operators import derivative_chain, weighted_derivative
 
 
 def _check_delta(delta: int) -> int:
@@ -133,17 +133,15 @@ def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
 class AnsatzSpec:
     """Polynomial data driving an n-parameter ansatz.
 
-    ``general`` mode stores the family p_2, ..., p_{n+2} (deg p_q = -2q)
-    with the top chain variable x_{n+2} already substituted by zero, all
-    over the ring x2..x_{n+1}.  ``reduced`` mode stores the single top
-    polynomial P_n of degree -2(n+2) in x2..x_n.
+    Stores the family p_2, ..., p_{n+2} (deg p_q = -2q) with the top chain
+    variable x_{n+2} already substituted by zero, all over the ring
+    x2..x_{n+1}.  The reduced chain family with top polynomial P_n is the
+    family (x2, ..., x_{n+1}, P_n).
     """
 
     n: int
     delta: int
-    mode: str
-    ps: tuple[GradedPoly, ...] = ()
-    top: Union[GradedPoly, None] = None
+    ps: tuple[GradedPoly, ...]
 
     @staticmethod
     def _cap(poly: GradedPoly, n: int, q: int) -> GradedPoly:
@@ -171,10 +169,11 @@ class AnsatzSpec:
             if q <= n + 1 and poly.max_used_position() >= n:
                 raise ValueError(f"p_{q} may only use x2..x{n + 1}")
             capped.append(cls._cap(poly, n, q))
-        return cls(n=n, delta=delta, mode="general", ps=tuple(capped))
+        return cls(n=n, delta=delta, ps=tuple(capped))
 
     @classmethod
     def reduced(cls, n: int, delta: int, top: GradedPoly) -> "AnsatzSpec":
+        """The chain family p_q = x_q for q <= n+1 closed by p_{n+2} = P_n."""
         _check_delta(delta)
         if n < 1:
             raise ValueError("the reduced family needs n >= 1")
@@ -188,7 +187,8 @@ class AnsatzSpec:
             raise ValueError(f"P_n may only use x2..x{n}")
         if top.family is VariableFamily.D:
             top = GradedPoly(VariableFamily.X, top.nvars, dict(top.terms()))
-        return cls(n=n, delta=delta, mode="reduced", top=top.with_nvars(max(n, top.nvars)))
+        chain = [GradedPoly.variable(VariableFamily.X, n, q) for q in range(2, n + 2)]
+        return cls.general(n, delta, [*chain, top])
 
     @classmethod
     def chain(cls, n: int, delta: int) -> "AnsatzSpec":
@@ -196,13 +196,6 @@ class AnsatzSpec:
         return cls.reduced(n, delta, GradedPoly.zero(VariableFamily.X, 0)) if n >= 1 else cls.general(
             n, delta, [GradedPoly.zero(VariableFamily.X, 0)]
         )
-
-
-def _phi_base(delta: int, n: int, p2: GradedPoly) -> list[GradedPoly]:
-    one = GradedPoly.const(VariableFamily.X, n, 1)
-    zero = GradedPoly.zero(VariableFamily.X, n)
-    phi2 = (-2 * (1 + 2 * delta)) * p2.with_nvars(n)
-    return [one, zero, phi2]
 
 
 def _quadratic_factor(q: int, delta: int) -> Fraction:
@@ -217,12 +210,14 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
         Phi_q = 2 sum_{k=2}^{n+1} p_{k+1} dPhi_{q-1}/dx_k
                 + (2q+delta-3)(2q+delta-2) / (2(1+2 delta)) * Phi_2 Phi_{q-2}.
     """
-    if spec.mode != "general":
-        raise ValueError("general_phi_table needs a general-mode spec")
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
     n, delta = spec.n, spec.delta
-    entries = _phi_base(delta, n, spec.ps[0])
+    entries = [
+        GradedPoly.const(VariableFamily.X, n, 1),
+        GradedPoly.zero(VariableFamily.X, n),
+        (-2 * (1 + 2 * delta)) * spec.ps[0].with_nvars(n),
+    ]
     for q in range(3, q_max + 1):
         adv = GradedPoly.zero(VariableFamily.X, n)
         for k in range(2, n + 2):
@@ -234,34 +229,12 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
 
 
 def reduced_phi_table(n: int, top: GradedPoly, delta: int, q_max: int) -> PhiTable:
-    """Phi_k for the reduced chain family with top polynomial P_n.
-
-    Same quadratic term as the general recursion; the advection part is
-    the chain field  sum_{k=2}^{n} x_{k+1} d/dx_k + P_n d/dx_{n+1}.
-    """
-    spec = AnsatzSpec.reduced(n, delta, top)
-    if q_max < 2:
-        raise ValueError("q_max must be at least 2")
-    x2 = GradedPoly.variable(VariableFamily.X, n, 2)
-    entries = _phi_base(delta, n, x2)
-    top = spec.top.with_nvars(n)
-    for q in range(3, q_max + 1):
-        adv = GradedPoly.zero(VariableFamily.X, n)
-        for k in range(2, n + 1):
-            d = entries[q - 1].partial(k)
-            if d:
-                adv = adv + GradedPoly.variable(VariableFamily.X, n, k + 1) * d
-        d_top = entries[q - 1].partial(n + 1)
-        if d_top:
-            adv = adv + top * d_top
-        entries.append(2 * adv + _quadratic_factor(q, delta) * (entries[2] * entries[q - 2]))
-    return PhiTable(delta, tuple(entries))
+    """Phi_k for the reduced chain family with top polynomial P_n."""
+    return general_phi_table(AnsatzSpec.reduced(n, delta, top), q_max)
 
 
 def phi_table_for(spec: AnsatzSpec, q_max: int) -> PhiTable:
-    if spec.mode == "general":
-        return general_phi_table(spec, q_max)
-    return reduced_phi_table(spec.n, spec.top, spec.delta, q_max)
+    return general_phi_table(spec, q_max)
 
 
 def ansatz_to_jet(poly: GradedPoly, k_max: int) -> GradedPoly:

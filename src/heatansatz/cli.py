@@ -10,6 +10,7 @@ violation, bad parameters), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for grid bounds: nan or inf is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
 
 
@@ -244,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poles", default=None, help="comma-separated alpha:beta pairs (overrides --alpha/--beta)")
         p.add_argument("--r0", default="0")
         p.add_argument("--kmax", type=int, default=10)
-        p.add_argument("--z0", type=float, default=-1.0)
-        p.add_argument("--z1", type=float, default=1.0)
+        p.add_argument("--z0", type=_finite_float, default=-1.0)
+        p.add_argument("--z1", type=_finite_float, default=1.0)
         p.add_argument("--znum", type=_positive_int, default=21)
         p.add_argument("--t", default=None, help="comma-separated sample times")
         p.add_argument("--t0", default="1")

@@ -42,9 +42,6 @@ class DynState(NamedTuple):
     x: tuple
 
 
-Trajectory = list
-
-
 @dataclass(frozen=True)
 class MobiusParam:
     """A projective parameter (alpha : beta), not both zero.
@@ -144,8 +141,6 @@ def heat_system_field(spec: AnsatzSpec, state: Sequence[Numeric]) -> tuple:
     dx1 = p_2(x2) - x1^2; dx_k = p_{k+1}(x2..x_{k+1}) - 2k x1 x_k for
     k = 2..n; and the top line dx_{n+1} = p_{n+2}(x2.., 0) - 2(n+1) x1 x_{n+1}.
     """
-    if spec.mode != "general":
-        raise ValueError("heat_system_field needs a general-mode spec")
     n = spec.n
     if len(state) != n + 1:
         raise ValueError(f"state must have {n + 1} components")
@@ -173,10 +168,6 @@ def reduced_system_field(n: int, top: GradedPoly, state: Sequence[Numeric]) -> t
     return tuple(out)
 
 
-def heat_field(spec: AnsatzSpec) -> Callable:
-    return lambda t, x: heat_system_field(spec, x)
-
-
 def reduced_field(n: int, top: GradedPoly) -> Callable:
     return lambda t, x: reduced_system_field(n, top, x)
 
@@ -190,7 +181,7 @@ def rk4_integrate(
     t_end: float,
     step: float,
     max_abs: float = 1e12,
-) -> Trajectory:
+) -> list[DynState]:
     """Classical fixed-step RK4 from ``start`` to ``t_end``.
 
     The final step is shortened to land exactly on ``t_end``.  Raises

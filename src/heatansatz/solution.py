@@ -9,7 +9,8 @@ with r'(t) = -(delta + 1/2) h(t) and the parameters x(t) riding a heat
 dynamical system.  For the built-in rational h family everything on the
 series side is exact: coefficients, order-by-order heat residuals, the
 Cole-Hopf image and its Burgers residual are all computed in rational
-arithmetic.  Floats appear only in pointwise evaluation and in the
+arithmetic, over the ansatz parameters x(t) rather than over the jets of
+h.  Floats appear only in pointwise evaluation and in the
 finite-difference residual checks.
 
 Pointwise evaluation goes by time slice: everything that depends on t
@@ -26,9 +27,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, ansatz_to_jet, phi_table_for
-from .dynsys import DynState, MobiusParam, PoleError, RationalH, Trajectory
+from .dynsys import DynState, MobiusParam, PoleError, RationalH, reduced_initial_state
 from .grpoly import GradedPoly, Numeric, VariableFamily
-from .operators import derivative_chain, jet_derivative
 
 HALF = Fraction(1, 2)
 
@@ -221,19 +221,10 @@ class SeriesSolution:
     def exact(self) -> bool:
         return self._interp is None
 
-    def jets(self, t: Numeric, m: int) -> tuple:
-        if not self.exact:
-            raise ValueError("exact jets need a rational profile source")
-        return self.h_source.jets(t, m)
-
     def parameter_values(self, t: Numeric) -> tuple:
         """(x1, ..., x_{n+1}) at time t; x_{k+1} = D_k(jets) for exact sources."""
         if self.exact:
-            jets = self.jets(t, self.n + 1)
-            values = [jets[0]]
-            if self.n:
-                values += [d.evaluate(jets) for d in derivative_chain(self.n)]
-            return tuple(values)
+            return reduced_initial_state(self.h_source, self.n, t)
         return self._interp.state(float(t))
 
     def r_exponential(self, t: Numeric) -> float:
@@ -255,18 +246,9 @@ class SeriesSolution:
         b_k = (2k+delta)! * sum_{i+j=k} (-h/2)^i / i! * Phi_j(x) / (2j+delta)!.
         """
         xs = self.parameter_values(t)
-        h = xs[0]
         phi_values = [entry.evaluate(xs[1:]) for entry in self.phi.entries[: self.truncation + 1]]
-        d = self.delta
-        out = []
-        for k in range(self.truncation + 1):
-            total = Fraction(0)
-            for i in range(k + 1):
-                j = k - i
-                c = Fraction(math.factorial(2 * k + d), math.factorial(i) * math.factorial(2 * j + d))
-                total = total + c * (-HALF) ** i * h**i * phi_values[j]
-            out.append(total)
-        return out
+        gauss = [(-HALF * xs[0]) ** i for i in range(self.truncation + 1)]
+        return _bracket_product(self.delta, gauss, phi_values)
 
     def bracket_jets(self) -> list[GradedPoly]:
         """The b_k as jet polynomials (ansatz parameters substituted by
@@ -320,6 +302,11 @@ class SeriesSolution:
     __call__ = psi
 
     def with_gauge(self, f: Callable, antiderivative: Callable) -> "SeriesSolution":
+        """Multiply by e^{-F(t)} (F' = f): solves psi_t = psi_zz/2 - f psi.
+
+        Only r(t) changes; the coefficient table and the Burgers image are
+        untouched (the f-terms cancel in the bracket recursion).
+        """
         if self.gauge is None:
             gauge = (f, antiderivative)
         else:
@@ -346,15 +333,6 @@ def assemble_psi(
     return SeriesSolution(spec.delta, spec.n, h_source, r0, phi, truncation)
 
 
-def gauge_transform(sol: SeriesSolution, f: Callable, antiderivative: Callable) -> SeriesSolution:
-    """Multiply by e^{-F(t)} (F' = f): solves psi_t = psi_zz/2 - f psi.
-
-    Only r(t) changes; the coefficient table and the Burgers image are
-    untouched (the f-terms cancel in the bracket recursion).
-    """
-    return sol.with_gauge(f, antiderivative)
-
-
 def rescale_to_mu(psi: Callable, mu: float) -> Callable:
     """Time-rescale a heat solution to the mu-diffusion equation.
 
@@ -372,33 +350,71 @@ def rescale_to_mu(psi: Callable, mu: float) -> Callable:
 # -- residuals ----------------------------------------------------------------
 
 
+def _bracket_product(delta: int, gauss: Sequence, phi: Sequence) -> list:
+    """(2k+delta)! sum_{i+j=k} gauss_i / i! * phi_j / (2j+delta)! for k < len(phi)."""
+    out = []
+    for k in range(len(phi)):
+        total = Fraction(0)
+        for i in range(k + 1):
+            j = k - i
+            c = Fraction(math.factorial(2 * k + delta), math.factorial(i) * math.factorial(2 * j + delta))
+            total = total + c * gauss[i] * phi[j]
+        out.append(total)
+    return out
+
+
+def _exact_flow(sol: SeriesSolution, t: Numeric) -> tuple[tuple, list]:
+    """Exact (x1, ..., x_{n+1}) at t and their time derivatives.
+
+    x1' = x2 - x1^2 and x_k' = x_{k+1} - 2k x1 x_k (the chain identity
+    D_k = (D + 2k y1) D_{k-1}), with x_{n+2} = D_{n+1}(jets) taken from
+    the profile: off shell it differs from the spec's top polynomial.
+    """
+    x = reduced_initial_state(sol.h_source, sol.n + 1, t)
+    rates = [x[1] - x[0] ** 2] + [x[k] - 2 * k * x[0] * x[k - 1] for k in range(2, sol.n + 2)]
+    return x[:-1], rates
+
+
+def _gradients(polys: Sequence[GradedPoly], n: int) -> list[list[GradedPoly]]:
+    """d/dx2, ..., d/dx_{n+1} of each polynomial."""
+    return [[p.partial(k) for k in range(2, n + 2)] for p in polys]
+
+
+def _values_and_rates(polys, grads, x: tuple, rates: list) -> tuple[list, list]:
+    """p(x) and dp/dt = grad p(x) . x' for polynomials over x2..x_{n+1}."""
+    point = x[1:]
+    values = [p.evaluate(point) for p in polys]
+    slopes = [sum((g.evaluate(point) * r for g, r in zip(grad, rates[1:]) if g), Fraction(0)) for grad in grads]
+    return values, slopes
+
+
 def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
-    """Max order-by-order heat defect |b_k + (2 delta+1) y1 b_{k-1} - 2 D b_{k-1}|
+    """Max order-by-order heat defect |b_k + (2 delta+1) h b_{k-1} - 2 b_{k-1}'|
     over k <= K-1 and the samples; exactly zero iff the source profile
     solves the family equation there.
 
     This is psi_k - 2 psi_{k-1}' with the positive prefactor e^{r(t)}
     factored out, so it stays in rational arithmetic; the same check is
-    valid for gauged solutions.
+    valid for gauged solutions.  b_k and b_k' are exact numbers at each
+    sample: the chain rule over the parameters, with their exact rates.
     """
     if not sol.exact:
         raise ValueError("the exact residual needs a rational profile source")
-    table = sol.bracket_jets()
-    d = sol.delta
-    y1 = GradedPoly.variable(VariableFamily.Y, 1, 1)
-    residual_polys = []
-    depth = 0
-    for k in range(1, sol.truncation):
-        r = table[k] + (2 * d + 1) * (y1 * table[k - 1]) - 2 * jet_derivative(table[k - 1])
-        residual_polys.append(r)
-        depth = max(depth, r.max_used_position() + 1, k + 1)
+    K, d = sol.truncation, sol.delta
+    phi = sol.phi.entries[:K]
+    grads = _gradients(phi, sol.n)
     worst = Fraction(0)
     for t in t_samples:
-        jets = sol.jets(t, depth)
-        for r in residual_polys:
-            value = abs(r.evaluate(jets))
-            if value > worst:
-                worst = value
+        x, rates = _exact_flow(sol, t)
+        values, slopes = _values_and_rates(phi, grads, x, rates)
+        h, dh = x[0], rates[0]
+        gauss = [(-HALF * h) ** i for i in range(K)]
+        # d/dt (-h/2)^i = i (-h/2)^(i-1) (-h'/2)
+        dgauss = [Fraction(0)] + [i * gauss[i - 1] * (-HALF * dh) for i in range(1, K)]
+        b = _bracket_product(d, gauss, values)
+        db = [p + q for p, q in zip(_bracket_product(d, dgauss, values), _bracket_product(d, gauss, slopes))]
+        for k in range(1, K):
+            worst = max(worst, abs(b[k] + (2 * d + 1) * h * b[k - 1] - 2 * db[k - 1]))
     return worst
 
 
@@ -442,18 +458,26 @@ class BurgersSolution:
     """The Cole-Hopf image v = -d/dz log psi of a series solution.
 
     v(z, t) = -delta/z + h(t) z - sum_{k>=2} c_k(t) z^(2k-1) where c_k is
-    the z^(2k-1) coefficient of W'/W and W is the bracket series; the
-    c_k are stored as jet polynomials (``series_jets[k]``), trusted
-    through order 2K-1.  The normalized table entry is
+    the z^(2k-1) coefficient of W'/W and W is the bracket series.
+    ``series_jets[k]`` holds c_k as an X-family polynomial over the ansatz
+    parameters x2..x_{n+1} (not over jets, despite the name), trusted
+    through order 2K-1 and evaluated at the source's
+    ``parameter_values(t)``.  The normalized table entry is
     Psi_k = (2 delta k + 1) (2k-1)! c_k.
     """
 
-    delta: int
-    h_source: RationalH
-    truncation: int
+    source: SeriesSolution
     series_jets: tuple[GradedPoly, ...]
     # one-entry memo (t, BurgersSlice) of the last slice built by at()
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @property
+    def delta(self) -> int:
+        return self.source.delta
+
+    @property
+    def truncation(self) -> int:
+        return self.source.truncation
 
     @property
     def pole_coefficient(self) -> int:
@@ -461,8 +485,8 @@ class BurgersSolution:
         return -self.delta
 
     def series_values(self, t: Numeric) -> list:
-        jets = self.h_source.jets(t, self.truncation + 1)
-        return [p.evaluate(jets) if not p.is_zero else Fraction(0) for p in self.series_jets]
+        xs = self.source.parameter_values(t)
+        return [p.evaluate(xs[1:]) for p in self.series_jets]
 
     def normalized_coefficients(self, t: Numeric) -> list:
         """The Psi_k table at time t (entries 0 and 1 are zero)."""
@@ -475,15 +499,15 @@ class BurgersSolution:
     def at(self, t: Numeric) -> BurgersSlice:
         """The float data of v at time t: h(t) and c_2(t), ..., c_K(t).
 
-        Each c_k is evaluated from its jet polynomial before it becomes a
-        float.  The last slice is memoised: a grid that loops over t outside
-        z builds one slice per time.
+        Each c_k is evaluated at the parameters before it becomes a float.
+        The last slice is memoised: a grid that loops over t outside z
+        builds one slice per time.
         """
         if _same_time(self._last, t):
             return self._last[1]
-        jets = self.h_source.jets(t, self.truncation + 1)
-        coeffs = tuple(0.0 if c.is_zero else float(c.evaluate(jets)) for c in self.series_jets[2:])
-        data = BurgersSlice(self.delta, float(jets[0]), coeffs)
+        xs = self.source.parameter_values(t)
+        coeffs = tuple(0.0 if c.is_zero else float(c.evaluate(xs[1:])) for c in self.series_jets[2:])
+        data = BurgersSlice(self.delta, float(xs[0]), coeffs)
         self._last[:] = (t, data)
         return data
 
@@ -497,18 +521,15 @@ def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
     """Exact Cole-Hopf image of a series solution (diffusion mu = 1/2).
 
     The removed-series coefficients come from truncated Laurent division:
-    with W = 1 + sum_j W_j z^(2j) the image is
-    v = -delta/z + h z - W'/W, computed term by term in jet polynomials.
+    with W = 1 + sum_j w_j z^(2j), w_j = Phi_j / (2j+delta)!, the image is
+    v = -delta/z + h z - W'/W, computed term by term over the parameters
+    x2..x_{n+1}.  Any source evaluates, an integrated trajectory too.
     """
-    if not sol.exact:
-        raise ValueError("the exact Cole-Hopf image needs a rational profile source")
     K = sol.truncation
-    d = sol.delta
-    hat = [ansatz_to_jet(entry, max(sol.n, 1)) for entry in sol.phi.entries[: K + 1]]
-    w = [p * Fraction(1, math.factorial(2 * j + d)) for j, p in enumerate(hat)]
-    zero = GradedPoly.zero(VariableFamily.Y, 1)
+    w = [p * Fraction(1, math.factorial(2 * j + sol.delta)) for j, p in enumerate(sol.phi.entries[: K + 1])]
+    zero = GradedPoly.zero(VariableFamily.X, sol.n)
     # u = 1/W truncated: u_m = -sum_{j>=1} w_j u_{m-j}
-    u = [GradedPoly.const(VariableFamily.Y, 1, 1)]
+    u = [GradedPoly.const(VariableFamily.X, sol.n, 1)]
     for m in range(1, K + 1):
         acc = zero
         for j in range(1, m + 1):
@@ -522,7 +543,7 @@ def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
             if not w[j].is_zero and not u[k - j].is_zero:
                 acc = acc + (2 * j) * (w[j] * u[k - j])
         series.append(acc)
-    return BurgersSolution(d, sol.h_source, K, tuple(series))
+    return BurgersSolution(sol, tuple(series))
 
 
 def burgers_residual(
@@ -551,36 +572,35 @@ def burgers_residual(
 
 
 def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Sequence[Numeric]):
+    # the Laurent coefficients of the residual at each sample, from the
+    # exact values and rates of v's coefficients (orders -1, 1, 3, ...)
+    if not image.source.exact:
+        raise ValueError("the exact residual needs a rational profile source")
     K = image.truncation
     trusted = 2 * K - 3
-    y1 = GradedPoly.variable(VariableFamily.Y, 1, 1)
-    v: dict[int, GradedPoly] = {1: y1}
-    if image.delta:
-        v[-1] = GradedPoly.const(VariableFamily.Y, 1, -image.delta)
-    for k in range(2, K + 1):
-        if not image.series_jets[k].is_zero:
-            v[2 * k - 1] = -image.series_jets[k]
-    residual: dict[int, GradedPoly] = {}
-
-    def add(order: int, poly: GradedPoly) -> None:
-        if order > trusted or poly.is_zero:
-            return
-        residual[order] = residual.get(order, GradedPoly.zero(VariableFamily.Y, 1)) + poly
-
-    for o, c in v.items():
-        add(o, jet_derivative(c))
-        add(o - 2, (-mu * o * (o - 1)) * c)
-    for o1, c1 in v.items():
-        for o2, c2 in v.items():
-            add(o1 + o2 - 1, o2 * (c1 * c2))
-    depth = max((p.max_used_position() + 1 for p in residual.values()), default=1)
+    grads = _gradients(image.series_jets, image.source.n)
     worst = Fraction(0)
     for t in t_samples:
-        jets = image.h_source.jets(t, depth)
-        for poly in residual.values():
-            value = abs(poly.evaluate(jets))
-            if value > worst:
-                worst = value
+        x, rates = _exact_flow(image.source, t)
+        values, slopes = _values_and_rates(image.series_jets, grads, x, rates)
+        v = {1: (x[0], rates[0])}
+        if image.delta:
+            v[-1] = (-image.delta, 0)
+        for k in range(2, K + 1):
+            v[2 * k - 1] = (-values[k], -slopes[k])
+        residual: dict[int, Fraction] = {}
+
+        def add(order: int, value) -> None:
+            if order <= trusted:
+                residual[order] = residual.get(order, 0) + value
+
+        for o, (c, dc) in v.items():
+            add(o, dc)
+            add(o - 2, -mu * o * (o - 1) * c)
+        for o1, (c1, _) in v.items():
+            for o2, (c2, _) in v.items():
+                add(o1 + o2 - 1, o2 * c1 * c2)
+        worst = max(worst, *(abs(value) for value in residual.values()))
     return worst
 
 

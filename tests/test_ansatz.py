@@ -15,7 +15,7 @@ from heatansatz.ansatz import (
     phi_table_for,
     reduced_phi_table,
 )
-from heatansatz.dynsys import MobiusParam, RationalH
+from heatansatz.dynsys import MobiusParam, RationalH, rational_top
 from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.operators import derivative_chain, expand_basis
 from heatansatz.solution import gamma_ratio_coeff
@@ -168,19 +168,20 @@ def test_zero_parameter_table():
 
 @pytest.mark.parametrize("delta", [0, 1])
 def test_parameter_and_jet_routes_agree(delta):
-    # along an exact profile the parameter values are the chain values,
-    # and the two coefficient tables evaluate identically
-    h = RationalH(1, (MobiusParam(1, 0), MobiusParam(1, 1)))
-    ptable = phi_table_for(AnsatzSpec.chain(1, delta), 8)
+    # along an exact (n+1)-pole profile the parameter values are the chain
+    # values, and the parameter table of the reduced family closed by
+    # rational_top(n) evaluates like the independent jet table
+    poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3), MobiusParam(3, 1))
     jtable = jet_phi_table(delta, 8)
     chain = derivative_chain(7)
-    for t in (Fraction(3, 2), Fraction(2), Fraction(17, 4)):
-        jets = h.jets(t, 8)
-        xs = [chain[i].evaluate(jets) for i in range(7)]
-        for k in range(9):
-            a = ptable[k].evaluate(xs) if not ptable[k].is_zero else Fraction(0)
-            b = jtable[k].evaluate(jets) if not jtable[k].is_zero else Fraction(0)
-            assert a == b, f"k={k} t={t}"
+    for n in range(1, 5):
+        h = RationalH(n, poles[: n + 1])
+        ptable = phi_table_for(AnsatzSpec.reduced(n, delta, rational_top(n)), 8)
+        for t in (Fraction(3, 2), Fraction(2), Fraction(17, 4)):
+            jets = h.jets(t, 8)
+            xs = [chain[i].evaluate(jets) for i in range(n)]
+            for k in range(9):
+                assert ptable[k].evaluate(xs) == jtable[k].evaluate(jets), f"n={n} k={k} t={t}"
 
 
 def test_substitution_into_jets():

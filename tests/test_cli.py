@@ -205,13 +205,17 @@ def test_usage_errors_exit_two():
 
 
 @pytest.mark.parametrize("command", ["eval", "burgers"])
-@pytest.mark.parametrize("grid", [("--znum", "0"), ("--znum", "-2"), ("--t1", "2", "--tnum", "0")])
+@pytest.mark.parametrize("grid", [
+    ("--znum", "0"), ("--znum", "-2"), ("--t1", "2", "--tnum", "0"),
+    ("--z0", "nan", "--znum", "1"), ("--z1", "inf"), ("--z0=-inf",), ("--z1=-Infinity",),
+])
 def test_empty_grid_is_usage_error(command, grid, capsys):
     with pytest.raises(SystemExit) as exc:
         run([command, "--family", "0ansatz", "--t0", "1", *grid])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "must be a positive integer" in captured.err
+    message = "must be finite" if grid[0].startswith(("--z0", "--z1")) else "must be a positive integer"
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("argv", [

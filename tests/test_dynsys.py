@@ -13,7 +13,6 @@ from heatansatz.dynsys import (
     PoleError,
     RationalH,
     chazy4_residual,
-    heat_field,
     heat_system_field,
     ode_residual,
     rational_top,
@@ -86,7 +85,7 @@ def test_heat_system_field_example():
     spec = AnsatzSpec.general(1, 0, [x2, GradedPoly.variable(X, 2, 3)])
     # p_3 is the capped top line, so it evaluates to zero
     assert heat_system_field(spec, (1, 2)) == (1, -8)
-    assert heat_field(spec)(0.0, (1.0, 2.0)) == (1.0, -8.0)
+    assert heat_system_field(spec, (1.0, 2.0)) == (1.0, -8.0)
     with pytest.raises(ValueError):
         heat_system_field(spec, (1, 2, 3))
 

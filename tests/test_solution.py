@@ -28,7 +28,6 @@ from heatansatz.solution import (
     cole_hopf,
     diffusion_residual_numeric,
     exp_r,
-    gauge_transform,
     heat_residual_numeric,
     heat_residual_series,
     rescale_to_mu,
@@ -201,10 +200,10 @@ def test_assembled_numeric_residual():
 
 def test_gauge_identity_and_loss():
     sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 10)
-    trivial = gauge_transform(sol, lambda t: 0.0, lambda t: 0.0)
+    trivial = sol.with_gauge(lambda t: 0.0, lambda t: 0.0)
     assert trivial.psi(0.4, 2.2) == sol.psi(0.4, 2.2)
     c = 0.25
-    lossy = gauge_transform(sol, lambda t: c, lambda t: c * t)
+    lossy = sol.with_gauge(lambda t: c, lambda t: c * t)
     # the multiplier is e^{-c t}
     assert lossy.psi(0.4, 2.2) == pytest.approx(sol.psi(0.4, 2.2) * math.exp(-c * 2.2), rel=1e-14)
     g = GridSpec(-1.0, 1.0, 9, 2.0, 3.0, 5, 1e-3, 1e-3)
@@ -216,8 +215,8 @@ def test_gauge_identity_and_loss():
 
 def test_gauge_composition():
     sol = assemble_psi(AnsatzSpec.chain(0, 0), H1, 0, 6)
-    a = gauge_transform(sol, lambda t: 1.0, lambda t: t)
-    b = gauge_transform(a, lambda t: 2.0, lambda t: 2.0 * t)
+    a = sol.with_gauge(lambda t: 1.0, lambda t: t)
+    b = a.with_gauge(lambda t: 2.0, lambda t: 2.0 * t)
     assert b.psi(0.5, 2.0) == pytest.approx(sol.psi(0.5, 2.0) * math.exp(-3 * 2.0), rel=1e-13)
 
 
@@ -360,3 +359,67 @@ def test_gaussian_normalization():
         integral = dz * (sum(vals) - 0.5 * (vals[0] + vals[-1]))
         assert integral == pytest.approx(1.0, abs=1e-7)
     assert psi(0.0, 1.0) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-13)
+
+
+# exact residual values pinned from the jet-space evaluation they replace
+H3 = RationalH(2, (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1)))
+GOLDEN_SAMPLES = [Fraction(3), Fraction(7, 2)]
+
+
+@pytest.mark.parametrize("delta,heat,burgers", [
+    (0, Fraction(1669931464003, 1312993546389), Fraction(4489, 630118440)),
+    (1, Fraction(1028780163203, 145888171821), Fraction(4489, 1470276360)),
+])
+def test_off_shell_residual_values(delta, heat, burgers):
+    # a three-pole profile does not solve the plain chain equation of n = 2
+    sol = assemble_psi(AnsatzSpec.chain(2, delta), H3, 0, 8)
+    assert heat_residual_series(sol, GOLDEN_SAMPLES) == heat
+    assert burgers_residual(cole_hopf(sol), mode="series", t_samples=GOLDEN_SAMPLES) == burgers
+
+
+def test_burgers_series_residual_other_viscosity():
+    image = cole_hopf(assemble_psi(AnsatzSpec.chain(1, 1), H2, 0, 8))
+    assert burgers_residual(image, mu=Fraction(1, 3), mode="series", t_samples=GOLDEN_SAMPLES) == Fraction(1, 3)
+
+
+def test_tampered_residual_values():
+    sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 6)
+    entries = list(sol.phi.entries)
+    entries[2] = entries[2] + GradedPoly.variable(X, 1, 2)
+    bad = SeriesSolution(0, 1, H2, 0, PhiTable(0, tuple(entries)), 6)
+    assert heat_residual_series(bad, [Fraction(2)]) == Fraction(2205, 256)
+    assert burgers_residual(cole_hopf(bad), mode="series", t_samples=[Fraction(2)]) == Fraction(1, 32)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_image_matches_sympy_log_derivative(n, delta):
+    # independent oracle: the z-series of W'/W with W = sum_j Phi_j z^(2j) / (2j+delta)!
+    sp = pytest.importorskip("sympy")
+    poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3))
+    K = 8
+    sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)) if n else AnsatzSpec.chain(0, delta),
+                       RationalH(n, poles[: n + 1]), 0, K)
+    t = Fraction(7, 2)
+    xs = sol.parameter_values(t)[1:]
+    z = sp.Symbol("z")
+    W = sum(sp.Rational(str(sol.phi[j].evaluate(xs))) * z ** (2 * j) / sp.factorial(2 * j + delta) for j in range(K + 1))
+    series = sp.series(sp.diff(W, z) / W, z, 0, 2 * K).removeO()
+    got = cole_hopf(sol).series_values(t)
+    for k in range(1, K + 1):
+        assert got[k] == Fraction(str(series.coeff(z, 2 * k - 1))), f"k={k}"
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_cole_hopf_of_trajectory_source(delta):
+    top = rational_top(2)
+    state = reduced_initial_state(H3, 2, Fraction(2))
+    traj = rk4_integrate(reduced_field(2, top), DynState(2.0, tuple(float(v) for v in state)), 3.0, 1e-3)
+    spec = AnsatzSpec.reduced(2, delta, top)
+    image = cole_hopf(SeriesSolution(delta, 2, traj, 0.0, phi_table_for(spec, 10), 10))
+    exact = cole_hopf(assemble_psi(spec, H3, 0.0, 10))
+    for t in (2.05, 2.5, 2.95):
+        for z in (0.4, 0.9, 1.3):
+            assert image.v(z, t) == pytest.approx(exact.v(z, t), rel=1e-6)
+    with pytest.raises(ValueError):
+        burgers_residual(image, mode="series", t_samples=[Fraction(5, 2)])
