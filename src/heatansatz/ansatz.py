@@ -88,17 +88,8 @@ def _raise_basis_symbols(poly: GradedPoly) -> GradedPoly:
     # for the weighted derivative exactly when the operator weight equals
     # the monomial weight, which the remainder recursion guarantees.
     nvars = poly.nvars + 1
-    acc = GradedPoly.zero(VariableFamily.Y, nvars)
-    for exps, coeff in poly.terms():
-        for pos in range(1, len(exps)):
-            e = exps[pos]
-            if not e:
-                continue
-            shifted = list(exps) + [0]
-            shifted[pos] -= 1
-            shifted[pos + 1] += 1
-            acc = acc + GradedPoly(VariableFamily.Y, nvars, {tuple(shifted): coeff * e})
-    return acc
+    raised = [GradedPoly.variable(VariableFamily.Y, nvars, j + 1) for j in range(2, nvars)]
+    return poly.derivation([None, *raised], nvars)
 
 
 def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
@@ -219,11 +210,7 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
         (-2 * (1 + 2 * delta)) * spec.ps[0].with_nvars(n),
     ]
     for q in range(3, q_max + 1):
-        adv = GradedPoly.zero(VariableFamily.X, n)
-        for k in range(2, n + 2):
-            d = entries[q - 1].partial(k)
-            if d:
-                adv = adv + spec.ps[k - 1] * d
+        adv = entries[q - 1].derivation(spec.ps[1:], n)
         entries.append(2 * adv + _quadratic_factor(q, delta) * (entries[2] * entries[q - 2]))
     return PhiTable(delta, tuple(entries))
 

@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .ansatz import AnsatzSpec, general_phi_table, jet_phi_remainders, jet_phi_table, phi_table_for
+from .ansatz import AnsatzSpec, jet_phi_remainders, jet_phi_table, phi_table_for
 from .dynsys import (
     DynState,
     IntegrationError,
@@ -26,9 +26,8 @@ from .dynsys import (
     reduced_initial_state,
     rk4_integrate,
 )
-from .grpoly import GradedPoly, VariableFamily
 from .operators import derivative_chain
-from .solution import assemble_psi, closed_form_0ansatz, cole_hopf
+from .solution import _axis, assemble_psi, closed_form_0ansatz, cole_hopf
 from .verify import run_suite
 
 
@@ -98,13 +97,7 @@ def cmd_phi(args) -> int:
         labels = [f"Q_{k}" for k in range(2, args.qmax + 1)]
         _print_table(labels, tails[2 : args.qmax + 1], args.json, names=_basis_names)
         return 0
-    spec = AnsatzSpec.chain(args.n, args.delta)
-    if args.mode == "general" and args.n >= 1:
-        x = VariableFamily.X
-        ring = args.n + 1
-        ps = [GradedPoly.variable(x, ring, q) for q in range(2, args.n + 3)]
-        spec = AnsatzSpec.general(args.n, args.delta, ps)
-    table = phi_table_for(spec, args.qmax)
+    table = phi_table_for(AnsatzSpec.chain(args.n, args.delta), args.qmax)
     _print_table([f"Phi_{k}" for k in range(args.qmax + 1)], table.entries, args.json)
     return 0
 
@@ -143,16 +136,16 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-def _grid_times(args) -> list[Fraction]:
+def _grid(args) -> list[tuple[Fraction, float]]:
+    """The (t, z) points of an eval or burgers grid, t outside z."""
     if args.t is not None:
-        return [Fraction(part) for part in args.t.split(",")]
-    if args.t1 is None or args.tnum is None:
+        ts = [Fraction(part) for part in args.t.split(",")]
+    elif args.t1 is None or args.tnum is None:
         raise ValueError("give either --t or all of --t0/--t1/--tnum")
-    t0, t1 = Fraction(args.t0), Fraction(args.t1)
-    if args.tnum == 1:
-        return [t0]
-    span = (t1 - t0) / (args.tnum - 1)
-    return [t0 + i * span for i in range(args.tnum)]
+    else:
+        ts = _axis(Fraction(args.t0), Fraction(args.t1), args.tnum)
+    zs = _axis(args.z0, args.z1, args.znum)
+    return [(t, z) for t in ts for z in zs]
 
 
 def _family_setup(args):
@@ -167,13 +160,6 @@ def _family_setup(args):
         raise ValueError(f"{args.family} needs {expected} pole parameter(s)")
     n = len(poles) - 1
     return RationalH(n, poles), n
-
-
-def _z_points(args) -> list[float]:
-    if args.znum == 1:
-        return [args.z0]
-    span = (args.z1 - args.z0) / (args.znum - 1)
-    return [args.z0 + i * span for i in range(args.znum)]
 
 
 def _family_spec(n: int, delta: int) -> AnsatzSpec:
@@ -191,10 +177,7 @@ def cmd_eval(args) -> int:
     else:
         sol = assemble_psi(_family_spec(n, args.delta), h, r0, args.kmax)
         fn = sol.psi
-    rows = []
-    for t in _grid_times(args):
-        for z in _z_points(args):
-            rows.append((float(t), z, fn(z, float(t))))
+    rows = [(float(t), z, fn(z, float(t))) for t, z in _grid(args)]
     sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
     return 0
 
@@ -204,13 +187,11 @@ def cmd_burgers(args) -> int:
     image = cole_hopf(assemble_psi(_family_spec(n, args.delta), h, 0.0, args.kmax))
     mu = float(args.mu)
     rows = []
-    for t in _grid_times(args):
-        for z in _z_points(args):
-            if z == 0 and args.delta:
-                raise ValueError("odd-parity Burgers image has a pole at z = 0")
-            # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
-            value = 2 * mu * image.v(z, 2 * mu * float(t))
-            rows.append((float(t), z, value))
+    for t, z in _grid(args):
+        if z == 0 and args.delta:
+            raise ValueError("odd-parity Burgers image has a pole at z = 0")
+        # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
+        rows.append((float(t), z, 2 * mu * image.v(z, 2 * mu * float(t))))
     sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
     return 0
 
@@ -224,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--delta", type=int, choices=[0, 1], default=0)
     p.add_argument("--qmax", type=int, default=6)
-    p.add_argument("--mode", choices=["general", "reduced"], default="reduced")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_phi)
 

@@ -184,7 +184,8 @@ def rk4_integrate(
 ) -> list[DynState]:
     """Classical fixed-step RK4 from ``start`` to ``t_end``.
 
-    The final step is shortened to land exactly on ``t_end``.  Raises
+    Step i ends at t0 + i*step, and the last one exactly on ``t_end``
+    (shortened, or stretched by at most 1e-9 of a step).  Raises
     IntegrationError (with the offending time) if the state leaves
     [-max_abs, max_abs] or turns non-finite.
     """
@@ -207,17 +208,22 @@ def rk4_integrate(
 
     guard(t, x)
     out = [DynState(t, x)]
-    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
-        h = min(step, t_end - t)
+    # times from a step count, so they do not drift, and a span within
+    # 1e-9 steps of a whole number takes no sliver of a last step
+    t0, span = t, t_end - t
+    count = max(1, math.ceil(span / step - 1e-9)) if span > 0 else 0
+    for i in range(1, count + 1):
+        t_next = t_end if i == count else t0 + i * step
+        h = t_next - t
         k1 = field(t, x)
         k2 = field(t + h / 2, tuple(a + h / 2 * b for a, b in zip(x, k1)))
         k3 = field(t + h / 2, tuple(a + h / 2 * b for a, b in zip(x, k2)))
-        k4 = field(t + h, tuple(a + h * b for a, b in zip(x, k3)))
+        k4 = field(t_next, tuple(a + h * b for a, b in zip(x, k3)))
         x = tuple(
             a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
         )
-        t = t + h
+        t = t_next
         guard(t, x)
         out.append(DynState(t, x))
     return out

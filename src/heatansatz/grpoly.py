@@ -274,14 +274,45 @@ class GradedPoly:
             raise ValueError(f"variable index {index} not valid for family {self.family.value}")
         if position >= self.nvars:
             return GradedPoly.zero(self.family, self.nvars)
+        one = GradedPoly.const(self.family, self.nvars, 1)
+        return self.derivation([None] * position + [one], self.nvars)
+
+    def derivation(self, images: Sequence[Union["GradedPoly", None]], nvars: int) -> "GradedPoly":
+        """sum_i images[i] * dP/dv_i over a ring of ``nvars`` variables.
+
+        An image of None, or a position past the end of ``images``, is not
+        differentiated.  One pass over the terms of P and of each image,
+        and one constructor call.  The terms come out in the order of the
+        same sum built with ``*`` and ``+`` (a term that cancels leaves
+        it), which fixes the order in which a float ``evaluate`` adds them.
+        """
+        if self.max_used_position() >= nvars:
+            raise ValueError(f"polynomial does not fit in {nvars} variables")
+        terms = [(self._pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
         acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[position]
-            if not e:
+        for i, image in enumerate(images[:nvars]):
+            if image is None:
                 continue
-            key = exps[:position] + (e - 1,) + exps[position + 1 :]
-            acc[key] = acc.get(key, Fraction(0)) + coeff * e
-        return GradedPoly(self.family, self.nvars, acc)
+            self._check_family(image)
+            if image.max_used_position() >= nvars:
+                raise ValueError(f"derivation image {image.to_text()} does not fit in {nvars} variables")
+            lowered = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], c * exps[i]) for exps, c in terms if exps[i]]
+            part: dict[tuple[int, ...], Fraction] = {}
+            for image_exps, image_c in image._terms.items():
+                image_exps = self._pad(image_exps, nvars)
+                for exps, c in lowered:
+                    key = tuple(a + b for a, b in zip(exps, image_exps))
+                    part[key] = part[key] + c * image_c if key in part else c * image_c
+            for key, c in part.items():
+                if not c:
+                    continue
+                if key not in acc:
+                    acc[key] = c
+                elif acc[key] + c:
+                    acc[key] += c
+                else:
+                    del acc[key]
+        return GradedPoly(self.family, nvars, acc)
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.

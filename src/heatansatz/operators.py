@@ -35,12 +35,7 @@ def jet_derivative(poly: GradedPoly) -> GradedPoly:
     """Total time derivative along jets: sum_s y_{s+1} dP/dy_s."""
     _require_y(poly)
     nvars = poly.nvars + 1
-    result = GradedPoly.zero(VariableFamily.Y, nvars)
-    for s in range(1, poly.nvars + 1):
-        d = poly.partial(s)
-        if d:
-            result = result + GradedPoly.variable(VariableFamily.Y, nvars, s + 1) * d.with_nvars(nvars)
-    return result
+    return poly.derivation([GradedPoly.variable(VariableFamily.Y, nvars, s + 1) for s in range(1, nvars)], nvars)
 
 
 def weighted_derivative(k: Union[Scalar, float], poly: GradedPoly) -> GradedPoly:
@@ -60,23 +55,18 @@ def weighted_derivative(k: Union[Scalar, float], poly: GradedPoly) -> GradedPoly
 def annihilator(poly: GradedPoly) -> GradedPoly:
     """Apply d/dy1 - sum_s (s+1)s * ys * d/dy_{s+1}."""
     _require_y(poly)
-    result = poly.partial(1)
-    for s in range(1, poly.nvars):
-        d = poly.partial(s + 1)
-        if d:
-            result = result - (s + 1) * s * (GradedPoly.variable(VariableFamily.Y, poly.nvars, s) * d)
-    return result
+    nvars = poly.nvars
+    one = GradedPoly.const(VariableFamily.Y, nvars, 1)
+    lowered = [-(s + 1) * s * GradedPoly.variable(VariableFamily.Y, nvars, s) for s in range(1, nvars)]
+    return poly.derivation([one, *lowered], nvars)
 
 
 def euler_operator(poly: GradedPoly) -> GradedPoly:
     """Apply the grading operator -2 sum_s s * ys * d/dys."""
     _require_y(poly)
-    result = GradedPoly.zero(VariableFamily.Y, poly.nvars)
-    for s in range(1, poly.nvars + 1):
-        d = poly.partial(s)
-        if d:
-            result = result - 2 * s * (GradedPoly.variable(VariableFamily.Y, poly.nvars, s) * d)
-    return result
+    nvars = poly.nvars
+    graded = [-2 * s * GradedPoly.variable(VariableFamily.Y, nvars, s) for s in range(1, nvars + 1)]
+    return poly.derivation(graded, nvars)
 
 
 @lru_cache(maxsize=None)

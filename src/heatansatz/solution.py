@@ -112,17 +112,16 @@ class GridSpec:
         if self.dz <= 0 or self.dt <= 0:
             raise ValueError("stencil spacings must be positive")
 
-    def z_points(self) -> list[float]:
-        if self.znum == 1:
-            return [float(self.z0)]
-        span = (self.z1 - self.z0) / (self.znum - 1)
-        return [self.z0 + i * span for i in range(self.znum)]
 
-    def t_points(self) -> list[float]:
-        if self.tnum == 1:
-            return [float(self.t0)]
-        span = (self.t1 - self.t0) / (self.tnum - 1)
-        return [self.t0 + i * span for i in range(self.tnum)]
+def _axis(lo, hi, num: int) -> list:
+    """num evenly spaced points lo + i*span from lo to hi, exact for
+    Fractions; ValueError when a float span is not finite."""
+    if num == 1:
+        return [lo]
+    span = (hi - lo) / (num - 1)
+    if isinstance(span, float) and not math.isfinite(span):
+        raise ValueError(f"grid from {lo} to {hi} has a span that is not finite")
+    return [lo + i * span for i in range(num)]
 
 
 def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> float:
@@ -254,18 +253,10 @@ class SeriesSolution:
         """The b_k as jet polynomials (ansatz parameters substituted by
         chain polynomials), cached."""
         if self._bracket_cache is None:
-            d = self.delta
-            y1 = GradedPoly.variable(VariableFamily.Y, 1, 1)
+            base = -HALF * GradedPoly.variable(VariableFamily.Y, 1, 1)
             hat = [ansatz_to_jet(entry, max(self.n, 1)) for entry in self.phi.entries[: self.truncation + 1]]
-            table = []
-            for k in range(self.truncation + 1):
-                acc = GradedPoly.zero(VariableFamily.Y, 1)
-                for i in range(k + 1):
-                    j = k - i
-                    c = Fraction(math.factorial(2 * k + d), math.factorial(i) * math.factorial(2 * j + d))
-                    acc = acc + (c * (-HALF) ** i) * (y1**i * hat[j])
-                table.append(acc)
-            self._bracket_cache = table
+            gauss = [base**i for i in range(self.truncation + 1)]
+            self._bracket_cache = _bracket_product(self.delta, gauss, hat)
         return self._bracket_cache
 
     # -- evaluation ----------------------------------------------------------
@@ -351,10 +342,13 @@ def rescale_to_mu(psi: Callable, mu: float) -> Callable:
 
 
 def _bracket_product(delta: int, gauss: Sequence, phi: Sequence) -> list:
-    """(2k+delta)! sum_{i+j=k} gauss_i / i! * phi_j / (2j+delta)! for k < len(phi)."""
+    """(2k+delta)! sum_{i+j=k} gauss_i / i! * phi_j / (2j+delta)! for k < len(phi).
+
+    The entries may be numbers or polynomials (each sum starts at 0 * phi_k).
+    """
     out = []
     for k in range(len(phi)):
-        total = Fraction(0)
+        total = 0 * phi[k]
         for i in range(k + 1):
             j = k - i
             c = Fraction(math.factorial(2 * k + delta), math.factorial(i) * math.factorial(2 * j + delta))
@@ -430,8 +424,8 @@ def diffusion_residual_numeric(
     that memoises its last time slice builds three slices per grid time.
     """
     worst = 0.0
-    zs = grid.z_points()
-    for t in grid.t_points():
+    zs = _axis(float(grid.z0), float(grid.z1), grid.znum)
+    for t in _axis(float(grid.t0), float(grid.t1), grid.tnum):
         later = [psi(z, t + grid.dt) for z in zs]
         earlier = [psi(z, t - grid.dt) for z in zs]
         for z, ahead, behind in zip(zs, later, earlier):
@@ -608,8 +602,8 @@ def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) ->
     # time rows as in diffusion_residual_numeric: three slices per grid time
     v = image.v
     worst = 0.0
-    zs = grid.z_points()
-    for t in grid.t_points():
+    zs = _axis(float(grid.z0), float(grid.z1), grid.znum)
+    for t in _axis(float(grid.t0), float(grid.t1), grid.tnum):
         later = [v(z, t + grid.dt) for z in zs]
         earlier = [v(z, t - grid.dt) for z in zs]
         for z, ahead, behind in zip(zs, later, earlier):

@@ -224,3 +224,13 @@ def test_coefficient_recursion_checker():
     # float inputs compare within tolerance
     fpairs = [(lambda t: math.exp(-t), lambda t: -math.exp(-t)), (lambda t: -2 * math.exp(-t), lambda t: None)]
     assert check_coefficient_recursion(fpairs, [0.3, 1.7], tol=1e-12)
+
+
+def test_chain_variables_spec_equals_chain():
+    # the general family (x2, ..., x_{n+2}) caps x_{n+2} to zero: it is the chain family
+    for n in range(5):
+        for delta in (0, 1):
+            ps = [GradedPoly.variable(X, n + 1, q) for q in range(2, n + 3)]
+            spec = AnsatzSpec.general(n, delta, ps)
+            assert spec == AnsatzSpec.chain(n, delta)
+            assert general_phi_table(spec, 10) == general_phi_table(AnsatzSpec.chain(n, delta), 10)

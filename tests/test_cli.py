@@ -66,10 +66,12 @@ def test_phi_tables():
     assert "Q_4 = 60*Z2^2" in out.splitlines()
 
 
-def test_phi_general_mode_matches_reduced():
-    _, a, _ = cli("phi", "--mode", "general", "--n", "2", "--qmax", "6")
-    _, b, _ = cli("phi", "--mode", "reduced", "--n", "2", "--qmax", "6")
-    assert a == b
+def test_phi_rejects_removed_mode_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["phi", "--mode", "general", "--n", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --mode general" in captured.err
 
 
 def test_verify_exit_zero():
@@ -221,6 +223,9 @@ def test_empty_grid_is_usage_error(command, grid, capsys):
 @pytest.mark.parametrize("argv", [
     ["eval", "--family", "0ansatz", "--r0", "1000", "--t", "2"],
     ["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "30", "--z0", "2e6", "--znum", "1", "--t", "2"],
+    # finite bounds whose span overflows
+    ["eval", "--family", "0ansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
+    ["eval", "--family", "nansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
 ])
 def test_float_overflow_is_domain_error(argv, capsys):
     assert run(argv) == 1

@@ -112,6 +112,10 @@ def test_rk4_partial_final_step():
     assert len(traj) == 4
     assert traj[-1].t == 0.25
     assert abs(traj[-1].x[0] - math.exp(0.25)) < 1e-6
+    # a whole number of steps: the clock does not drift into a sliver step
+    traj = rk4_integrate(field, DynState(2.0, (1.0,)), 3.0, 1e-2)
+    assert len(traj) == 101
+    assert [s.t for s in traj] == [2.0 + i * 1e-2 for i in range(100)] + [3.0]
 
 
 def test_rk4_accuracy_exponential():

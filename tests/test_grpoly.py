@@ -112,6 +112,24 @@ def test_partial_commutes():
         assert p.partial(1).partial(2) == p.partial(2).partial(1)
 
 
+def test_derivation():
+    # D = y2 d/dy1 + y3 d/dy2 over y1..y3: D(y1^2 y2) = 2 y1 y2^2 + y1^2 y3
+    p = GradedPoly.variable(Y, 2, 1) ** 2 * GradedPoly.variable(Y, 2, 2)
+    out = p.derivation([y(2, 3), y(3, 3)], 3)
+    assert out.nvars == 3
+    assert out == 2 * y(1) * y(2) ** 2 + y(1) ** 2 * y(3)
+    # None and positions past the images are not differentiated
+    assert p.derivation([None, y(3, 3)], 3) == y(1) ** 2 * y(3)
+    assert p.derivation([y(2, 3)], 3) == 2 * y(1) * y(2) ** 2
+    assert p.derivation([], 2).is_zero
+    with pytest.raises(FamilyMismatchError):
+        p.derivation([GradedPoly.variable(X, 3, 2)], 3)
+    with pytest.raises(ValueError):
+        p.derivation([y(3, 3)], 2)  # image outside the ring
+    with pytest.raises(ValueError):
+        p.derivation([y(1, 1)], 1)  # p itself uses y2
+
+
 def test_degree_and_homogeneity():
     p = y(2) + y(1) ** 2
     assert p.degree() == -4

@@ -21,6 +21,7 @@ from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.solution import (
     GridSpec,
     SeriesSolution,
+    _axis,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
@@ -43,8 +44,15 @@ TIMES = [Fraction(k, 4) for k in range(6, 26, 2)]  # ten rational samples in [3/
 
 def test_grid_spec_points():
     g = GridSpec(-1.0, 1.0, 5, 2.0, 3.0, 3, 1e-3, 1e-3)
-    assert g.z_points() == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert g.t_points() == [2.0, 2.5, 3.0]
+    assert _axis(g.z0, g.z1, g.znum) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert _axis(g.t0, g.t1, g.tnum) == [2.0, 2.5, 3.0]
+    assert _axis(Fraction(2), Fraction(3), 3) == [Fraction(2), Fraction(5, 2), Fraction(3)]
+    assert _axis(0.25, 9.0, 1) == [0.25]
+    # finite bounds whose span overflows
+    with pytest.raises(ValueError, match="not finite"):
+        _axis(-1e308, 1e308, 3)
+    with pytest.raises(ValueError, match="not finite"):
+        diffusion_residual_numeric(lambda z, t: 0.0, GridSpec(-1e308, 1e308, 3, 2.0, 3.0, 3, 1e-3, 1e-3))
 
 
 def test_exp_r_closed_form():
@@ -129,6 +137,21 @@ def test_truncation_200_evaluates():
             value = sol.psi(z, t)
             assert math.isfinite(value)
             assert value == pytest.approx(psi(z, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bracket_jets_match_bracket_coefficients(n, delta):
+    # the jet-space b_k at the profile's jets are the b_k over the parameters
+    poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3))
+    h = RationalH(n, poles[: n + 1])
+    spec = AnsatzSpec.chain(n, delta) if n < 2 else AnsatzSpec.reduced(n, delta, rational_top(n))
+    sol = assemble_psi(spec, h, 0, 8)
+    table = sol.bracket_jets()
+    assert len(table) == 9
+    for t in (Fraction(5, 2), Fraction(7, 2), Fraction(17, 5)):
+        jets = h.jets(t, max(n, 1) + 1)
+        assert [b.evaluate(jets) for b in table] == sol.bracket_coefficients(t)
 
 
 @pytest.mark.parametrize("delta", [0, 1])
