@@ -166,15 +166,13 @@ class AnsatzSpec:
     def reduced(cls, n: int, delta: int, top: GradedPoly) -> "AnsatzSpec":
         """The chain family p_q = x_q for q <= n+1 closed by p_{n+2} = P_n."""
         _check_delta(delta)
-        if n < 1:
-            raise ValueError("the reduced family needs n >= 1")
         if top.family not in (VariableFamily.X, VariableFamily.D):
             raise ValueError("P_n lives over the X (or D) family")
         if not top.is_homogeneous():
             raise ValueError("P_n must be homogeneous")
         if not top.is_zero and top.degree() != -2 * (n + 2):
             raise ValueError(f"P_n must have degree {-2 * (n + 2)}")
-        if top.max_used_position() > n - 2:
+        if top.max_used_position() >= max(n - 1, 0):
             raise ValueError(f"P_n may only use x2..x{n}")
         if top.family is VariableFamily.D:
             top = GradedPoly(VariableFamily.X, top.nvars, dict(top.terms()))
@@ -184,9 +182,7 @@ class AnsatzSpec:
     @classmethod
     def chain(cls, n: int, delta: int) -> "AnsatzSpec":
         """The reduced family with P_n = 0 (the closed-form families)."""
-        return cls.reduced(n, delta, GradedPoly.zero(VariableFamily.X, 0)) if n >= 1 else cls.general(
-            n, delta, [GradedPoly.zero(VariableFamily.X, 0)]
-        )
+        return cls.reduced(n, delta, GradedPoly.zero(VariableFamily.X, 0))
 
 
 def _quadratic_factor(q: int, delta: int) -> Fraction:

@@ -27,7 +27,7 @@ from .dynsys import (
     rk4_integrate,
 )
 from .operators import derivative_chain
-from .solution import _axis, assemble_psi, closed_form_0ansatz, cole_hopf
+from .solution import _axis, assemble_psi, closed_form_0ansatz, cole_hopf, rescale_to_mu
 from .verify import run_suite
 
 
@@ -61,7 +61,7 @@ def _positive_int(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for grid bounds: nan or inf is a usage error."""
+    """argparse type for float options: nan or inf is a usage error."""
     try:
         value = float(text)
     except ValueError:
@@ -93,7 +93,7 @@ def cmd_phi(args) -> int:
         _print_table([f"Y_{k}" for k in range(args.qmax + 1)], table.entries, args.json)
         return 0
     if args.table == "q":
-        tails = jet_phi_remainders(args.delta, max(args.qmax, 2))
+        tails = jet_phi_remainders(args.delta, args.qmax)
         labels = [f"Q_{k}" for k in range(2, args.qmax + 1)]
         _print_table(labels, tails[2 : args.qmax + 1], args.json, names=_basis_names)
         return 0
@@ -163,20 +163,15 @@ def _family_setup(args):
 
 
 def _family_spec(n: int, delta: int) -> AnsatzSpec:
-    if n < 2:
-        return AnsatzSpec.chain(n, delta)
     return AnsatzSpec.reduced(n, delta, rational_top(n))
 
 
 def cmd_eval(args) -> int:
     h, n = _family_setup(args)
-    r0 = float(args.r0)
     if args.family == "0ansatz":
-        psi = closed_form_0ansatz(args.delta, h.poles[0], r0)
-        fn = psi
+        fn = closed_form_0ansatz(args.delta, h.poles[0], args.r0)
     else:
-        sol = assemble_psi(_family_spec(n, args.delta), h, r0, args.kmax)
-        fn = sol.psi
+        fn = assemble_psi(_family_spec(n, args.delta), h, args.r0, args.kmax).psi
     rows = [(float(t), z, fn(z, float(t))) for t, z in _grid(args)]
     sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
     return 0
@@ -185,13 +180,13 @@ def cmd_eval(args) -> int:
 def cmd_burgers(args) -> int:
     h, n = _family_setup(args)
     image = cole_hopf(assemble_psi(_family_spec(n, args.delta), h, 0.0, args.kmax))
-    mu = float(args.mu)
+    # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
+    v = rescale_to_mu(image.v, args.mu)
     rows = []
     for t, z in _grid(args):
         if z == 0 and args.delta:
             raise ValueError("odd-parity Burgers image has a pole at z = 0")
-        # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
-        rows.append((float(t), z, 2 * mu * image.v(z, 2 * mu * float(t))))
+        rows.append((float(t), z, 2 * args.mu * v(z, float(t))))
     sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
     return 0
 
@@ -234,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha2", default="1")
         p.add_argument("--beta2", default="1")
         p.add_argument("--poles", default=None, help="comma-separated alpha:beta pairs (overrides --alpha/--beta)")
-        p.add_argument("--r0", default="0")
         p.add_argument("--kmax", type=int, default=10)
         p.add_argument("--z0", type=_finite_float, default=-1.0)
         p.add_argument("--z1", type=_finite_float, default=1.0)
@@ -243,8 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t0", default="1")
         p.add_argument("--t1", default=None)
         p.add_argument("--tnum", type=_positive_int, default=None)
-        if name == "burgers":
-            p.add_argument("--mu", default="0.5")
+        if name == "eval":
+            p.add_argument("--r0", type=_finite_float, default=0.0)
+        else:
+            p.add_argument("--mu", type=_finite_float, default=0.5)
         p.set_defaults(fn=fn)
 
     return parser

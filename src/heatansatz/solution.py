@@ -210,8 +210,12 @@ class SeriesSolution:
         self.truncation = truncation
         self.gauge = gauge
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source)
+        # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!,
+        # divided exactly: every series and slice of psi and of v reads it
+        self.scaled = tuple(
+            entry * Fraction(1, math.factorial(2 * k + delta)) for k, entry in enumerate(phi.entries[: truncation + 1])
+        )
         self._bracket_cache: Union[list[GradedPoly], None] = None
-        self._scaled_phi: Union[list[GradedPoly], None] = None
         self._last: Union[tuple[Numeric, PsiSlice], None] = None
 
     # -- state access -------------------------------------------------------
@@ -242,22 +246,23 @@ class SeriesSolution:
     def bracket_coefficients(self, t: Numeric) -> list:
         """b_k = psi_k(t) / e^{r(t)} for k = 0..K, exact for exact sources.
 
-        b_k = (2k+delta)! * sum_{i+j=k} (-h/2)^i / i! * Phi_j(x) / (2j+delta)!.
+        b_k = (2k+delta)! * sum_{i+j=k} (-h/2)^i / i! * a_j(x).
         """
         xs = self.parameter_values(t)
-        phi_values = [entry.evaluate(xs[1:]) for entry in self.phi.entries[: self.truncation + 1]]
-        gauss = [(-HALF * xs[0]) ** i for i in range(self.truncation + 1)]
-        return _bracket_product(self.delta, gauss, phi_values)
+        return self._bracket(_gauss(-HALF * xs[0], self.truncation + 1), [a.evaluate(xs[1:]) for a in self.scaled])
 
     def bracket_jets(self) -> list[GradedPoly]:
         """The b_k as jet polynomials (ansatz parameters substituted by
         chain polynomials), cached."""
         if self._bracket_cache is None:
             base = -HALF * GradedPoly.variable(VariableFamily.Y, 1, 1)
-            hat = [ansatz_to_jet(entry, max(self.n, 1)) for entry in self.phi.entries[: self.truncation + 1]]
-            gauss = [base**i for i in range(self.truncation + 1)]
-            self._bracket_cache = _bracket_product(self.delta, gauss, hat)
+            hat = [ansatz_to_jet(a, max(self.n, 1)) for a in self.scaled]
+            self._bracket_cache = self._bracket(_gauss(base, len(hat)), hat)
         return self._bracket_cache
+
+    def _bracket(self, gauss: Sequence, a: Sequence) -> list:
+        """(2k+delta)! * sum_{i+j=k} gauss_i a_j for k < len(a)."""
+        return [math.factorial(2 * k + self.delta) * _cauchy(gauss, a, k) for k in range(len(a))]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -265,21 +270,15 @@ class SeriesSolution:
         """The float data of psi at time t: h(t), e^{r(t)} with the gauge
         factor, and a_k = Phi_k(x(t)) / (2k+delta)! for k = 0..K.
 
-        The table is divided by (2k+delta)! in exact arithmetic before
-        anything becomes a float, so every truncation order evaluates (the
-        factorial alone overflows a float from K = 86 on).  The last slice
-        is memoised: a grid that loops over t outside z builds one slice
-        per time.
+        The scaled table is divided by (2k+delta)! in exact arithmetic, so
+        every truncation order evaluates (the factorial alone overflows a
+        float from K = 86 on).  The last slice is memoised: a grid that
+        loops over t outside z builds one slice per time.
         """
         if _same_time(self._last, t):
             return self._last[1]
-        if self._scaled_phi is None:
-            self._scaled_phi = [
-                entry * Fraction(1, math.factorial(2 * k + self.delta))
-                for k, entry in enumerate(self.phi.entries[: self.truncation + 1])
-            ]
         xs = self.parameter_values(t)
-        coeffs = tuple(float(entry.evaluate(xs[1:])) for entry in self._scaled_phi)
+        coeffs = tuple(float(a.evaluate(xs[1:])) for a in self.scaled)
         data = PsiSlice(self.delta, float(xs[0]), self.r_exponential(t), coeffs)
         self._last = (t, data)
         return data
@@ -341,20 +340,18 @@ def rescale_to_mu(psi: Callable, mu: float) -> Callable:
 # -- residuals ----------------------------------------------------------------
 
 
-def _bracket_product(delta: int, gauss: Sequence, phi: Sequence) -> list:
-    """(2k+delta)! sum_{i+j=k} gauss_i / i! * phi_j / (2j+delta)! for k < len(phi).
+def _cauchy(a: Sequence, b: Sequence, k: int):
+    """sum_{i+j=k} a_i b_j for numbers or polynomials, the sum starting at
+    0 * b[k]; a may stop short of k (a recursion passes what it has)."""
+    total = 0 * b[k]
+    for i in range(min(k + 1, len(a))):
+        total = total + a[i] * b[k - i]
+    return total
 
-    The entries may be numbers or polynomials (each sum starts at 0 * phi_k).
-    """
-    out = []
-    for k in range(len(phi)):
-        total = 0 * phi[k]
-        for i in range(k + 1):
-            j = k - i
-            c = Fraction(math.factorial(2 * k + delta), math.factorial(i) * math.factorial(2 * j + delta))
-            total = total + c * gauss[i] * phi[j]
-        out.append(total)
-    return out
+
+def _gauss(base, count: int) -> list:
+    """base^i / i! for i < count: the series of e^{base s}."""
+    return [base**i * Fraction(1, math.factorial(i)) for i in range(count)]
 
 
 def _exact_flow(sol: SeriesSolution, t: Numeric) -> tuple[tuple, list]:
@@ -395,18 +392,18 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
     if not sol.exact:
         raise ValueError("the exact residual needs a rational profile source")
     K, d = sol.truncation, sol.delta
-    phi = sol.phi.entries[:K]
-    grads = _gradients(phi, sol.n)
+    a = sol.scaled[:K]
+    grads = _gradients(a, sol.n)
     worst = Fraction(0)
     for t in t_samples:
         x, rates = _exact_flow(sol, t)
-        values, slopes = _values_and_rates(phi, grads, x, rates)
-        h, dh = x[0], rates[0]
-        gauss = [(-HALF * h) ** i for i in range(K)]
-        # d/dt (-h/2)^i = i (-h/2)^(i-1) (-h'/2)
-        dgauss = [Fraction(0)] + [i * gauss[i - 1] * (-HALF * dh) for i in range(1, K)]
-        b = _bracket_product(d, gauss, values)
-        db = [p + q for p, q in zip(_bracket_product(d, dgauss, values), _bracket_product(d, gauss, slopes))]
+        values, slopes = _values_and_rates(a, grads, x, rates)
+        h = x[0]
+        gauss = _gauss(-HALF * h, K)
+        # d/dt (-h/2)^i / i! = (-h/2)^(i-1) / (i-1)! * (-h'/2)
+        dgauss = [Fraction(0)] + [g * (-HALF * rates[0]) for g in gauss[:-1]]
+        b = sol._bracket(gauss, values)
+        db = [p + q for p, q in zip(sol._bracket(dgauss, values), sol._bracket(gauss, slopes))]
         for k in range(1, K):
             worst = max(worst, abs(b[k] + (2 * d + 1) * h * b[k - 1] - 2 * db[k - 1]))
     return worst
@@ -514,30 +511,18 @@ class BurgersSolution:
 def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
     """Exact Cole-Hopf image of a series solution (diffusion mu = 1/2).
 
-    The removed-series coefficients come from truncated Laurent division:
-    with W = 1 + sum_j w_j z^(2j), w_j = Phi_j / (2j+delta)!, the image is
-    v = -delta/z + h z - W'/W, computed term by term over the parameters
-    x2..x_{n+1}.  Any source evaluates, an integrated trajectory too.
+    With W = sum_k a_k z^(2k) from the scaled table (a_0 = 1), the image is
+    v = -delta/z + h z - W'/W and W'/W = sum_k c_k z^(2k-1).  Matching
+    coefficients in W (W'/W) = W' gives c_0 = 0 and the recursion
+    c_k = 2k a_k - sum_{j=1}^{k-1} a_j c_{k-j}, one truncated convolution
+    over the parameters x2..x_{n+1}.  Any source evaluates, an integrated
+    trajectory too.
     """
-    K = sol.truncation
-    w = [p * Fraction(1, math.factorial(2 * j + sol.delta)) for j, p in enumerate(sol.phi.entries[: K + 1])]
-    zero = GradedPoly.zero(VariableFamily.X, sol.n)
-    # u = 1/W truncated: u_m = -sum_{j>=1} w_j u_{m-j}
-    u = [GradedPoly.const(VariableFamily.X, sol.n, 1)]
-    for m in range(1, K + 1):
-        acc = zero
-        for j in range(1, m + 1):
-            if not w[j].is_zero and not u[m - j].is_zero:
-                acc = acc - w[j] * u[m - j]
-        u.append(acc)
-    series = [zero, zero]
-    for k in range(2, K + 1):
-        acc = zero
-        for j in range(1, k + 1):
-            if not w[j].is_zero and not u[k - j].is_zero:
-                acc = acc + (2 * j) * (w[j] * u[k - j])
-        series.append(acc)
-    return BurgersSolution(sol, tuple(series))
+    a = sol.scaled
+    c = [0 * a[0]]
+    for k in range(1, sol.truncation + 1):
+        c.append(2 * k * a[k] - _cauchy(c, a, k))
+    return BurgersSolution(sol, tuple(c))
 
 
 def burgers_residual(
@@ -566,35 +551,22 @@ def burgers_residual(
 
 
 def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Sequence[Numeric]):
-    # the Laurent coefficients of the residual at each sample, from the
-    # exact values and rates of v's coefficients (orders -1, 1, 3, ...)
+    # v = sum_m f_m z^(2m-1) with f_0 = -delta, f_1 = h and f_m = -c_m; the
+    # z^(2M-3) coefficient of v_t + v v_z - mu v_zz is
+    # f'_{M-1} + (M-1) (f*f)_M - mu (2M-1)(2M-2) f_M, trusted for M <= K
     if not image.source.exact:
         raise ValueError("the exact residual needs a rational profile source")
     K = image.truncation
-    trusted = 2 * K - 3
     grads = _gradients(image.series_jets, image.source.n)
     worst = Fraction(0)
     for t in t_samples:
         x, rates = _exact_flow(image.source, t)
         values, slopes = _values_and_rates(image.series_jets, grads, x, rates)
-        v = {1: (x[0], rates[0])}
-        if image.delta:
-            v[-1] = (-image.delta, 0)
-        for k in range(2, K + 1):
-            v[2 * k - 1] = (-values[k], -slopes[k])
-        residual: dict[int, Fraction] = {}
-
-        def add(order: int, value) -> None:
-            if order <= trusted:
-                residual[order] = residual.get(order, 0) + value
-
-        for o, (c, dc) in v.items():
-            add(o, dc)
-            add(o - 2, -mu * o * (o - 1) * c)
-        for o1, (c1, _) in v.items():
-            for o2, (c2, _) in v.items():
-                add(o1 + o2 - 1, o2 * c1 * c2)
-        worst = max(worst, *(abs(value) for value in residual.values()))
+        f = [Fraction(-image.delta), x[0], *(-c for c in values[2:])]
+        df = [Fraction(0), rates[0], *(-dc for dc in slopes[2:])]
+        for M in range(K + 1):
+            rate = df[M - 1] if M else 0
+            worst = max(worst, abs(rate + (M - 1) * _cauchy(f, f, M) - mu * (2 * M - 1) * (2 * M - 2) * f[M]))
     return worst
 
 

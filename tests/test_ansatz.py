@@ -204,6 +204,10 @@ def test_spec_validation():
         AnsatzSpec.general(1, 0, [x(3, 2), x(3, 2)])  # p_2 degree must be -4
     with pytest.raises(ValueError):
         AnsatzSpec.reduced(2, 0, x(2, 1))  # top degree must be -8
+    with pytest.raises(ValueError, match="may only use"):
+        AnsatzSpec.reduced(0, 0, x(2, 1))  # P_0 has degree -4 but no parameter to use
+    with pytest.raises(ValueError, match="nonnegative"):
+        AnsatzSpec.reduced(-1, 0, GradedPoly.zero(X, 0))
 
 
 def test_coefficient_recursion_checker():

@@ -52,7 +52,7 @@ def test_dk_json():
     assert all(b["family"] == "Y" for b in blobs)
 
 
-def test_phi_tables():
+def test_phi_tables(capsys):
     code, out, _ = cli("phi", "--table", "phi", "--n", "1", "--delta", "0", "--qmax", "4")
     assert code == 0
     lines = out.splitlines()
@@ -64,6 +64,10 @@ def test_phi_tables():
     code, out, _ = cli("phi", "--table", "q", "--delta", "0", "--qmax", "4")
     assert code == 0
     assert "Q_4 = 60*Z2^2" in out.splitlines()
+    # a tail table shorter than Q_2 is a domain error, not an empty table
+    for qmax in ("1", "0", "-3"):
+        assert run(["phi", "--table", "q", "--qmax", qmax]) == 1
+        assert capsys.readouterr() == ("", "error: k_max must be at least 2\n")
 
 
 def test_phi_rejects_removed_mode_option(capsys):
@@ -168,12 +172,15 @@ def test_burgers_values():
         assert value == pytest.approx(z / t - 1 / z, rel=1e-14)
 
 
-def test_burgers_rescales_mu():
+def test_burgers_rescales_mu(capsys):
     # v_mu(z, t) = 2 mu v(z, 2 mu t): for the even 0-ansatz image z/t this
     # collapses to z/t independently of mu
     _, half, _ = cli("burgers", "--family", "0ansatz", "--mu", "0.5", "--t", "2", "--znum", "3")
     _, two, _ = cli("burgers", "--family", "0ansatz", "--mu", "2", "--t", "2", "--znum", "3")
     assert half == two
+    # mu = 0 has no image; the profile's pole at t = 0 must not be reported instead
+    assert run(["burgers", "--family", "0ansatz", "--mu", "0", "--t", "2", "--znum", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: mu must be nonzero\n")
 
 
 def test_burgers_pole_at_origin_is_domain_error():
@@ -210,13 +217,21 @@ def test_usage_errors_exit_two():
 @pytest.mark.parametrize("grid", [
     ("--znum", "0"), ("--znum", "-2"), ("--t1", "2", "--tnum", "0"),
     ("--z0", "nan", "--znum", "1"), ("--z1", "inf"), ("--z0=-inf",), ("--z1=-Infinity",),
+    ("--r0", "nan"), ("--r0", "1e400"), ("--mu", "nan"), ("--mu", "inf"), ("--r0", "x"), ("--mu", "1/2"),
 ])
 def test_empty_grid_is_usage_error(command, grid, capsys):
     with pytest.raises(SystemExit) as exc:
         run([command, "--family", "0ansatz", "--t0", "1", *grid])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    message = "must be finite" if grid[0].startswith(("--z0", "--z1")) else "must be a positive integer"
+    if grid[0] == {"eval": "--mu", "burgers": "--r0"}[command]:
+        message = "unrecognized arguments"  # burgers has no --r0 (v does not depend on it), eval no --mu
+    elif grid[-1] in ("x", "1/2"):
+        message = "invalid float value"
+    elif grid[0].startswith(("--z0", "--z1", "--r0", "--mu")):
+        message = "must be finite"
+    else:
+        message = "must be a positive integer"
     assert captured.out == "" and message in captured.err
 
 

@@ -22,6 +22,9 @@ from heatansatz.solution import (
     GridSpec,
     SeriesSolution,
     _axis,
+    _exact_flow,
+    _gradients,
+    _values_and_rates,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
@@ -145,8 +148,7 @@ def test_bracket_jets_match_bracket_coefficients(n, delta):
     # the jet-space b_k at the profile's jets are the b_k over the parameters
     poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3))
     h = RationalH(n, poles[: n + 1])
-    spec = AnsatzSpec.chain(n, delta) if n < 2 else AnsatzSpec.reduced(n, delta, rational_top(n))
-    sol = assemble_psi(spec, h, 0, 8)
+    sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)), h, 0, 8)
     table = sol.bracket_jets()
     assert len(table) == 9
     for t in (Fraction(5, 2), Fraction(7, 2), Fraction(17, 5)):
@@ -421,8 +423,7 @@ def test_image_matches_sympy_log_derivative(n, delta):
     sp = pytest.importorskip("sympy")
     poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3))
     K = 8
-    sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)) if n else AnsatzSpec.chain(0, delta),
-                       RationalH(n, poles[: n + 1]), 0, K)
+    sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)), RationalH(n, poles[: n + 1]), 0, K)
     t = Fraction(7, 2)
     xs = sol.parameter_values(t)[1:]
     z = sp.Symbol("z")
@@ -446,3 +447,107 @@ def test_cole_hopf_of_trajectory_source(delta):
             assert image.v(z, t) == pytest.approx(exact.v(z, t), rel=1e-6)
     with pytest.raises(ValueError):
         burgers_residual(image, mode="series", t_samples=[Fraction(5, 2)])
+
+
+# reference constructions for the series algebra: the image by the
+# reciprocal series, and the Burgers residual by a dict of Laurent orders
+def _image_by_reciprocal(sol):
+    """c_k from u = 1/W truncated (u_m = -sum_{j>=1} w_j u_{m-j}), then the
+    product W' u; entries 0 and 1 are zero."""
+    K = sol.truncation
+    w = [p * Fraction(1, math.factorial(2 * j + sol.delta)) for j, p in enumerate(sol.phi.entries[: K + 1])]
+    zero = GradedPoly.zero(X, sol.n)
+    u = [GradedPoly.const(X, sol.n, 1)]
+    for m in range(1, K + 1):
+        u.append(sum((-(w[j] * u[m - j]) for j in range(1, m + 1)), zero))
+    return [zero, zero] + [sum(((2 * j) * (w[j] * u[k - j]) for j in range(1, k + 1)), zero) for k in range(2, K + 1)]
+
+
+def _burgers_residual_by_orders(image, mu, t_samples):
+    """Max |coefficient| of v_t + v v_z - mu v_zz through order 2K-3, adding
+    each pair of v's Laurent orders into a dict keyed by order."""
+    K = image.truncation
+    grads = _gradients(image.series_jets, image.source.n)
+    worst = Fraction(0)
+    for t in t_samples:
+        x, rates = _exact_flow(image.source, t)
+        values, slopes = _values_and_rates(image.series_jets, grads, x, rates)
+        v = {1: (x[0], rates[0])}
+        if image.delta:
+            v[-1] = (-image.delta, 0)
+        for k in range(2, K + 1):
+            v[2 * k - 1] = (-values[k], -slopes[k])
+        residual = {}
+
+        def add(order, value):
+            if order <= 2 * K - 3:
+                residual[order] = residual.get(order, 0) + value
+
+        for o, (c, dc) in v.items():
+            add(o, dc)
+            add(o - 2, -mu * o * (o - 1) * c)
+        for o1, (c1, _) in v.items():
+            for o2, (c2, _) in v.items():
+                add(o1 + o2 - 1, o2 * c1 * c2)
+        worst = max(worst, *(abs(value) for value in residual.values()))
+    return worst
+
+
+@pytest.mark.parametrize("K", [8, 16])
+@pytest.mark.parametrize("delta", [0, 1])
+def test_image_matches_reciprocal_route(delta, K):
+    poles = (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3), MobiusParam(3, 1))
+    for n in range(5):
+        sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)), RationalH(n, poles[: n + 1]), 0, K)
+        assert list(cole_hopf(sol).series_jets) == _image_by_reciprocal(sol), f"n={n}"
+
+
+H4 = RationalH(3, (MobiusParam(1, 0), MobiusParam(1, 1), MobiusParam(2, -1), MobiusParam(1, -3)))
+
+
+def _tampered(delta):
+    sol = assemble_psi(AnsatzSpec.chain(1, delta), H2, 0, 6)
+    entries = list(sol.phi.entries)
+    entries[2] = entries[2] + GradedPoly.variable(X, 1, 2)
+    return SeriesSolution(delta, 1, H2, 0, PhiTable(delta, tuple(entries)), 6)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("case", ["three_poles", "four_poles", "tampered", "on_shell"])
+def test_burgers_series_residual_matches_order_dict(case, delta):
+    # off shell, the three- and four-pole profiles under the plain chain spec of n = 2
+    sol = {
+        "three_poles": lambda: assemble_psi(AnsatzSpec.chain(2, delta), H3, 0, 8),
+        "four_poles": lambda: assemble_psi(AnsatzSpec.chain(2, delta), H4, 0, 8),
+        "tampered": lambda: _tampered(delta),
+        "on_shell": lambda: assemble_psi(AnsatzSpec.reduced(3, delta, rational_top(3)), H4, 0, 8),
+    }[case]()
+    image = cole_hopf(sol)
+    samples = [Fraction(3), Fraction(7, 2), Fraction(41, 10)]
+    for mu in (Fraction(1, 2), Fraction(1, 3), Fraction(1)):
+        got = burgers_residual(image, mu=mu, mode="series", t_samples=samples)
+        assert got == _burgers_residual_by_orders(image, mu, samples), f"mu={mu}"
+        assert (got == 0) == (case == "on_shell" and mu == Fraction(1, 2))
+
+
+def test_burgers_series_residual_matches_order_dict_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # alpha >= 1 and beta <= 1 keep every pole before t = 2
+    pole = st.builds(MobiusParam, st.integers(1, 3), st.integers(-3, 1))
+    times = st.fractions(min_value=2, max_value=5, max_denominator=7)
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(
+        st.lists(pole, min_size=3, max_size=4),
+        st.lists(times, min_size=1, max_size=3),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(-2, 5)]),
+        st.sampled_from([0, 1]),
+    )
+    def check(poles, samples, mu, delta):
+        sol = assemble_psi(AnsatzSpec.chain(2, delta), RationalH(len(poles) - 1, tuple(poles)), 0, 6)
+        image = cole_hopf(sol)
+        got = burgers_residual(image, mu=mu, mode="series", t_samples=samples)
+        assert got == _burgers_residual_by_orders(image, mu, samples)
+
+    check()
