@@ -173,7 +173,8 @@ class AnsatzSpec:
         if not top.is_zero and top.degree() != -2 * (n + 2):
             raise ValueError(f"P_n must have degree {-2 * (n + 2)}")
         if top.max_used_position() >= max(n - 1, 0):
-            raise ValueError(f"P_n may only use x2..x{n}")
+            allowed = f"x2..x{n}" if n > 1 else f"constants: n = {n} has no parameters"
+            raise ValueError(f"P_n may only use {allowed}")
         if top.family is VariableFamily.D:
             top = GradedPoly(VariableFamily.X, top.nvars, dict(top.terms()))
         chain = [GradedPoly.variable(VariableFamily.X, n, q) for q in range(2, n + 2)]

@@ -10,6 +10,7 @@ violation, bad parameters), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -21,8 +22,8 @@ from .dynsys import (
     MobiusParam,
     PoleError,
     RationalH,
+    compiled_field,
     rational_top,
-    reduced_field,
     reduced_initial_state,
     rk4_integrate,
 )
@@ -93,6 +94,8 @@ def cmd_phi(args) -> int:
         _print_table([f"Y_{k}" for k in range(args.qmax + 1)], table.entries, args.json)
         return 0
     if args.table == "q":
+        if args.qmax < 2:
+            raise ValueError("--qmax must be at least 2 for --table q")
         tails = jet_phi_remainders(args.delta, args.qmax)
         labels = [f"Q_{k}" for k in range(2, args.qmax + 1)]
         _print_table(labels, tails[2 : args.qmax + 1], args.json, names=_basis_names)
@@ -128,7 +131,7 @@ def cmd_trajectory(args) -> int:
     t0 = Fraction(args.t0)
     state = reduced_initial_state(h, args.n, t0)
     start = DynState(float(t0), tuple(float(v) for v in state))
-    field = reduced_field(args.n, rational_top(args.n))
+    field = compiled_field(_family_spec(args.n, 0))
     trajectory = rk4_integrate(field, start, float(Fraction(args.t1)), args.step)
     header = ["t"] + [f"x{i + 1}" for i in range(args.n + 1)]
     rows = [(s.t, *s.x) for s in trajectory]
@@ -246,9 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once: that costs more than a small command
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (PoleError, IntegrationError, ValueError, ZeroDivisionError) as exc:

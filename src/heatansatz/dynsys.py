@@ -1,10 +1,10 @@
 """Heat dynamical systems, their integrator, and the rational h family.
 
-The ansatz parameters evolve by a graded polynomial system: the general
-form couples x1 (the Gaussian profile h) to the family polynomials, and
-the reduced form is a chain with one top polynomial P_n.  Both are
-integrated with classical fixed-step fourth-order Runge-Kutta; the
-symbolic side never sees a float.
+The ansatz parameters evolve by one graded polynomial system per
+``AnsatzSpec`` (the reduced chain is one such family).  Its field has one
+exact definition, ``heat_system_field``, and one compiled float form,
+``compiled_field``, which fixed-step fourth-order Runge-Kutta integrates;
+the symbolic side never sees a float.
 
 The built-in exact profile family is
 
@@ -17,6 +17,7 @@ closed-form rationals at rational t.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,40 +137,41 @@ class RationalH:
 
 
 def heat_system_field(spec: AnsatzSpec, state: Sequence[Numeric]) -> tuple:
-    """Right-hand side of the general heat dynamical system.
+    """Right-hand side of the heat dynamical system of ``spec``.
 
     dx1 = p_2(x2) - x1^2; dx_k = p_{k+1}(x2..x_{k+1}) - 2k x1 x_k for
     k = 2..n; and the top line dx_{n+1} = p_{n+2}(x2.., 0) - 2(n+1) x1 x_{n+1}.
     """
-    n = spec.n
-    if len(state) != n + 1:
-        raise ValueError(f"state must have {n + 1} components")
+    if len(state) != spec.n + 1:
+        raise ValueError(f"state must have {spec.n + 1} components")
     xs = state[1:]
-    out = [spec.ps[0].evaluate(xs) - state[0] ** 2]
-    for k in range(2, n + 2):
-        out.append(spec.ps[k - 1].evaluate(xs) - 2 * k * state[0] * state[k - 1])
-    return tuple(out)
+    head = spec.ps[0].evaluate(xs) - state[0] ** 2
+    return (head, *(spec.ps[k - 1].evaluate(xs) - 2 * k * state[0] * state[k - 1] for k in range(2, spec.n + 2)))
+
+
+def compiled_field(spec: AnsatzSpec) -> Callable:
+    """``heat_system_field`` of ``spec`` as a float function ``field(t, x)`` of generated
+    straight-line code: the same float steps in the same order, so bit-identical on floats.
+    A wrong-length x raises ValueError."""
+    xs = [f"x{i}" for i in range(2, spec.n + 2)]
+    tails = ["x1 ** 2"] + [f"{2 * k} * x1 * x{k}" for k in range(2, spec.n + 2)]
+    rows = [f"{p.float_source(xs)} - {tail}" for p, tail in zip(spec.ps, tails)]
+    exec(f"def field(t, x):\n    {', '.join(['x1', *xs])}, = x\n    return ({', '.join(rows)},)", namespace := {})
+    return namespace["field"]
 
 
 def reduced_system_field(n: int, top: GradedPoly, state: Sequence[Numeric]) -> tuple:
-    """Right-hand side of the reduced chain system.
-
-    dx1 = x2 - x1^2; dx_k = x_{k+1} - 2k x1 x_k for k = 2..n; top line
-    dx_{n+1} = P_n(x2..x_n) - 2(n+1) x1 x_{n+1}.
-    """
+    """The heat system of the reduced chain family with top polynomial P_n."""
     if n < 1:
         raise ValueError("the reduced system needs n >= 1")
-    if len(state) != n + 1:
-        raise ValueError(f"state must have {n + 1} components")
-    out = [state[1] - state[0] ** 2]
-    for k in range(2, n + 1):
-        out.append(state[k] - 2 * k * state[0] * state[k - 1])
-    out.append(top.evaluate(state[1:]) - 2 * (n + 1) * state[0] * state[n])
-    return tuple(out)
+    return heat_system_field(AnsatzSpec.reduced(n, 0, top), state)
 
 
 def reduced_field(n: int, top: GradedPoly) -> Callable:
-    return lambda t, x: reduced_system_field(n, top, x)
+    """The compiled float field of the reduced chain family."""
+    if n < 1:
+        raise ValueError("the reduced system needs n >= 1")
+    return compiled_field(AnsatzSpec.reduced(n, 0, top))
 
 
 # -- integrator --------------------------------------------------------------
@@ -208,6 +210,7 @@ def rk4_integrate(
 
     guard(t, x)
     out = [DynState(t, x)]
+    bound = min(max_abs, sys.float_info.max)  # `not abs(v) <= bound`: nan, inf or blow-up
     # times from a step count, so they do not drift, and a span within
     # 1e-9 steps of a whole number takes no sliver of a last step
     t0, span = t, t_end - t
@@ -215,16 +218,16 @@ def rk4_integrate(
     for i in range(1, count + 1):
         t_next = t_end if i == count else t0 + i * step
         h = t_next - t
+        half, sixth = h / 2, h / 6
         k1 = field(t, x)
-        k2 = field(t + h / 2, tuple(a + h / 2 * b for a, b in zip(x, k1)))
-        k3 = field(t + h / 2, tuple(a + h / 2 * b for a, b in zip(x, k2)))
-        k4 = field(t_next, tuple(a + h * b for a, b in zip(x, k3)))
-        x = tuple(
-            a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        )
+        k2 = field(t + half, [a + half * b for a, b in zip(x, k1)])
+        k3 = field(t + half, [a + half * b for a, b in zip(x, k2)])
+        k4 = field(t_next, [a + h * b for a, b in zip(x, k3)])
+        x = tuple([a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
         t = t_next
-        guard(t, x)
+        for v in x:
+            if not abs(v) <= bound:
+                guard(t, x)
         out.append(DynState(t, x))
     return out
 

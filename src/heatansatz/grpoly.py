@@ -343,6 +343,17 @@ class GradedPoly:
             total = total + term
         return total
 
+    def float_source(self, names: Sequence[str]) -> str:
+        """Source of ``evaluate`` on floats bound to ``names``, float step for float step:
+        terms in insertion order, each ``float(coeff)`` times ``name ** e`` left to right,
+        summed from ``0.0``, less the exact steps ``1.0 *`` and ``** 1``."""
+        terms = ["0.0"]
+        for exps, coeff in self._terms.items():
+            factors = [] if coeff == 1 else [repr(float(coeff))]
+            factors += [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in enumerate(exps) if e]
+            terms.append(" * ".join(factors) or "1.0")
+        return "(" + " + ".join(terms) + ")"
+
     def substitute(
         self,
         images: Sequence[Union["GradedPoly", None]],

@@ -1,5 +1,6 @@
 """CLI surface: dispatch, CSV contract, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -67,7 +68,7 @@ def test_phi_tables(capsys):
     # a tail table shorter than Q_2 is a domain error, not an empty table
     for qmax in ("1", "0", "-3"):
         assert run(["phi", "--table", "q", "--qmax", qmax]) == 1
-        assert capsys.readouterr() == ("", "error: k_max must be at least 2\n")
+        assert capsys.readouterr() == ("", "error: --qmax must be at least 2 for --table q\n")
 
 
 def test_phi_rejects_removed_mode_option(capsys):
@@ -116,6 +117,22 @@ def test_trajectory_tracks_profile_for_three_poles():
     assert float(last[0]) == 3.0
     for got, want in zip(last[1:], exact):
         assert abs(float(got) - float(want)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "3", "--poles", "1:0,1:1,2:-1,1:-2", "--step", "1e-4"],
+         "3b0f988d1715bff2728ce048a32f7facbedc60a447a4db2fc1e45b6fc1191e14"),
+        (["--n", "4", "--poles", "1:0,1:1,2:-1,1:-2,3:-1", "--step", "1e-3"],
+         "8c0140d0390319364dd42a1320d0746ff87aba26c942209f4e246271483bb244"),
+    ],
+)
+def test_trajectory_golden_digest(argv, digest, capsys):
+    # golden digests of the CSV: the compiled field must match per-term evaluate to the last digit
+    assert run(["trajectory", *argv, "--t0", "3", "--t1", "4"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_eval_0ansatz_values():

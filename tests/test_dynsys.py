@@ -1,6 +1,7 @@
 """Rational profiles, dynamical system fields, RK4, and ODE residuals."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from heatansatz.dynsys import (
     PoleError,
     RationalH,
     chazy4_residual,
+    compiled_field,
     heat_system_field,
     ode_residual,
     rational_top,
@@ -22,6 +24,7 @@ from heatansatz.dynsys import (
     rk4_integrate,
 )
 from heatansatz.grpoly import GradedPoly, VariableFamily
+from heatansatz.verify import random_homogeneous
 
 X = VariableFamily.X
 
@@ -104,6 +107,87 @@ def test_reduced_system_field_example():
     ahead = reduced_initial_state(H2, 1, t + eps)
     for slope, a, b in zip(field_value, ahead, state):
         assert abs((a - b) / eps - slope) < Fraction(1, 10**6)
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _float_state(rng, size):
+    # mostly O(1) values, with signed zeros and a few large magnitudes
+    pick = lambda: rng.choice([0.0, -0.0, rng.uniform(-1e6, 1e6)]) if rng.random() < 0.2 else rng.uniform(-3, 3)
+    return tuple(pick() for _ in range(size))
+
+
+def _random_family(rng, n, delta):
+    """A general family with rational coefficients; p_{n+2} may use x_{n+2}."""
+    ps = []
+    for q in range(2, n + 3):
+        # y_{j+1} and x_{j+1} carry the same degree; drop the terms with y1
+        jet = random_homogeneous(rng, q, n + 1 + (q == n + 2))
+        terms = {e[1:]: c for e, c in jet.terms() if not e[0]}
+        ps.append(GradedPoly(X, jet.nvars - 1, terms))
+    return AnsatzSpec.general(n, delta, ps)
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("delta", [0, 1])
+def test_compiled_field_matches_reduced_family_bitwise(n, delta):
+    spec = AnsatzSpec.reduced(n, delta, rational_top(n))
+    field = compiled_field(spec)
+    rng = random.Random(100 * n + delta)
+    for _ in range(200):
+        x = _float_state(rng, n + 1)
+        assert _bits(field(0.0, x)) == _bits(heat_system_field(spec, x)), x
+
+
+def test_compiled_field_matches_general_family_bitwise():
+    rng = random.Random(20261018)
+    inexact = 0
+    for n in range(5):
+        for _ in range(4):
+            spec = _random_family(rng, n, rng.randint(0, 1))
+            inexact += sum(float(c) != c for p in spec.ps for _, c in p.terms())
+            field = compiled_field(spec)
+            for _ in range(50):
+                x = _float_state(rng, n + 1)
+                assert _bits(field(1.5, x)) == _bits(heat_system_field(spec, x)), (spec, x)
+    # coefficients such as 1/3 round when turned into floats
+    assert inexact
+
+
+def test_compiled_field_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+        st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+    )
+    def check(n, seed, values):
+        spec = _random_family(random.Random(seed), n, seed % 2)
+        x = tuple(values[: n + 1])
+        assert _bits(compiled_field(spec)(0.0, x)) == _bits(heat_system_field(spec, x))
+
+    check()
+
+
+def test_compiled_field_errors():
+    spec = AnsatzSpec.reduced(3, 0, rational_top(3))
+    field = compiled_field(spec)
+    for bad in ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)):
+        with pytest.raises(ValueError):
+            field(0.0, bad)
+    # x1 ** 2 overflows: an OverflowError, as from heat_system_field
+    huge = (1e200, 1.0, 1.0, 1.0)
+    with pytest.raises(OverflowError):
+        heat_system_field(spec, huge)
+    with pytest.raises(OverflowError):
+        field(0.0, huge)
+    with pytest.raises(ValueError, match="n >= 1"):
+        reduced_field(0, GradedPoly.zero(X, 0))
 
 
 def test_rk4_partial_final_step():

@@ -161,6 +161,27 @@ def test_evaluate_const_empty():
     assert c.evaluate([]) == Fraction(5, 3)
 
 
+def test_float_source_matches_evaluate_bitwise():
+    # insertion order differs from terms() order, and the float sum is not associative
+    terms = [((0, 0, 1), Fraction(1, 3)), ((1, 1, 0), Fraction(-7, 5)), ((3, 0, 0), Fraction(1)),
+             ((0, 2, 0), Fraction(10**17 + 1, 10**17)), ((1, 0, 1), Fraction(-1))]
+    p = GradedPoly(Y, 3, terms)
+    assert [e for e, _ in p.terms()] != [e for e, _ in terms]
+    fn = eval(f"lambda a, b, c: {p.float_source(['a', 'b', 'c'])}")
+    in_canonical_order = eval(f"lambda a, b, c: {GradedPoly(Y, 3, p.terms()).float_source(['a', 'b', 'c'])}")
+    rng = random.Random(7)
+    reordered = 0
+    for _ in range(300):
+        point = [rng.uniform(-10, 10) for _ in range(3)]
+        assert fn(*point).hex() == p.evaluate(point).hex()
+        reordered += fn(*point) != in_canonical_order(*point)
+    # the sample is fine enough to see the term order in the last bits
+    assert reordered
+    assert GradedPoly.zero(Y, 2).float_source(["a", "b"]) == "(0.0)"
+    with pytest.raises(IndexError):
+        p.float_source(["a", "b"])
+
+
 def test_leading_term_order():
     # graded order: higher weight wins; ties break toward higher variable index
     p = y(3) + y(1) * y(2) + y(1) ** 3
