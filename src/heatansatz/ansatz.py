@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .grpoly import GradedPoly, Numeric, VariableFamily
-from .operators import derivative_chain, weighted_derivative
+from .operators import derivative_chain, jet_derivative, weighted_derivative
 
 
 def _check_delta(delta: int) -> int:
@@ -83,15 +83,6 @@ def jet_phi_table(delta: int, k_max: int) -> PhiTable:
     return PhiTable(delta, tuple(entries))
 
 
-def _raise_basis_symbols(poly: GradedPoly) -> GradedPoly:
-    # Derivation Z_j -> Z_{j+1} on basis-symbol polynomials.  Substitutes
-    # for the weighted derivative exactly when the operator weight equals
-    # the monomial weight, which the remainder recursion guarantees.
-    nvars = poly.nvars + 1
-    raised = [GradedPoly.variable(VariableFamily.Y, nvars, j + 1) for j in range(2, nvars)]
-    return poly.derivation([None, *raised], nvars)
-
-
 def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
     """The tails Q_k with Phi_k = -2^(k-2) (2+delta)(1+delta) Z_k + Q_k.
 
@@ -102,7 +93,9 @@ def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
         Q_k = 2 R Q_{k-1} + (2k+delta-2)(2k+delta-3) Z_2 *
               (2^(k-4) (2+delta)(1+delta) Z_{k-2} - Q_{k-2}),
 
-    with R the index-raising derivation Z_j -> Z_{j+1}.
+    with R = ``jet_derivative`` read on basis symbols, Z_j -> Z_{j+1} (no
+    tail uses y1); it stands in for the weighted derivative because the
+    recursion keeps the operator weight equal to the monomial weight.
     """
     _check_delta(delta)
     if k_max < 2:
@@ -113,7 +106,7 @@ def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
     out = [zero, zero, zero, zero][: k_max + 1]
     while len(out) < k_max + 1:
         k = len(out)
-        lead = 2 * _raise_basis_symbols(out[k - 1])
+        lead = 2 * jet_derivative(out[k - 1])
         c = Fraction((2 * k + delta - 2) * (2 * k + delta - 3))
         inner = Fraction(2) ** (k - 4) * (2 + delta) * (1 + delta) * z_sym(k - 2) - out[k - 2]
         out.append((lead.with_nvars(ring) + c * (z_sym(2) * inner)).with_nvars(ring))
@@ -166,8 +159,8 @@ class AnsatzSpec:
     def reduced(cls, n: int, delta: int, top: GradedPoly) -> "AnsatzSpec":
         """The chain family p_q = x_q for q <= n+1 closed by p_{n+2} = P_n."""
         _check_delta(delta)
-        if top.family not in (VariableFamily.X, VariableFamily.D):
-            raise ValueError("P_n lives over the X (or D) family")
+        if top.family is not VariableFamily.X:
+            raise ValueError("P_n lives over the X family")
         if not top.is_homogeneous():
             raise ValueError("P_n must be homogeneous")
         if not top.is_zero and top.degree() != -2 * (n + 2):
@@ -175,8 +168,6 @@ class AnsatzSpec:
         if top.max_used_position() >= max(n - 1, 0):
             allowed = f"x2..x{n}" if n > 1 else f"constants: n = {n} has no parameters"
             raise ValueError(f"P_n may only use {allowed}")
-        if top.family is VariableFamily.D:
-            top = GradedPoly(VariableFamily.X, top.nvars, dict(top.terms()))
         chain = [GradedPoly.variable(VariableFamily.X, n, q) for q in range(2, n + 2)]
         return cls.general(n, delta, [*chain, top])
 
@@ -212,11 +203,13 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
     return PhiTable(delta, tuple(entries))
 
 
+# kept only while perfbench/ (spans.py TARGETS, workloads.py) names it; the package calls general_phi_table
 def reduced_phi_table(n: int, top: GradedPoly, delta: int, q_max: int) -> PhiTable:
     """Phi_k for the reduced chain family with top polynomial P_n."""
     return general_phi_table(AnsatzSpec.reduced(n, delta, top), q_max)
 
 
+# kept only while perfbench/ (spans.py TARGETS, workloads.py) names it; the package calls general_phi_table
 def phi_table_for(spec: AnsatzSpec, q_max: int) -> PhiTable:
     return general_phi_table(spec, q_max)
 
@@ -227,8 +220,8 @@ def ansatz_to_jet(poly: GradedPoly, k_max: int) -> GradedPoly:
     ``poly`` may use x2..x_{k_max+1}; the result lives over jet variables
     y1..y_{k_max+1} and the graded degree is preserved.
     """
-    if poly.family not in (VariableFamily.X, VariableFamily.D):
-        raise ValueError("substitution expects an X- or D-family polynomial")
+    if poly.family is not VariableFamily.X:
+        raise ValueError("substitution expects an X-family polynomial")
     if poly.max_used_position() > k_max - 1:
         raise ValueError(f"polynomial uses parameters beyond x{k_max + 1}")
     if k_max < 1:
@@ -244,6 +237,7 @@ def ansatz_to_jet(poly: GradedPoly, k_max: int) -> GradedPoly:
 TimeFunction = Callable[[Numeric], Numeric]
 
 
+# kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
 def check_coefficient_recursion(
     coeffs: Sequence[tuple[TimeFunction, TimeFunction]],
     t_samples: Sequence[Numeric],

@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .ansatz import AnsatzSpec, jet_phi_remainders, jet_phi_table, phi_table_for
+from .ansatz import AnsatzSpec, general_phi_table, jet_phi_remainders, jet_phi_table
 from .dynsys import (
     DynState,
     IntegrationError,
@@ -72,6 +72,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for --step: zero, a negative value, nan or inf is a usage error."""
+    if (value := _finite_float(text)) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _parse_poles(text: str) -> tuple[MobiusParam, ...]:
     return tuple(MobiusParam.parse(part) for part in text.split(","))
 
@@ -89,23 +96,26 @@ def _print_table(labels, polys, as_json: bool, names=None) -> None:
 
 
 def cmd_phi(args) -> int:
+    least = {"phi": 2, "y": 1, "q": 2}[args.table]  # the shortest table each recursion builds
+    if args.qmax < least:
+        raise ValueError(f"--qmax must be at least {least} for --table {args.table}")
     if args.table == "y":
         table = jet_phi_table(args.delta, args.qmax)
         _print_table([f"Y_{k}" for k in range(args.qmax + 1)], table.entries, args.json)
         return 0
     if args.table == "q":
-        if args.qmax < 2:
-            raise ValueError("--qmax must be at least 2 for --table q")
         tails = jet_phi_remainders(args.delta, args.qmax)
         labels = [f"Q_{k}" for k in range(2, args.qmax + 1)]
         _print_table(labels, tails[2 : args.qmax + 1], args.json, names=_basis_names)
         return 0
-    table = phi_table_for(AnsatzSpec.chain(args.n, args.delta), args.qmax)
+    table = general_phi_table(AnsatzSpec.chain(args.n, args.delta), args.qmax)
     _print_table([f"Phi_{k}" for k in range(args.qmax + 1)], table.entries, args.json)
     return 0
 
 
 def cmd_dk(args) -> int:
+    if args.k < 1:
+        raise ValueError("--k must be at least 1")
     chain = derivative_chain(args.k)
     _print_table([f"D_{i + 1}" for i in range(args.k)], chain, args.json)
     return 0
@@ -131,8 +141,10 @@ def cmd_trajectory(args) -> int:
     t0 = Fraction(args.t0)
     state = reduced_initial_state(h, args.n, t0)
     start = DynState(float(t0), tuple(float(v) for v in state))
-    field = compiled_field(_family_spec(args.n, 0))
-    trajectory = rk4_integrate(field, start, float(Fraction(args.t1)), args.step)
+    t_end = float(Fraction(args.t1))
+    if (t_end - start.t) / args.step - 1e-9 > 10**6:  # rk4_integrate takes ceil(span / step - 1e-9) steps
+        raise ValueError(f"--step {args.step:g} needs more than 10^6 steps from --t0 to --t1")
+    trajectory = rk4_integrate(compiled_field(_family_spec(args.n, 0)), start, t_end, args.step)
     header = ["t"] + [f"x{i + 1}" for i in range(args.n + 1)]
     rows = [(s.t, *s.x) for s in trajectory]
     sys.stdout.write(emit_csv(rows, header))
@@ -220,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poles", required=True, help="comma-separated alpha:beta pairs")
     p.add_argument("--t0", required=True)
     p.add_argument("--t1", required=True)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_positive_float, default=1e-3)
     p.set_defaults(fn=cmd_trajectory)
 
     for name, fn in (("eval", cmd_eval), ("burgers", cmd_burgers)):

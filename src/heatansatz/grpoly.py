@@ -2,7 +2,7 @@
 
 Everything symbolic in this package is a :class:`GradedPoly`: a sparse
 multivariate polynomial with ``fractions.Fraction`` coefficients over one
-of three variable families, each carrying a fixed grading (deg t = 2,
+of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
 """
@@ -38,16 +38,10 @@ class VariableFamily(Enum):
         its time derivatives; deg yk = -2k.
     ``X``
         ansatz parameters x2, x3, ...; deg xk = -2k (indices start at 2).
-    ``D``
-        slots for the chain polynomials D1, D2, ...; deg Dk = -2(k+1).
-
-    X and D carry identical position weights, so position-aligned
-    substitution between them (xk <-> D_{k-1}) is degree preserving.
     """
 
     Y = "Y"
     X = "X"
-    D = "D"
 
     @property
     def first_index(self) -> int:
@@ -63,11 +57,7 @@ class VariableFamily(Enum):
         return 2 * (position + 2)
 
     def var_name(self, position: int) -> str:
-        if self is VariableFamily.Y:
-            return f"y{position + 1}"
-        if self is VariableFamily.X:
-            return f"x{position + 2}"
-        return f"D{position + 1}"
+        return f"{self.value.lower()}{position + self.first_index}"
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -131,7 +121,7 @@ class GradedPoly:
 
     @classmethod
     def variable(cls, family: VariableFamily, nvars: int, index: int) -> "GradedPoly":
-        """The single variable with the given family index (y_k, x_k or D_k)."""
+        """The single variable with the given family index (y_k or x_k)."""
         position = index - family.first_index
         if not 0 <= position < nvars:
             raise ValueError(f"variable index {index} outside the declared ring")

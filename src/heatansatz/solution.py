@@ -11,11 +11,13 @@ series side is exact: coefficients, order-by-order heat residuals, the
 Cole-Hopf image and its Burgers residual are all computed in rational
 arithmetic, over the ansatz parameters x(t) rather than over the jets of
 h.  Floats appear only in pointwise evaluation and in the
-finite-difference residual checks.
+finite-difference residual checks.  The exact residuals take the
+parameters' rates from the one vector field, ``dynsys.heat_system_field``.
 
 Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
 time and converted to float, and each point is then a Horner pass in z^2.
+Both finite-difference residuals run on one driver, ``_grid_residual``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .ansatz import AnsatzSpec, PhiTable, ansatz_to_jet, phi_table_for
-from .dynsys import DynState, MobiusParam, PoleError, RationalH, reduced_initial_state
+from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
+from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
 from .grpoly import GradedPoly, Numeric, VariableFamily
 
 HALF = Fraction(1, 2)
@@ -183,7 +185,11 @@ class SeriesSolution:
     """A truncated ansatz solution with an attached profile source.
 
     ``h_source`` is either a :class:`RationalH` (exact jets, closed-form
-    prefactor) or an integrated trajectory (floats, interpolated).  The
+    prefactor) or an integrated trajectory (floats, interpolated).  The two
+    read ``r0`` differently: an exact source takes it as the constant in
+    e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see
+    :func:`exp_r`), a trajectory source as the value r(t0) at the first
+    state.  The same r0 therefore gives different psi for the two.  The
     optional gauge is a pair (f, F) with F' = f; it multiplies psi by
     e^{-F(t)} and turns the target equation into psi_t = psi_zz/2 - f psi.
     """
@@ -251,6 +257,7 @@ class SeriesSolution:
         xs = self.parameter_values(t)
         return self._bracket(_gauss(-HALF * xs[0], self.truncation + 1), [a.evaluate(xs[1:]) for a in self.scaled])
 
+    # kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
     def bracket_jets(self) -> list[GradedPoly]:
         """The b_k as jet polynomials (ansatz parameters substituted by
         chain polynomials), cached."""
@@ -319,7 +326,7 @@ def assemble_psi(
     """
     if truncation < 2:
         raise ValueError("truncation order must be at least 2")
-    phi = phi_table_for(spec, truncation)
+    phi = general_phi_table(spec, truncation)
     return SeriesSolution(spec.delta, spec.n, h_source, r0, phi, truncation)
 
 
@@ -357,13 +364,12 @@ def _gauss(base, count: int) -> list:
 def _exact_flow(sol: SeriesSolution, t: Numeric) -> tuple[tuple, list]:
     """Exact (x1, ..., x_{n+1}) at t and their time derivatives.
 
-    x1' = x2 - x1^2 and x_k' = x_{k+1} - 2k x1 x_k (the chain identity
-    D_k = (D + 2k y1) D_{k-1}), with x_{n+2} = D_{n+1}(jets) taken from
-    the profile: off shell it differs from the spec's top polynomial.
+    The rates are the heat field of the chain family one size up, whose
+    lines for x1..x_{n+1} read x_{n+2} = D_{n+1}(jets) from the profile:
+    off shell that differs from the spec's top polynomial.
     """
     x = reduced_initial_state(sol.h_source, sol.n + 1, t)
-    rates = [x[1] - x[0] ** 2] + [x[k] - 2 * k * x[0] * x[k - 1] for k in range(2, sol.n + 2)]
-    return x[:-1], rates
+    return x[:-1], list(heat_system_field(AnsatzSpec.chain(sol.n + 1, 0), x)[:-1])
 
 
 def _gradients(polys: Sequence[GradedPoly], n: int) -> list[list[GradedPoly]]:
@@ -409,34 +415,36 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
     return worst
 
 
-def diffusion_residual_numeric(
-    psi: Callable,
-    grid: GridSpec,
-    mu: float = 0.5,
-    loss: Union[Callable, None] = None,
-) -> float:
-    """Max |D_t psi - mu D_zz psi (+ f(t) psi)| by central differences.
+def _grid_residual(u: Callable, grid: GridSpec, pointwise: Callable) -> float:
+    """Max |pointwise(t, u, u_t, u_z, u_zz)| over the grid, by central differences.
 
-    psi is read one time row at a time (t + dt, t - dt, then t), so a psi
-    that memoises its last time slice builds three slices per grid time.
+    u is read one time row at a time (t + dt, t - dt, then t), so a u that
+    memoises its last time slice builds three slices per grid time; each
+    point then reads u(z + dz), u(z) and u(z - dz) once.
     """
     worst = 0.0
     zs = _axis(float(grid.z0), float(grid.z1), grid.znum)
     for t in _axis(float(grid.t0), float(grid.t1), grid.tnum):
-        later = [psi(z, t + grid.dt) for z in zs]
-        earlier = [psi(z, t - grid.dt) for z in zs]
+        later = [u(z, t + grid.dt) for z in zs]
+        earlier = [u(z, t - grid.dt) for z in zs]
         for z, ahead, behind in zip(zs, later, earlier):
-            d_t = (ahead - behind) / (2 * grid.dt)
-            d_zz = (psi(z + grid.dz, t) - 2 * psi(z, t) + psi(z - grid.dz, t)) / (grid.dz * grid.dz)
-            value = d_t - mu * d_zz
-            if loss is not None:
-                value += loss(t) * psi(z, t)
+            right, here, left = u(z + grid.dz, t), u(z, t), u(z - grid.dz, t)
+            u_t, u_z = (ahead - behind) / (2 * grid.dt), (right - left) / (2 * grid.dz)
+            value = pointwise(t, here, u_t, u_z, (right - 2 * here + left) / (grid.dz * grid.dz))
             if not math.isfinite(value):
                 raise ValueError(f"non-finite residual at (z, t) = ({z}, {t})")
             worst = max(worst, abs(value))
     return worst
 
 
+def diffusion_residual_numeric(psi: Callable, grid: GridSpec, mu: float = 0.5, loss: Union[Callable, None] = None) -> float:
+    """Max |D_t psi - mu D_zz psi (+ f(t) psi)| by central differences."""
+    if loss is None:
+        return _grid_residual(psi, grid, lambda t, u, u_t, u_z, u_zz: u_t - mu * u_zz)
+    return _grid_residual(psi, grid, lambda t, u, u_t, u_z, u_zz: u_t - mu * u_zz + loss(t) * u)
+
+
+# diffusion_residual_numeric at mu = 1/2, kept as a name while perfbench/spans.py TARGETS wraps it
 def heat_residual_numeric(psi: Callable, grid: GridSpec, loss: Union[Callable, None] = None) -> float:
     return diffusion_residual_numeric(psi, grid, 0.5, loss)
 
@@ -571,22 +579,7 @@ def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Se
 
 
 def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) -> float:
-    # time rows as in diffusion_residual_numeric: three slices per grid time
-    v = image.v
-    worst = 0.0
-    zs = _axis(float(grid.z0), float(grid.z1), grid.znum)
-    for t in _axis(float(grid.t0), float(grid.t1), grid.tnum):
-        later = [v(z, t + grid.dt) for z in zs]
-        earlier = [v(z, t - grid.dt) for z in zs]
-        for z, ahead, behind in zip(zs, later, earlier):
-            v_t = (ahead - behind) / (2 * grid.dt)
-            v_z = (v(z + grid.dz, t) - v(z - grid.dz, t)) / (2 * grid.dz)
-            v_zz = (v(z + grid.dz, t) - 2 * v(z, t) + v(z - grid.dz, t)) / (grid.dz * grid.dz)
-            value = v_t + v(z, t) * v_z - mu * v_zz
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite residual at (z, t) = ({z}, {t})")
-            worst = max(worst, abs(value))
-    return worst
+    return _grid_residual(image.v, grid, lambda t, v, v_t, v_z, v_zz: v_t + v * v_z - mu * v_zz)
 
 
 def residual_report(
@@ -624,8 +617,7 @@ def residual_report(
 
 def closed_form_0ansatz(delta: int, pole: MobiusParam, r0: Union[Fraction, float] = 0.0) -> Callable:
     """psi = (alpha/(alpha t - beta))^(1/2+delta) e^{-alpha z^2/(2(alpha t-beta)) + r0} z^delta."""
-    if delta not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    _check_delta(delta)
     a, b = float(pole.alpha), float(pole.beta)
     c0 = math.exp(float(r0))
 
@@ -646,8 +638,7 @@ def gamma_ratio_coeff(m: int, delta: int) -> Fraction:
     """Gamma(3/4 + delta/2) / (m! Gamma(m + 3/4 + delta/2)) as an exact rational."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if delta not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    _check_delta(delta)
     value = Fraction(1, math.factorial(m))
     base = Fraction(3, 4) + Fraction(delta, 2)
     for j in range(m):
@@ -670,8 +661,7 @@ def closed_form_1ansatz(
     with x2(t) = -(A - B)^2/4 for the two summands A, B of 2h: the chain
     value D_1 = h' + h^2 of the profile.
     """
-    if delta not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    _check_delta(delta)
     poles = (pole1, pole2)
     c0 = math.exp(float(r0))
     p = (1 + 2 * delta) / 4

@@ -10,14 +10,14 @@ import math
 import random
 from fractions import Fraction
 
-from .ansatz import AnsatzSpec, jet_phi_remainders, jet_phi_table, reduced_phi_table
+from .ansatz import AnsatzSpec, general_phi_table, jet_phi_remainders, jet_phi_table
 from .dynsys import (
     DynState,
     MobiusParam,
     RationalH,
     chazy4_residual,
+    compiled_field,
     ode_residual,
-    reduced_field,
     reduced_initial_state,
     rk4_integrate,
 )
@@ -126,7 +126,7 @@ def suite_ansatz() -> list[tuple[str, bool]]:
     checks.append(("coefficient split into leading basis element plus tail", ok))
     ok = True
     for delta in (0, 1):
-        table = reduced_phi_table(1, GradedPoly.zero(X, 0), delta, 12)
+        table = general_phi_table(AnsatzSpec.chain(1, delta), 12)
         x2 = GradedPoly.variable(X, 1, 2)
         for m in range(7):
             scale = Fraction((-1) ** m) * gamma_ratio_coeff(m, delta) * Fraction(math.factorial(4 * m + delta), 16**m)
@@ -135,7 +135,7 @@ def suite_ansatz() -> list[tuple[str, bool]]:
                 ok = ok and table[2 * m + 1].is_zero
     checks.append(("ratio-coefficient series matches the reduced recursion", ok))
     ok = True
-    table = reduced_phi_table(1, GradedPoly.zero(X, 0), 0, 8)
+    table = general_phi_table(AnsatzSpec.chain(1, 0), 8)
     ytable = jet_phi_table(0, 8)
     for t in SAMPLES:
         jets = H2.jets(t, 9)
@@ -156,7 +156,7 @@ def suite_dynsys() -> list[tuple[str, bool]]:
         ok = ok and chazy4_residual([2 * v for v in jets]) == 0
     checks.append(("profile families solve their chain equations", ok))
     start = DynState(2.0, tuple(float(v) for v in reduced_initial_state(H2, 1, 2)))
-    field = reduced_field(1, GradedPoly.zero(X, 0))
+    field = compiled_field(AnsatzSpec.chain(1, 0))
     err = 0.0
     for s in rk4_integrate(field, start, 3.0, 0.01):
         exact = reduced_initial_state(H2, 1, s.t)

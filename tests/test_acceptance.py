@@ -11,8 +11,8 @@ from heatansatz.dynsys import (
     MobiusParam,
     RationalH,
     chazy4_residual,
+    compiled_field,
     ode_residual,
-    reduced_field,
     reduced_initial_state,
     rk4_integrate,
 )
@@ -176,7 +176,7 @@ def test_criterion_08_ode_and_chazy():
 
 
 def test_criterion_09_integrator_fidelity():
-    field = reduced_field(1, GradedPoly.zero(X, 0))
+    field = compiled_field(AnsatzSpec.chain(1, 0))
     start_state = reduced_initial_state(H2, 1, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in start_state))
     err = 0.0

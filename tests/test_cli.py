@@ -5,9 +5,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
+import heatansatz.cli as cli_module
 from heatansatz.cli import build_parser, emit_csv, fmt, run
 from heatansatz.dynsys import MobiusParam
 from heatansatz.solution import closed_form_0ansatz, closed_form_1ansatz
@@ -65,10 +67,19 @@ def test_phi_tables(capsys):
     code, out, _ = cli("phi", "--table", "q", "--delta", "0", "--qmax", "4")
     assert code == 0
     assert "Q_4 = 60*Z2^2" in out.splitlines()
-    # a tail table shorter than Q_2 is a domain error, not an empty table
-    for qmax in ("1", "0", "-3"):
-        assert run(["phi", "--table", "q", "--qmax", qmax]) == 1
-        assert capsys.readouterr() == ("", "error: --qmax must be at least 2 for --table q\n")
+    # a table shorter than its recursion's first entry is a domain error that names the option
+    for argv, message in (
+        *[(["phi", "--table", "q", "--qmax", qmax], "--qmax must be at least 2 for --table q") for qmax in ("1", "0", "-3")],
+        (["phi", "--qmax", "1"], "--qmax must be at least 2 for --table phi"),
+        (["phi", "--table", "phi", "--n", "3", "--qmax", "-3", "--json"], "--qmax must be at least 2 for --table phi"),
+        (["phi", "--table", "y", "--qmax", "0"], "--qmax must be at least 1 for --table y"),
+        (["dk", "--k", "0"], "--k must be at least 1"),
+        (["dk", "--k", "-2", "--json"], "--k must be at least 1"),
+    ):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run(["phi", "--table", "y", "--qmax", "1"]) == 0
+    assert capsys.readouterr().out == "Y_0 = 1\nY_1 = 0\n"
 
 
 def test_phi_rejects_removed_mode_option(capsys):
@@ -119,20 +130,56 @@ def test_trajectory_tracks_profile_for_three_poles():
         assert abs(float(got) - float(want)) < 1e-10
 
 
+P4 = "1:0,1:1,2:-1,1:-2"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["--n", "3", "--poles", "1:0,1:1,2:-1,1:-2", "--step", "1e-4"],
+        (["trajectory", "--n", "3", "--poles", P4, "--step", "1e-4", "--t0", "3", "--t1", "4"],
          "3b0f988d1715bff2728ce048a32f7facbedc60a447a4db2fc1e45b6fc1191e14"),
-        (["--n", "4", "--poles", "1:0,1:1,2:-1,1:-2,3:-1", "--step", "1e-3"],
+        (["trajectory", "--n", "4", "--poles", P4 + ",3:-1", "--step", "1e-3", "--t0", "3", "--t1", "4"],
          "8c0140d0390319364dd42a1320d0746ff87aba26c942209f4e246271483bb244"),
+        (["burgers", "--family", "nansatz", "--poles", P4, "--delta", "1", "--kmax", "20", "--z0", "0.5", "--z1", "1.5",
+          "--znum", "201", "--t0", "3", "--t1", "4", "--tnum", "21"],
+         "f37af8e1013a199383556b09fe7ba6d5f698786aee70a81323af76a72da9e52d"),
+        (["verify", "--suite", "all"],
+         "2bb67d6e778024fcfc4ceb9cde3c12e74cdb4d37d025f564ccc9341a4008ea91"),
+        (["phi", "--table", "q", "--qmax", "14", "--delta", "1", "--json"],
+         "b2be778596b2eae0316599bce1213744e25187c2a56dc7f0a6956d489e9bc4ec"),
     ],
 )
 def test_trajectory_golden_digest(argv, digest, capsys):
-    # golden digests of the CSV: the compiled field must match per-term evaluate to the last digit
-    assert run(["trajectory", *argv, "--t0", "3", "--t1", "4"]) == 0
+    # golden digests of whole outputs: the compiled field must match per-term evaluate to the last digit,
+    # and the burgers grid (no exp in v), the self-checks and the tail table must not move
+    assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0", "-0", "-1e-3"])
+def test_trajectory_step_must_be_positive(step, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["trajectory", "--n", "1", "--poles", "1:0,1:1", "--t0", "3", "--t1", "4", f"--step={step}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --step: must be" in captured.err
+
+
+def test_trajectory_step_count_is_bounded(capsys, monkeypatch):
+    # 1e-300 asked for 1e300 RK4 steps; the run is refused before any integration
+    def integrate(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(cli_module, "rk4_integrate", integrate)
+    argv = ["trajectory", "--n", "1", "--poles", "1:0,1:1", "--t0", "3", "--t1", "4"]
+    for step in ("1e-300", "5e-324", "9.99999e-7"):
+        began = time.perf_counter()
+        assert run([*argv, "--step", step]) == 1
+        assert time.perf_counter() - began < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: --step {float(step):g} needs more than 10^6 steps")
+        assert err.count("\n") == 1
 
 
 def test_eval_0ansatz_values():

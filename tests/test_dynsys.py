@@ -18,7 +18,6 @@ from heatansatz.dynsys import (
     heat_system_field,
     ode_residual,
     rational_top,
-    reduced_field,
     reduced_initial_state,
     reduced_system_field,
     rk4_integrate,
@@ -186,8 +185,6 @@ def test_compiled_field_errors():
         heat_system_field(spec, huge)
     with pytest.raises(OverflowError):
         field(0.0, huge)
-    with pytest.raises(ValueError, match="n >= 1"):
-        reduced_field(0, GradedPoly.zero(X, 0))
 
 
 def test_rk4_partial_final_step():
@@ -230,7 +227,7 @@ def test_rk4_rejects_bad_args():
 def test_rk4_tracks_exact_trajectory():
     start_state = reduced_initial_state(H2, 1, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in start_state))
-    field = reduced_field(1, GradedPoly.zero(X, 0))
+    field = compiled_field(AnsatzSpec.chain(1, 0))
     err = 0.0
     for s in rk4_integrate(field, start, 3.0, 1e-3):
         exact = reduced_initial_state(H2, 1, s.t)

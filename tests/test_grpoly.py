@@ -15,7 +15,6 @@ from heatansatz.grpoly import (
 
 Y = VariableFamily.Y
 X = VariableFamily.X
-D = VariableFamily.D
 
 
 def y(i, nvars=6):
@@ -34,12 +33,10 @@ def test_variable_weights():
     assert Y.weight(0) == 2
     assert Y.weight(3) == 8
     assert X.weight(0) == 4
-    assert D.weight(0) == 4
     assert X.first_index == 2
     assert Y.first_index == 1
     assert Y.var_name(2) == "y3"
     assert X.var_name(0) == "x2"
-    assert D.var_name(1) == "D2"
 
 
 def test_zero_and_const():

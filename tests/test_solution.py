@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from heatansatz.dynsys import (
     MobiusParam,
     PoleError,
     RationalH,
+    compiled_field,
     rational_top,
-    reduced_field,
     reduced_initial_state,
     rk4_integrate,
 )
@@ -258,7 +259,7 @@ def test_rescale_to_mu():
 def test_trajectory_source_tracks_exact():
     state = reduced_initial_state(H2, 1, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in state))
-    traj = rk4_integrate(reduced_field(1, GradedPoly.zero(X, 0)), start, 3.0, 1e-3)
+    traj = rk4_integrate(compiled_field(AnsatzSpec.chain(1, 0)), start, 3.0, 1e-3)
     spec = AnsatzSpec.chain(1, 0)
     numeric = SeriesSolution(0, 1, traj, 0.0, phi_table_for(spec, 8), 8)
     exact = assemble_psi(spec, H2, 0.0, 8)
@@ -325,6 +326,42 @@ def test_burgers_grid_residual(delta):
     coarse = burgers_residual(image, mode="grid", grid=GridSpec(z0, z1, 7, 1.5, 2.5, 5, 2e-3, 2e-3))
     assert fine <= 1e-5
     assert 3.5 <= coarse / fine <= 4.5
+
+
+@pytest.mark.parametrize("K, delta, mu, expected", [
+    (10, 0, 0.5, 3.626957904012684e-07),
+    (10, 0, 0.7, 0.029698024328458916),
+    (10, 1, 0.5, 4.786767264874925e-05),
+    (10, 1, 0.7, 25.604207331937957),
+    (6, 0, 0.5, 1.393071616284658e-06),
+    (6, 0, 0.7, 0.0297004314779441),
+])
+def test_burgers_grid_residual_pinned(K, delta, mu, expected):
+    # v is Fractions rounded once, then float products and sums (no exp), so the
+    # stencil and the pointwise formula are pinned to the last bit
+    image = cole_hopf(assemble_psi(AnsatzSpec.chain(1, delta), H2, 0, K))
+    grid = GridSpec(0.25, 1.25, 9, 2.0, 3.0, 5, 1e-3, 1e-3)
+    assert burgers_residual(image, mu, mode="grid", grid=grid) == expected
+
+
+def test_grid_residuals_read_each_stencil_point_once():
+    calls = []
+
+    def u(z, t):
+        calls.append((z, t))
+        return z * z * z + t
+
+    grid = GridSpec(0.5, 1.0, 4, 1.0, 2.0, 3, 1e-3, 1e-3)
+    # u_t = 1, u_z = 3 z^2, u_zz = 6 z: heat defect 1 - 6 mu z, Burgers 1 + u u_z - 6 mu z
+    assert diffusion_residual_numeric(u, grid, mu=0.1) == pytest.approx(0.7, rel=1e-6)
+    assert len(calls) == 5 * 4 * 3
+    # the t + dt row, the t - dt row, then u(z + dz), u(z), u(z - dz) at each point
+    zs, t = _axis(0.5, 1.0, 4), 1.0
+    rows = [(z, t + 1e-3) for z in zs] + [(z, t - 1e-3) for z in zs]
+    assert calls[:11] == rows + [(zs[0] + 1e-3, t), (zs[0], t), (zs[0] - 1e-3, t)]
+    calls.clear()
+    assert burgers_residual(SimpleNamespace(v=u), 0.5, mode="grid", grid=grid) == pytest.approx(1 + 3 * 3 - 3, rel=1e-6)
+    assert len(calls) == 5 * 4 * 3
 
 
 def test_burgers_grid_any_mu_on_linear_image():
@@ -438,7 +475,8 @@ def test_image_matches_sympy_log_derivative(n, delta):
 def test_cole_hopf_of_trajectory_source(delta):
     top = rational_top(2)
     state = reduced_initial_state(H3, 2, Fraction(2))
-    traj = rk4_integrate(reduced_field(2, top), DynState(2.0, tuple(float(v) for v in state)), 3.0, 1e-3)
+    start = DynState(2.0, tuple(float(v) for v in state))
+    traj = rk4_integrate(compiled_field(AnsatzSpec.reduced(2, 0, top)), start, 3.0, 1e-3)
     spec = AnsatzSpec.reduced(2, delta, top)
     image = cole_hopf(SeriesSolution(delta, 2, traj, 0.0, phi_table_for(spec, 10), 10))
     exact = cole_hopf(assemble_psi(spec, H3, 0.0, 10))
