@@ -50,14 +50,6 @@ class PhiTable:
     def __getitem__(self, k: int) -> GradedPoly:
         return self.entries[k]
 
-    @property
-    def family(self) -> VariableFamily:
-        return self.entries[0].family
-
-    @property
-    def max_order(self) -> int:
-        return len(self.entries) - 1
-
 
 def jet_phi_table(delta: int, k_max: int) -> PhiTable:
     """Phi_k written in jet variables, for k = 0..k_max.

@@ -79,6 +79,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for times: exact, so nan, inf or a malformed value is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _parse_poles(text: str) -> tuple[MobiusParam, ...]:
     return tuple(MobiusParam.parse(part) for part in text.split(","))
 
@@ -137,11 +145,12 @@ def cmd_trajectory(args) -> int:
         raise ValueError(f"n = {args.n} needs {args.n + 1} pole parameters")
     if args.n < 1:
         raise ValueError("the reduced system needs n >= 1")
+    if args.t1 < args.t0:
+        raise ValueError("--t1 must not precede --t0")
     h = RationalH(args.n, poles)
-    t0 = Fraction(args.t0)
-    state = reduced_initial_state(h, args.n, t0)
-    start = DynState(float(t0), tuple(float(v) for v in state))
-    t_end = float(Fraction(args.t1))
+    state = reduced_initial_state(h, args.n, args.t0)
+    start = DynState(float(args.t0), tuple(float(v) for v in state))
+    t_end = float(args.t1)
     if (t_end - start.t) / args.step - 1e-9 > 10**6:  # rk4_integrate takes ceil(span / step - 1e-9) steps
         raise ValueError(f"--step {args.step:g} needs more than 10^6 steps from --t0 to --t1")
     trajectory = rk4_integrate(compiled_field(_family_spec(args.n, 0)), start, t_end, args.step)
@@ -154,22 +163,18 @@ def cmd_trajectory(args) -> int:
 def _grid(args) -> list[tuple[Fraction, float]]:
     """The (t, z) points of an eval or burgers grid, t outside z."""
     if args.t is not None:
-        ts = [Fraction(part) for part in args.t.split(",")]
+        ts = args.t
     elif args.t1 is None or args.tnum is None:
         raise ValueError("give either --t or all of --t0/--t1/--tnum")
     else:
-        ts = _axis(Fraction(args.t0), Fraction(args.t1), args.tnum)
+        ts = _axis(args.t0, args.t1, args.tnum)
     zs = _axis(args.z0, args.z1, args.znum)
     return [(t, z) for t in ts for z in zs]
 
 
 def _family_setup(args):
-    if args.poles is not None:
-        poles = _parse_poles(args.poles)
-    else:
-        poles = (MobiusParam(Fraction(args.alpha), Fraction(args.beta)),)
-        if args.family == "1ansatz":
-            poles = poles + (MobiusParam(Fraction(args.alpha2), Fraction(args.beta2)),)
+    default = "1:0,1:1" if args.family == "1ansatz" else "1:0"
+    poles = _parse_poles(default if args.poles is None else args.poles)
     expected = {"0ansatz": 1, "1ansatz": 2}.get(args.family, len(poles))
     if len(poles) != expected:
         raise ValueError(f"{args.family} needs {expected} pole parameter(s)")
@@ -181,12 +186,18 @@ def _family_spec(n: int, delta: int) -> AnsatzSpec:
     return AnsatzSpec.reduced(n, delta, rational_top(n))
 
 
+def _series(args, h: RationalH, n: int, r0):
+    if args.kmax < 2:  # checked only where a series is built
+        raise ValueError("--kmax must be at least 2")
+    return assemble_psi(_family_spec(n, args.delta), h, r0, args.kmax)
+
+
 def cmd_eval(args) -> int:
     h, n = _family_setup(args)
     if args.family == "0ansatz":
         fn = closed_form_0ansatz(args.delta, h.poles[0], args.r0)
     else:
-        fn = assemble_psi(_family_spec(n, args.delta), h, args.r0, args.kmax).psi
+        fn = _series(args, h, n, args.r0).psi
     rows = [(float(t), z, fn(z, float(t))) for t, z in _grid(args)]
     sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
     return 0
@@ -194,7 +205,7 @@ def cmd_eval(args) -> int:
 
 def cmd_burgers(args) -> int:
     h, n = _family_setup(args)
-    image = cole_hopf(assemble_psi(_family_spec(n, args.delta), h, 0.0, args.kmax))
+    image = cole_hopf(_series(args, h, n, 0.0))
     # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
     v = rescale_to_mu(image.v, args.mu)
     rows = []
@@ -230,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="integrate the reduced system of the pole family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--poles", required=True, help="comma-separated alpha:beta pairs")
-    p.add_argument("--t0", required=True)
-    p.add_argument("--t1", required=True)
+    p.add_argument("--t0", type=_rational, required=True)
+    p.add_argument("--t1", type=_rational, required=True)
     p.add_argument("--step", type=_positive_float, default=1e-3)
     p.set_defaults(fn=cmd_trajectory)
 
@@ -239,18 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"emit {'solution' if name == 'eval' else 'Burgers image'} values on a grid")
         p.add_argument("--family", choices=["0ansatz", "1ansatz", "nansatz"], default="0ansatz")
         p.add_argument("--delta", type=int, choices=[0, 1], default=0)
-        p.add_argument("--alpha", default="1")
-        p.add_argument("--beta", default="0")
-        p.add_argument("--alpha2", default="1")
-        p.add_argument("--beta2", default="1")
-        p.add_argument("--poles", default=None, help="comma-separated alpha:beta pairs (overrides --alpha/--beta)")
+        p.add_argument("--poles", help="comma-separated alpha:beta pairs (default 1:0, or 1:0,1:1 for 1ansatz)")
         p.add_argument("--kmax", type=int, default=10)
         p.add_argument("--z0", type=_finite_float, default=-1.0)
         p.add_argument("--z1", type=_finite_float, default=1.0)
         p.add_argument("--znum", type=_positive_int, default=21)
-        p.add_argument("--t", default=None, help="comma-separated sample times")
-        p.add_argument("--t0", default="1")
-        p.add_argument("--t1", default=None)
+        p.add_argument("--t", type=lambda text: [_rational(part) for part in text.split(",")],
+                       help="comma-separated sample times")
+        p.add_argument("--t0", type=_rational, default=Fraction(1))
+        p.add_argument("--t1", type=_rational)
         p.add_argument("--tnum", type=_positive_int, default=None)
         if name == "eval":
             p.add_argument("--r0", type=_finite_float, default=0.0)

@@ -1,7 +1,9 @@
 """Self-contained verification suites backing the CLI ``verify`` command.
 
-Each suite returns (name, passed) pairs; they mirror the package's core
-identities at sizes small enough to run in a couple of seconds.
+Each suite returns (name, passed) pairs at sizes that run in well under a
+second.  An identity that the acceptance gate checks too is one function
+here returning what it measured (a defect count, an exact residual, an
+error and a gain); each caller passes its own inputs and applies its own bounds.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ X = VariableFamily.X
 
 H1 = RationalH(0, (MobiusParam(1, 0),))
 H2 = RationalH(1, (MobiusParam(1, 0), MobiusParam(1, 1)))
+CHAIN_CASES = tuple((h, delta) for delta in (0, 1) for h in (H1, H2))  # the 0- and 1-ansatz, both parities
 SAMPLES = [Fraction(3, 2), Fraction(2), Fraction(17, 4)]
 
 
@@ -79,20 +82,85 @@ def random_homogeneous(rng: random.Random, weight: int, nvars: int) -> GradedPol
     return GradedPoly(Y, nvars, terms)
 
 
+# -- the identities the acceptance gate checks too; each returns what it measured --
+
+
+def chain_defects(k_max: int) -> int:
+    """Chain polynomials D_1..D_{k_max} that the annihilator does not kill."""
+    return sum(not annihilator(d).is_zero for d in derivative_chain(k_max))
+
+
+def commutator_defects(pairs) -> int:
+    """Pairs (k, p) breaking L(W_k p) - W_k(L p) = 2k p + E p (L annihilator, E Euler operator)."""
+    defects = 0
+    for k, p in pairs:
+        lhs = annihilator(weighted_derivative(k, p)) - weighted_derivative(k, annihilator(p))
+        defects += lhs != 2 * k * p + euler_operator(p)
+    return defects
+
+
+def _chain_series(h: RationalH, delta: int, k_max: int):
+    return assemble_psi(AnsatzSpec.chain(h.n, delta), h, 0, k_max)
+
+
+def exact_heat_residual(cases, k_max: int, times):
+    """Largest exact heat defect of the chain series of the (h, delta) cases at the times."""
+    return max(heat_residual_series(_chain_series(h, delta, k_max), times) for h, delta in cases)
+
+
+def exact_burgers_residual(cases, k_max: int, times):
+    """Largest exact Burgers residual of the cases' Cole-Hopf images at the times."""
+    images = (cole_hopf(_chain_series(h, delta, k_max)) for h, delta in cases)
+    return max(burgers_residual(image, mode="series", t_samples=times) for image in images)
+
+
+def ratio_series_defects(q_max: int) -> int:
+    """Entries of both one-parameter tables through q_max that differ from the ratio series:
+    (-1)^m gamma_ratio_coeff(m, delta) (4m+delta)!/16^m x2^m at q = 2m, zero at odd q."""
+    x2 = GradedPoly.variable(X, 1, 2)
+    defects = 0
+    for delta in (0, 1):
+        table = general_phi_table(AnsatzSpec.chain(1, delta), q_max)
+        for m in range(q_max // 2 + 1):
+            scale = Fraction((-1) ** m) * gamma_ratio_coeff(m, delta) * Fraction(math.factorial(4 * m + delta), 16**m)
+            defects += table[2 * m] != scale * x2**m
+        defects += sum(not table[q].is_zero for q in range(1, q_max + 1, 2))
+    return defects
+
+
+def profile_defects(times) -> int:
+    """Nonzero residuals of the one- and two-pole chain equations and doubled-profile Chazy IV."""
+    defects = 0
+    for t in times:
+        defects += ode_residual(0, None, H1.jets(t, 2)) != 0
+        defects += ode_residual(1, None, H2.jets(t, 3)) != 0
+        defects += chazy4_residual([2 * v for v in H2.jets(t, 4)]) != 0
+    return defects
+
+
+def rk4_errors(step: float) -> tuple[float, float]:
+    """RK4 along the two-pole profile from t = 2 to 3: the largest state error at ``step``,
+    and the end-error gain from step 0.04 to 0.02 (16 for a fourth-order method)."""
+    field = compiled_field(AnsatzSpec.chain(1, 0))
+    start = DynState(2.0, tuple(float(v) for v in reduced_initial_state(H2, 1, 2)))
+
+    def error(state: DynState, t) -> float:
+        return max(abs(a - float(b)) for a, b in zip(state.x, reduced_initial_state(H2, 1, t)))
+
+    err = max(0.0, *(error(s, s.t) for s in rk4_integrate(field, start, 3.0, step)))
+    coarse, fine = (error(rk4_integrate(field, start, 3.0, h)[-1], 3) for h in (0.04, 0.02))  # at the exact time 3
+    return err, coarse / fine
+
+
 def suite_operators() -> list[tuple[str, bool]]:
     rng = random.Random(20260814)
-    checks = []
-    chain = derivative_chain(9)
-    checks.append(("chain polynomials annihilated (k <= 9)", all(annihilator(d).is_zero for d in chain)))
-    ok = True
+    checks = [("chain polynomials annihilated (k <= 9)", chain_defects(9) == 0)]
+    pairs = []
     for _ in range(25):
         w = rng.randint(1, 8)
         p = random_homogeneous(rng, w, w)
-        k = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        lhs = annihilator(weighted_derivative(k, p)) - weighted_derivative(k, annihilator(p))
-        rhs = (2 * k) * p + euler_operator(p)
-        ok = ok and lhs == rhs
-    checks.append(("commutator identity on random homogeneous input", ok))
+        pairs.append((Fraction(rng.randint(-6, 6), rng.randint(1, 3)), p))
+    checks.append(("commutator identity on random homogeneous input", commutator_defects(pairs) == 0))
     ok = True
     for _ in range(10):
         w = rng.randint(2, 8)
@@ -124,16 +192,7 @@ def suite_ansatz() -> list[tuple[str, bool]]:
             recon = -(Fraction(2) ** (k - 2)) * lead * zk + tails[k]
             ok = ok and expand_basis(recon) == table[k]
     checks.append(("coefficient split into leading basis element plus tail", ok))
-    ok = True
-    for delta in (0, 1):
-        table = general_phi_table(AnsatzSpec.chain(1, delta), 12)
-        x2 = GradedPoly.variable(X, 1, 2)
-        for m in range(7):
-            scale = Fraction((-1) ** m) * gamma_ratio_coeff(m, delta) * Fraction(math.factorial(4 * m + delta), 16**m)
-            ok = ok and table[2 * m] == scale * x2**m
-            if 2 * m + 1 <= table.max_order:
-                ok = ok and table[2 * m + 1].is_zero
-    checks.append(("ratio-coefficient series matches the reduced recursion", ok))
+    checks.append(("ratio-coefficient series matches the reduced recursion", ratio_series_defects(12) == 0))
     ok = True
     table = general_phi_table(AnsatzSpec.chain(1, 0), 8)
     ytable = jet_phi_table(0, 8)
@@ -147,44 +206,20 @@ def suite_ansatz() -> list[tuple[str, bool]]:
 
 
 def suite_dynsys() -> list[tuple[str, bool]]:
-    checks = []
-    ok = True
-    for t in SAMPLES:
-        ok = ok and ode_residual(0, None, H1.jets(t, 2)) == 0
-        ok = ok and ode_residual(1, None, H2.jets(t, 3)) == 0
-        jets = H2.jets(t, 4)
-        ok = ok and chazy4_residual([2 * v for v in jets]) == 0
-    checks.append(("profile families solve their chain equations", ok))
-    start = DynState(2.0, tuple(float(v) for v in reduced_initial_state(H2, 1, 2)))
-    field = compiled_field(AnsatzSpec.chain(1, 0))
-    err = 0.0
-    for s in rk4_integrate(field, start, 3.0, 0.01):
-        exact = reduced_initial_state(H2, 1, s.t)
-        err = max(err, max(abs(a - float(b)) for a, b in zip(s.x, exact)))
-    checks.append(("integrator tracks the closed-form trajectory", err < 1e-9))
-    end_err = {}
-    for step in (0.04, 0.02):
-        traj = rk4_integrate(field, start, 3.0, step)
-        exact = reduced_initial_state(H2, 1, 3)
-        end_err[step] = max(abs(a - float(b)) for a, b in zip(traj[-1].x, exact))
-    ratio = end_err[0.04] / end_err[0.02]
-    checks.append(("fourth-order convergence under step halving", 14.0 <= ratio <= 18.0))
-    return checks
+    err, gain = rk4_errors(0.01)
+    return [
+        ("profile families solve their chain equations", profile_defects(SAMPLES) == 0),
+        ("integrator tracks the closed-form trajectory", err < 1e-9),
+        ("fourth-order convergence under step halving", 14.0 <= gain <= 18.0),
+    ]
 
 
 def suite_solution() -> list[tuple[str, bool]]:
-    checks = []
-    ok = True
-    for delta in (0, 1):
-        s0 = assemble_psi(AnsatzSpec.chain(0, delta), H1, 0, 8)
-        s1 = assemble_psi(AnsatzSpec.chain(1, delta), H2, 0, 8)
-        ok = ok and heat_residual_series(s0, SAMPLES) == 0
-        ok = ok and heat_residual_series(s1, SAMPLES) == 0
-    checks.append(("exact order-by-order heat residual vanishes", ok))
+    checks = [("exact order-by-order heat residual vanishes", exact_heat_residual(CHAIN_CASES, 8, SAMPLES) == 0)]
     ok = True
     for delta in (0, 1):
         psi = closed_form_0ansatz(delta, MobiusParam(1, 0))
-        sol = assemble_psi(AnsatzSpec.chain(0, delta), H1, 0, 8)
+        sol = _chain_series(H1, delta, 8)
         for z in (-0.7, 0.3, 1.1):
             for t in (0.5, 1.25):
                 ok = ok and abs(psi(z, t) - sol.psi(z, t)) <= 1e-12 * max(1.0, abs(psi(z, t)))
@@ -192,14 +227,10 @@ def suite_solution() -> list[tuple[str, bool]]:
     grid = GridSpec(-1.0, 1.0, 9, 0.5, 1.5, 5, 1e-3, 1e-3)
     psi = closed_form_0ansatz(0, MobiusParam(1, 0))
     checks.append(("finite-difference heat residual small", heat_residual_numeric(psi, grid) <= 1e-5))
-    ok = True
-    for delta in (0, 1):
-        sol = assemble_psi(AnsatzSpec.chain(1, delta), H2, 0, 8)
-        image = cole_hopf(sol)
-        ok = ok and burgers_residual(image, mode="series", t_samples=SAMPLES) == 0
-    checks.append(("exact Burgers residual of the Cole-Hopf image vanishes", ok))
+    residual = exact_burgers_residual([(H2, 0), (H2, 1)], 8, SAMPLES)
+    checks.append(("exact Burgers residual of the Cole-Hopf image vanishes", residual == 0))
     bgrid = GridSpec(0.25, 1.0, 7, 2.25, 2.75, 4, 1e-3, 1e-3)
-    image = cole_hopf(assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 8))
+    image = cole_hopf(_chain_series(H2, 0, 8))
     checks.append(
         ("finite-difference Burgers residual small", burgers_residual(image, mode="grid", grid=bgrid) <= 1e-5)
     )

@@ -5,44 +5,35 @@ import random
 import time
 from fractions import Fraction
 
-from heatansatz.ansatz import AnsatzSpec, ansatz_to_jet, jet_phi_remainders, jet_phi_table, phi_table_for
-from heatansatz.dynsys import (
-    DynState,
-    MobiusParam,
-    RationalH,
-    chazy4_residual,
-    compiled_field,
-    ode_residual,
-    reduced_initial_state,
-    rk4_integrate,
-)
+from heatansatz.ansatz import AnsatzSpec, ansatz_to_jet, jet_phi_remainders, jet_phi_table
+from heatansatz.dynsys import MobiusParam
 from heatansatz.grpoly import GradedPoly, VariableFamily
-from heatansatz.operators import (
-    annihilator,
-    decompose_basis,
-    derivative_chain,
-    euler_operator,
-    expand_basis,
-    is_annihilated,
-    weighted_derivative,
-)
+from heatansatz.operators import annihilator, decompose_basis, derivative_chain, expand_basis, is_annihilated
 from heatansatz.solution import (
     GridSpec,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
     cole_hopf,
-    gamma_ratio_coeff,
     heat_residual_numeric,
-    heat_residual_series,
 )
-from heatansatz.verify import random_homogeneous
+from heatansatz.verify import (
+    CHAIN_CASES,
+    H1,
+    H2,
+    chain_defects,
+    commutator_defects,
+    exact_burgers_residual,
+    exact_heat_residual,
+    profile_defects,
+    random_homogeneous,
+    ratio_series_defects,
+    rk4_errors,
+)
 
 Y = VariableFamily.Y
 X = VariableFamily.X
 
-H1 = RationalH(0, (MobiusParam(1, 0),))
-H2 = RationalH(1, (MobiusParam(1, 0), MobiusParam(1, 1)))
 TEN_TIMES = [Fraction(k, 4) for k in range(6, 26, 2)]
 TWENTY_TIMES = [Fraction(k, 8) for k in range(12, 52, 2)]
 
@@ -54,22 +45,19 @@ def report(num: int, label: str, ok: bool) -> None:
 
 def test_criterion_01_annihilation_suite():
     begin = time.perf_counter()
-    ok = all(annihilator(p).is_zero for p in derivative_chain(12))
+    defects = chain_defects(12)
     elapsed = time.perf_counter() - begin
-    report(1, f"chain polynomials k=1..12 annihilated exactly ({elapsed:.2f}s < 10s)", ok and elapsed < 10.0)
+    report(1, f"chain polynomials k=1..12 annihilated exactly ({elapsed:.2f}s < 10s)", defects == 0 and elapsed < 10.0)
 
 
 def test_criterion_02_commutator_suite():
     rng = random.Random(20260814)
-    count, ok = 0, True
-    while count < 100:
+    pairs = []
+    for _ in range(100):
         weight = rng.randrange(1, 11) * 2  # graded degree down to -20
         k = Fraction(rng.randrange(1, 9), rng.choice([1, 2]))
-        p = random_homogeneous(rng, weight, 6)
-        lhs = annihilator(weighted_derivative(k, p)) - weighted_derivative(k, annihilator(p))
-        ok = ok and lhs == 2 * k * p + euler_operator(p)
-        count += 1
-    report(2, f"commutator identity exact on {count} random homogeneous inputs", ok)
+        pairs.append((k, random_homogeneous(rng, weight, 6)))
+    report(2, f"commutator identity exact on {len(pairs)} random homogeneous inputs", commutator_defects(pairs) == 0)
 
 
 def test_criterion_03_displayed_tables():
@@ -122,12 +110,8 @@ def test_criterion_04_basis_theorem_both_directions():
 
 
 def test_criterion_05_exact_heat_residual():
-    ok = True
-    for delta in (0, 1):
-        for h, n in ((H1, 0), (H2, 1)):
-            sol = assemble_psi(AnsatzSpec.chain(n, delta), h, 0, 10)
-            ok = ok and heat_residual_series(sol, TEN_TIMES) == 0
-    report(5, "order-by-order heat residual exactly zero (n=0,1; K=10; both parities)", ok)
+    residual = exact_heat_residual(CHAIN_CASES, 10, TEN_TIMES)
+    report(5, "order-by-order heat residual exactly zero (n=0,1; K=10; both parities)", residual == 0)
 
 
 def test_criterion_06_closed_form_0ansatz():
@@ -150,45 +134,17 @@ def test_criterion_06_closed_form_0ansatz():
 
 
 def test_criterion_07_ratio_series():
-    ok = True
-    for delta in (0, 1):
-        table = phi_table_for(AnsatzSpec.chain(1, delta), 20)
-        x2 = GradedPoly.variable(X, 1, 2)
-        for m in range(11):
-            coeff = (
-                Fraction(math.factorial(4 * m + delta))
-                * gamma_ratio_coeff(m, delta)
-                * Fraction(-1) ** m
-                / Fraction(16) ** m
-            )
-            ok = ok and table[2 * m] == coeff * x2**m
-        ok = ok and all(table[q].is_zero for q in range(1, 21, 2))
-    report(7, "one-parameter table equals the factorial-ratio series (m <= 10, both parities)", ok)
+    defects = ratio_series_defects(20)
+    report(7, "one-parameter table equals the factorial-ratio series (m <= 10, both parities)", defects == 0)
 
 
 def test_criterion_08_ode_and_chazy():
-    ok = True
-    for t in TWENTY_TIMES:
-        ok = ok and ode_residual(0, None, H1.jets(t, 2)) == 0
-        ok = ok and ode_residual(1, None, H2.jets(t, 3)) == 0
-        ok = ok and chazy4_residual(tuple(2 * v for v in H2.jets(t, 4))) == 0
-    report(8, "profile and doubled-profile equations exact at 20 rational points", ok)
+    defects = profile_defects(TWENTY_TIMES)
+    report(8, "profile and doubled-profile equations exact at 20 rational points", defects == 0)
 
 
 def test_criterion_09_integrator_fidelity():
-    field = compiled_field(AnsatzSpec.chain(1, 0))
-    start_state = reduced_initial_state(H2, 1, Fraction(2))
-    start = DynState(2.0, tuple(float(v) for v in start_state))
-    err = 0.0
-    for s in rk4_integrate(field, start, 3.0, 1e-3):
-        exact = reduced_initial_state(H2, 1, s.t)
-        err = max(err, max(abs(a - float(b)) for a, b in zip(s.x, exact)))
-    end_err = {}
-    for step in (0.04, 0.02):  # step 1e-3 sits at the rounding floor, so the
-        traj = rk4_integrate(field, start, 3.0, step)  # ratio is read higher up
-        exact = reduced_initial_state(H2, 1, 3)
-        end_err[step] = max(abs(a - float(b)) for a, b in zip(traj[-1].x, exact))
-    ratio = end_err[0.04] / end_err[0.02]
+    err, ratio = rk4_errors(1e-3)  # step 1e-3 sits at the rounding floor, so the gain is read from 0.04 to 0.02
     ok = err <= 1e-8 and 14.0 <= ratio <= 18.0
     report(9, f"integrator max error {err:.2e} <= 1e-8; halving gain {ratio:.2f} in [14, 18]", ok)
 
@@ -213,12 +169,8 @@ def test_criterion_10_numeric_residual_convergence():
 
 
 def test_criterion_11_burgers_series_residual():
-    ok = True
-    for delta in (0, 1):
-        for h, n in ((H1, 0), (H2, 1)):
-            image = cole_hopf(assemble_psi(AnsatzSpec.chain(n, delta), h, 0, 10))
-            ok = ok and burgers_residual(image, mode="series", t_samples=TEN_TIMES) == 0
-    report(11, "Laurent-series residual of the half-viscosity flow exactly zero", ok)
+    residual = exact_burgers_residual(CHAIN_CASES, 10, TEN_TIMES)
+    report(11, "Laurent-series residual of the half-viscosity flow exactly zero", residual == 0)
 
 
 def test_criterion_12_parity():

@@ -182,9 +182,43 @@ def test_trajectory_step_count_is_bounded(capsys, monkeypatch):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option, value", [("--t0", "nan"), ("--t1", "nan"), ("--t1", "x"), ("--t1", "-inf")])
+def test_trajectory_times_are_rationals(option, value, capsys):
+    argv = {"--t0": "3", "--t1": "4"} | {option: value}
+    with pytest.raises(SystemExit) as exc:
+        run(["trajectory", "--n", "1", "--poles", "1:0,1:1", *(f"{k}={v}" for k, v in argv.items())])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {option}: invalid rational value: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trajectory", "--n", "1", "--poles", "1:0,1:1", "--t0", "4", "--t1", "3"], "--t1 must not precede --t0"),
+    (["eval", "--family", "nansatz", "--kmax", "1", "--t", "2"], "--kmax must be at least 2"),
+    (["eval", "--family", "1ansatz", "--kmax", "-3", "--t", "2"], "--kmax must be at least 2"),
+    (["burgers", "--family", "nansatz", "--kmax", "1", "--t", "2"], "--kmax must be at least 2"),
+    (["burgers", "--family", "0ansatz", "--kmax", "0", "--t", "2"], "--kmax must be at least 2"),
+])
+def test_option_bounds_name_the_option(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the closed-form 0-ansatz builds no series, so --kmax does not bound it
+    assert run(["eval", "--family", "0ansatz", "--kmax", "1", "--t", "2", "--znum", "1"]) == 0
+    assert capsys.readouterr().out == "t,z,value\n2,-1,0.5506953149031838\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "burgers"])
+def test_removed_pole_options(command, capsys):
+    # --poles is the one way to give poles
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--alpha", "1", "--beta", "0", "--alpha2", "1", "--beta2", "1", "--t", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha 1 --beta 0 --alpha2 1 --beta2 1" in capsys.readouterr().err
+
+
 def test_eval_0ansatz_values():
     code, out, _ = cli(
-        "eval", "--family", "0ansatz", "--delta", "0", "--alpha", "1", "--beta", "0",
+        "eval", "--family", "0ansatz", "--delta", "0", "--poles", "1:0",
         "--t", "0.0625,0.25,1", "--z0", "-1", "--z1", "1", "--znum", "5",
     )
     assert code == 0
@@ -227,7 +261,7 @@ def test_eval_time_grid_flags():
 
 def test_burgers_values():
     code, out, _ = cli(
-        "burgers", "--family", "0ansatz", "--delta", "1", "--alpha", "1", "--beta", "0",
+        "burgers", "--family", "0ansatz", "--delta", "1", "--poles", "1:0",
         "--mu", "0.5", "--t", "2", "--z0", "0.5", "--z1", "1.5", "--znum", "3",
     )
     assert code == 0
@@ -257,7 +291,7 @@ def test_burgers_pole_at_origin_is_domain_error():
 
 
 def test_eval_at_profile_pole_is_domain_error():
-    code, _, err = cli("eval", "--family", "0ansatz", "--alpha", "1", "--beta", "1", "--t", "1")
+    code, _, err = cli("eval", "--family", "0ansatz", "--poles", "1:1", "--t", "1")
     assert code == 1
     assert "error:" in err
 
@@ -282,6 +316,7 @@ def test_usage_errors_exit_two():
     ("--znum", "0"), ("--znum", "-2"), ("--t1", "2", "--tnum", "0"),
     ("--z0", "nan", "--znum", "1"), ("--z1", "inf"), ("--z0=-inf",), ("--z1=-Infinity",),
     ("--r0", "nan"), ("--r0", "1e400"), ("--mu", "nan"), ("--mu", "inf"), ("--r0", "x"), ("--mu", "1/2"),
+    ("--tnum", "3", "--t1", "nan"), ("--t1", "2", "--tnum", "3", "--t0", "inf"), ("--t", "2,x"), ("--t", "1/0"),
 ])
 def test_empty_grid_is_usage_error(command, grid, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -290,6 +325,8 @@ def test_empty_grid_is_usage_error(command, grid, capsys):
     captured = capsys.readouterr()
     if grid[0] == {"eval": "--mu", "burgers": "--r0"}[command]:
         message = "unrecognized arguments"  # burgers has no --r0 (v does not depend on it), eval no --mu
+    elif len(grid) > 1 and grid[-2] in ("--t", "--t0", "--t1"):  # the bad time, or --t item, comes last
+        message = f"argument {grid[-2]}: invalid rational value: {grid[-1].split(',')[-1]!r}"
     elif grid[-1] in ("x", "1/2"):
         message = "invalid float value"
     elif grid[0].startswith(("--z0", "--z1", "--r0", "--mu")):
@@ -350,7 +387,7 @@ def test_byte_determinism():
 def test_run_function_direct(capsys):
     assert run(["dk", "--k", "1"]) == 0
     assert capsys.readouterr().out == "D_1 = y2 + y1^2\n"
-    assert run(["eval", "--family", "0ansatz", "--alpha", "0", "--beta", "0", "--t", "1"]) == 1
+    assert run(["eval", "--family", "0ansatz", "--poles", "0:0", "--t", "1"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
