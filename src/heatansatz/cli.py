@@ -26,6 +26,7 @@ from .dynsys import (
     rational_top,
     reduced_initial_state,
     rk4_integrate,
+    rk4_step_count,
 )
 from .operators import derivative_chain
 from .solution import _axis, assemble_psi, closed_form_0ansatz, cole_hopf, rescale_to_mu
@@ -151,7 +152,7 @@ def cmd_trajectory(args) -> int:
     state = reduced_initial_state(h, args.n, args.t0)
     start = DynState(float(args.t0), tuple(float(v) for v in state))
     t_end = float(args.t1)
-    if (t_end - start.t) / args.step - 1e-9 > 10**6:  # rk4_integrate takes ceil(span / step - 1e-9) steps
+    if rk4_step_count(t_end - start.t, args.step) > 10**6:
         raise ValueError(f"--step {args.step:g} needs more than 10^6 steps from --t0 to --t1")
     trajectory = rk4_integrate(compiled_field(_family_spec(args.n, 0)), start, t_end, args.step)
     header = ["t"] + [f"x{i + 1}" for i in range(args.n + 1)]

@@ -173,6 +173,13 @@ def reduced_system_field(n: int, top: GradedPoly, state: Sequence[Numeric]) -> t
 MAX_ABS = 1e12  # rk4_integrate stops with IntegrationError once some |x_k| exceeds this
 
 
+def rk4_step_count(span: float, step: float) -> Union[int, float]:
+    """The number of steps ``rk4_integrate`` takes over ``span`` (inf if span / step overflows):
+    a span within 1e-9 steps of a whole number takes no sliver of a last step."""
+    ratio = span / step - 1e-9
+    return 0 if span <= 0 else max(1, math.ceil(ratio)) if ratio < math.inf else ratio
+
+
 def rk4_integrate(field: Callable, start: DynState, t_end: float, step: float) -> list[DynState]:
     """Classical fixed-step RK4 from ``start`` to ``t_end``.
 
@@ -200,11 +207,8 @@ def rk4_integrate(field: Callable, start: DynState, t_end: float, step: float) -
 
     guard(t, x)
     out = [DynState(t, x)]
-    # times from a step count, so they do not drift, and a span within
-    # 1e-9 steps of a whole number takes no sliver of a last step
-    t0, span = t, t_end - t
-    count = max(1, math.ceil(span / step - 1e-9)) if span > 0 else 0
-    for i in range(1, count + 1):
+    t0, count = t, rk4_step_count(t_end - t, step)  # times from a step count, so they do not drift
+    for i in range(1, int(count) + 1):  # int(inf) raises OverflowError
         t_next = t_end if i == count else t0 + i * step
         h = t_next - t
         half, sixth = h / 2, h / 6

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]

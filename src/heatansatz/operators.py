@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Union
 
 from .grpoly import GradedPoly, NonHomogeneousError, Scalar, VariableFamily
 

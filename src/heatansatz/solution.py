@@ -208,6 +208,8 @@ class SeriesSolution:
             raise ValueError("truncation order must be at least 2")
         if len(phi.entries) < truncation + 1:
             raise ValueError("phi table shorter than the truncation order")
+        if phi.delta != delta:
+            raise ValueError(f"phi table has parity {phi.delta}, not delta = {delta}")
         self.delta = delta
         self.n = n
         self.h_source = h_source

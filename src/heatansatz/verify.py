@@ -1,13 +1,15 @@
-"""Self-contained verification suites backing the CLI ``verify`` command.
+"""Self-contained verification checks backing the CLI ``verify`` command.
 
-Each suite returns (name, passed) pairs at sizes that run in well under a
-second.  An identity that the acceptance gate checks too is one function
-here returning what it measured (a defect count, an exact residual, an
-error and a gain); each caller passes its own inputs and applies its own bounds.
+``CHECKS`` is one table of (suite, label, check) rows in print order, each
+running in well under a second; ``run_suite`` runs one suite's rows or all.
+An identity that the acceptance gate checks too is one function here
+returning what it measured (a defect count, an exact residual, an error and
+a gain); each caller passes its own inputs and applies its own bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +28,6 @@ from .dynsys import (
 from .grpoly import GradedPoly, VariableFamily
 from .operators import (
     annihilator,
-    basis_elements,
     decompose_basis,
     derivative_chain,
     euler_operator,
@@ -90,12 +91,45 @@ def chain_defects(k_max: int) -> int:
     return sum(not annihilator(d).is_zero for d in derivative_chain(k_max))
 
 
+def displayed_chain_defects() -> int:
+    """Chain polynomials D_1..D_3 that differ from their displayed forms."""
+    y = lambda k: GradedPoly.variable(Y, 4, k)
+    displayed = (
+        y(2) + y(1) ** 2,
+        y(3) + 6 * y(1) * y(2) + 4 * y(1) ** 3,
+        y(4) + 12 * y(1) * y(3) + 6 * y(2) ** 2 + 48 * y(1) ** 2 * y(2) + 24 * y(1) ** 4,
+    )
+    return sum(d != shown for d, shown in zip(derivative_chain(3), displayed))
+
+
 def commutator_defects(pairs) -> int:
     """Pairs (k, p) breaking L(W_k p) - W_k(L p) = 2k p + E p (L annihilator, E Euler operator)."""
     defects = 0
     for k, p in pairs:
         lhs = annihilator(weighted_derivative(k, p)) - weighted_derivative(k, annihilator(p))
         defects += lhs != 2 * k * p + euler_operator(p)
+    return defects
+
+
+def round_trip_defects(polys) -> int:
+    """Polynomials that their basis decomposition does not expand back to."""
+    return sum(decompose_basis(p).expand() != p for p in polys)
+
+
+def kernel_defects(polys) -> int:
+    """Polynomials whose kernel test disagrees with the basis criterion (no y1 factor)."""
+    return sum(is_annihilated(p) != (not decompose_basis(p).uses_y1()) for p in polys)
+
+
+def split_defects(k_max: int) -> int:
+    """Entries Phi_k, 2 <= k <= k_max, of both jet tables that differ from
+    -2^(k-2) (2+delta)(1+delta) Z_k + Q_k, expanded out of the basis symbols."""
+    defects = 0
+    for delta in (0, 1):
+        table, tails = jet_phi_table(delta, k_max), jet_phi_remainders(delta, k_max)
+        for k in range(2, k_max + 1):
+            lead = -(Fraction(2) ** (k - 2)) * (2 + delta) * (1 + delta)
+            defects += expand_basis(lead * GradedPoly.variable(Y, k_max, k) + tails[k]) != table[k]
     return defects
 
 
@@ -152,105 +186,72 @@ def rk4_errors(step: float) -> tuple[float, float]:
     return err, coarse / fine
 
 
-def suite_operators() -> list[tuple[str, bool]]:
+# -- the table that verify prints ---------------------------------------------
+
+
+def _operator_draws():
+    """The operators suite's random input, in draw order from one seed: 25
+    commutator pairs, then 10 round-trip and 10 kernel-test polynomials."""
     rng = random.Random(20260814)
-    checks = [("chain polynomials annihilated (k <= 9)", chain_defects(9) == 0)]
-    pairs = []
+    pairs, polys = [], []
     for _ in range(25):
         w = rng.randint(1, 8)
         p = random_homogeneous(rng, w, w)
         pairs.append((Fraction(rng.randint(-6, 6), rng.randint(1, 3)), p))
-    checks.append(("commutator identity on random homogeneous input", commutator_defects(pairs) == 0))
-    ok = True
-    for _ in range(10):
+    for _ in range(20):
         w = rng.randint(2, 8)
-        p = random_homogeneous(rng, w, w)
-        ok = ok and decompose_basis(p).expand() == p
-    checks.append(("basis decomposition round-trip", ok))
-    ok = True
-    for _ in range(10):
-        w = rng.randint(2, 8)
-        p = random_homogeneous(rng, w, w)
-        ok = ok and is_annihilated(p) == (not decompose_basis(p).uses_y1())
-    checks.append(("kernel test agrees with basis criterion", ok))
-    return checks
+        polys.append(random_homogeneous(rng, w, w))
+    return pairs, polys[:10], polys[10:]
 
 
-def suite_ansatz() -> list[tuple[str, bool]]:
-    checks = []
-    z = basis_elements(4)
-    y = lambda k: GradedPoly.variable(Y, 4, k)
-    expected_z4 = y(4) + 12 * y(1) * y(3) + 6 * y(2) ** 2 + 48 * y(1) ** 2 * y(2) + 24 * y(1) ** 4
-    checks.append(("displayed chain polynomials", z[2] == y(2) + y(1) ** 2 and z[4] == expected_z4))
-    ok = True
-    for delta in (0, 1):
-        table = jet_phi_table(delta, 8)
-        tails = jet_phi_remainders(delta, 8)
-        lead = Fraction((2 + delta) * (1 + delta))
-        for k in range(2, 9):
-            zk = GradedPoly.variable(Y, 8, k)
-            recon = -(Fraction(2) ** (k - 2)) * lead * zk + tails[k]
-            ok = ok and expand_basis(recon) == table[k]
-    checks.append(("coefficient split into leading basis element plus tail", ok))
-    checks.append(("ratio-coefficient series matches the reduced recursion", ratio_series_defects(12) == 0))
-    ok = True
-    table = general_phi_table(AnsatzSpec.chain(1, 0), 8)
-    ytable = jet_phi_table(0, 8)
-    for t in SAMPLES:
-        jets = H2.jets(t, 9)
-        x2v = jets[1] + jets[0] ** 2
-        for k in range(2, 9):
-            ok = ok and table[k].evaluate([x2v]) == ytable[k].evaluate(jets)
-    checks.append(("parameter and jet routes agree along the two-pole profile", ok))
-    return checks
+def _routes_agree() -> bool:
+    """The parameter table and the jet table of the two-pole profile agree at SAMPLES."""
+    table, ytable = general_phi_table(AnsatzSpec.chain(1, 0), 8), jet_phi_table(0, 8)
+    points = [(jets, jets[1] + jets[0] ** 2) for jets in (H2.jets(t, 9) for t in SAMPLES)]  # (y, x2 = D_1(y))
+    return all(table[k].evaluate([x2]) == ytable[k].evaluate(jets) for jets, x2 in points for k in range(2, 9))
 
 
-def suite_dynsys() -> list[tuple[str, bool]]:
-    err, gain = rk4_errors(0.01)
-    return [
-        ("profile families solve their chain equations", profile_defects(SAMPLES) == 0),
-        ("integrator tracks the closed-form trajectory", err < 1e-9),
-        ("fourth-order convergence under step halving", 14.0 <= gain <= 18.0),
-    ]
-
-
-def suite_solution() -> list[tuple[str, bool]]:
-    checks = [("exact order-by-order heat residual vanishes", exact_heat_residual(CHAIN_CASES, 8, SAMPLES) == 0)]
-    ok = True
-    for delta in (0, 1):
-        psi = closed_form_0ansatz(delta, MobiusParam(1, 0))
-        sol = _chain_series(H1, delta, 8)
-        for z in (-0.7, 0.3, 1.1):
-            for t in (0.5, 1.25):
-                ok = ok and abs(psi(z, t) - sol.psi(z, t)) <= 1e-12 * max(1.0, abs(psi(z, t)))
-    checks.append(("closed form matches the assembled series", ok))
-    grid = GridSpec(-1.0, 1.0, 9, 0.5, 1.5, 5, 1e-3, 1e-3)
-    psi = closed_form_0ansatz(0, MobiusParam(1, 0))
-    checks.append(("finite-difference heat residual small", heat_residual_numeric(psi, grid) <= 1e-5))
-    residual = exact_burgers_residual([(H2, 0), (H2, 1)], 8, SAMPLES)
-    checks.append(("exact Burgers residual of the Cole-Hopf image vanishes", residual == 0))
-    bgrid = GridSpec(0.25, 1.0, 7, 2.25, 2.75, 4, 1e-3, 1e-3)
-    image = cole_hopf(_chain_series(H2, 0, 8))
-    checks.append(
-        ("finite-difference Burgers residual small", burgers_residual(image, mode="grid", grid=bgrid) <= 1e-5)
+def _closed_form_agrees() -> bool:
+    pairs = [(closed_form_0ansatz(delta, MobiusParam(1, 0)), _chain_series(H1, delta, 8)) for delta in (0, 1)]
+    return all(
+        abs(psi(z, t) - sol.psi(z, t)) <= 1e-12 * max(1.0, abs(psi(z, t)))
+        for psi, sol in pairs for z in (-0.7, 0.3, 1.1) for t in (0.5, 1.25)
     )
-    return checks
 
 
-SUITES = {
-    "operators": suite_operators,
-    "ansatz": suite_ansatz,
-    "dynsys": suite_dynsys,
-    "solution": suite_solution,
-}
+# Each check takes ``once``: once(f, *args) is f(*args), computed at most once
+# per run, so checks that read the same measurement share it.
+CHECKS = (
+    ("operators", "chain polynomials annihilated (k <= 9)", lambda once: chain_defects(9) == 0),
+    ("operators", "commutator identity on random homogeneous input",
+     lambda once: commutator_defects(once(_operator_draws)[0]) == 0),
+    ("operators", "basis decomposition round-trip", lambda once: round_trip_defects(once(_operator_draws)[1]) == 0),
+    ("operators", "kernel test agrees with basis criterion",
+     lambda once: kernel_defects(once(_operator_draws)[2]) == 0),
+    ("ansatz", "displayed chain polynomials", lambda once: displayed_chain_defects() == 0),
+    ("ansatz", "coefficient split into leading basis element plus tail", lambda once: split_defects(8) == 0),
+    ("ansatz", "ratio-coefficient series matches the reduced recursion", lambda once: ratio_series_defects(12) == 0),
+    ("ansatz", "parameter and jet routes agree along the two-pole profile", lambda once: _routes_agree()),
+    ("dynsys", "profile families solve their chain equations", lambda once: profile_defects(SAMPLES) == 0),
+    ("dynsys", "integrator tracks the closed-form trajectory", lambda once: once(rk4_errors, 0.01)[0] < 1e-9),
+    ("dynsys", "fourth-order convergence under step halving",
+     lambda once: 14.0 <= once(rk4_errors, 0.01)[1] <= 18.0),
+    ("solution", "exact order-by-order heat residual vanishes",
+     lambda once: exact_heat_residual(CHAIN_CASES, 8, SAMPLES) == 0),
+    ("solution", "closed form matches the assembled series", lambda once: _closed_form_agrees()),
+    ("solution", "finite-difference heat residual small", lambda once: heat_residual_numeric(
+        closed_form_0ansatz(0, MobiusParam(1, 0)), GridSpec(-1.0, 1.0, 9, 0.5, 1.5, 5, 1e-3, 1e-3)) <= 1e-5),
+    ("solution", "exact Burgers residual of the Cole-Hopf image vanishes",
+     lambda once: exact_burgers_residual([(H2, 0), (H2, 1)], 8, SAMPLES) == 0),
+    ("solution", "finite-difference Burgers residual small", lambda once: burgers_residual(
+        cole_hopf(_chain_series(H2, 0, 8)), mode="grid", grid=GridSpec(0.25, 1.0, 7, 2.25, 2.75, 4, 1e-3, 1e-3),
+    ) <= 1e-5),
+)
 
 
 def run_suite(name: str) -> list[tuple[str, bool]]:
-    if name == "all":
-        out = []
-        for key in ("operators", "ansatz", "dynsys", "solution"):
-            out.extend((f"{key}: {label}", ok) for label, ok in SUITES[key]())
-        return out
-    if name not in SUITES:
+    """("suite: label", passed) for each row of suite ``name``, or of every suite for "all"."""
+    if name != "all" and name not in {suite for suite, _, _ in CHECKS}:
         raise ValueError(f"unknown suite {name!r}")
-    return [(f"{name}: {label}", ok) for label, ok in SUITES[name]()]
+    once = functools.cache(lambda f, *args: f(*args))
+    return [(f"{suite}: {label}", check(once)) for suite, label, check in CHECKS if name in ("all", suite)]

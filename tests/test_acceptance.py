@@ -8,7 +8,7 @@ from fractions import Fraction
 from heatansatz.ansatz import AnsatzSpec, ansatz_to_jet, jet_phi_remainders, jet_phi_table
 from heatansatz.dynsys import MobiusParam
 from heatansatz.grpoly import GradedPoly, VariableFamily
-from heatansatz.operators import annihilator, decompose_basis, derivative_chain, expand_basis, is_annihilated
+from heatansatz.operators import annihilator, decompose_basis, derivative_chain, expand_basis
 from heatansatz.solution import (
     GridSpec,
     assemble_psi,
@@ -23,12 +23,16 @@ from heatansatz.verify import (
     H2,
     chain_defects,
     commutator_defects,
+    displayed_chain_defects,
     exact_burgers_residual,
     exact_heat_residual,
+    kernel_defects,
     profile_defects,
     random_homogeneous,
     ratio_series_defects,
     rk4_errors,
+    round_trip_defects,
+    split_defects,
 )
 
 Y = VariableFamily.Y
@@ -61,26 +65,14 @@ def test_criterion_02_commutator_suite():
 
 
 def test_criterion_03_displayed_tables():
-    def yv(i):
-        return GradedPoly.variable(Y, 5, i)
-
-    chain = derivative_chain(3)
-    ok = chain[0] == yv(2) + yv(1) ** 2
-    ok = ok and chain[1] == yv(3) + 6 * yv(1) * yv(2) + 4 * yv(1) ** 3
-    ok = ok and chain[2] == (
-        yv(4) + 12 * yv(1) * yv(3) + 6 * yv(2) ** 2 + 48 * yv(1) ** 2 * yv(2) + 24 * yv(1) ** 4
-    )
+    # split_defects reads Phi_2..Phi_4 as -2^(k-2)(2+delta)(1+delta) D_{k-1} + Q_k; the Q_k are pinned here
+    ok = displayed_chain_defects() == 0 and split_defects(4) == 0
+    d1 = derivative_chain(1)[0]
     for delta in (0, 1):
-        table = jet_phi_table(delta, 4)
-        lead = (2 + delta) * (1 + delta)
+        table, tails = jet_phi_table(delta, 4), jet_phi_remainders(delta, 4)
         ok = ok and table[0] == GradedPoly.const(Y, 1, 1) and table[1].is_zero
-        ok = ok and table[2] == -lead * chain[0]
-        ok = ok and table[3] == -2 * lead * chain[1]
-        q4 = (6 + delta) * (5 + delta) * lead * chain[0] ** 2
-        ok = ok and table[4] == -4 * lead * chain[2] + q4
-        tails = jet_phi_remainders(delta, 4)
         ok = ok and tails[2].is_zero and tails[3].is_zero
-        ok = ok and expand_basis(tails[4]) == q4
+        ok = ok and expand_basis(tails[4]) == (6 + delta) * (5 + delta) * (2 + delta) * (1 + delta) * d1**2
     report(3, "displayed jet tables, chain entries, and tail values reproduced", ok)
 
 
@@ -97,15 +89,17 @@ def test_criterion_04_basis_theorem_both_directions():
             exps = tuple(rng.randrange(0, 3) for _ in range(4))
             poly = poly + GradedPoly(X, 4, {exps: Fraction(rng.randrange(-6, 7) or 1)})
         ok = ok and annihilator(ansatz_to_jet(poly, 5)).is_zero
+    monomials = []
     for _ in range(30):
-        # basis monomials: annihilated iff the y1 factor is absent
+        # basis monomials: the decomposition uses y1 iff the y1 factor is present,
+        # and kernel_defects ties kernel membership to that
         power = rng.randrange(0, 4)
         mono = y1**power if power else GradedPoly.const(Y, 1, 1)
         for _ in range(rng.randrange(0 if power else 1, 3)):
             mono = mono * chain[rng.randrange(5)]
-        ok = ok and is_annihilated(mono) == (power == 0)
-        dec = decompose_basis(mono)
-        ok = ok and dec.uses_y1() == (power > 0) and dec.expand() == mono
+        ok = ok and decompose_basis(mono).uses_y1() == (power > 0)
+        monomials.append(mono)
+    ok = ok and round_trip_defects(monomials) == 0 and kernel_defects(monomials) == 0
     report(4, "kernel membership equals y1-freeness; decomposition round-trips", ok)
 
 

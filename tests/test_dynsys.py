@@ -21,6 +21,7 @@ from heatansatz.dynsys import (
     reduced_initial_state,
     reduced_system_field,
     rk4_integrate,
+    rk4_step_count,
 )
 from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.verify import random_homogeneous
@@ -197,6 +198,18 @@ def test_rk4_partial_final_step():
     traj = rk4_integrate(field, DynState(2.0, (1.0,)), 3.0, 1e-2)
     assert len(traj) == 101
     assert [s.t for s in traj] == [2.0 + i * 1e-2 for i in range(100)] + [3.0]
+
+
+def test_rk4_step_count_is_the_integrators():
+    field = lambda t, x: (x[0],)
+    # 2.1 / 0.7 reads 3.0000000000000004: three steps, not a sliver fourth
+    for span, step, count in ((0.25, 0.1, 3), (2.1, 0.7, 3), (1.0, 1e-2, 100), (0.0, 0.1, 0)):
+        assert rk4_step_count(span, step) == count
+        assert len(rk4_integrate(field, DynState(0.0, (1.0,)), span, step)) == count + 1
+    # span / step overflows to an infinite count, which the integrator refuses
+    assert rk4_step_count(1.0, 5e-324) == math.inf
+    with pytest.raises(OverflowError):
+        rk4_integrate(field, DynState(0.0, (1.0,)), 1.0, 5e-324)
 
 
 def test_rk4_accuracy_exponential():

@@ -9,7 +9,6 @@ import pytest
 from heatansatz.grpoly import (
     FamilyMismatchError,
     GradedPoly,
-    NonHomogeneousError,
     VariableFamily,
 )
 

@@ -103,6 +103,14 @@ def test_perturbed_table_fails_residual():
 
 
 @pytest.mark.parametrize("delta", [0, 1])
+def test_table_parity_must_match_delta(delta):
+    # a table of the other parity assembled a wrong psi with a nonzero heat residual
+    table = assemble_psi(AnsatzSpec.chain(1, 1 - delta), H2, 0, 6).phi
+    with pytest.raises(ValueError, match=f"phi table has parity {1 - delta}, not delta = {delta}"):
+        SeriesSolution(delta, 1, H2, 0, table, 6)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
 def test_bracket_matches_closed_form(delta):
     # independent oracle: e^{-h z^2/2} z^delta expands with coefficients
     # b_k = (2k+delta)! (-h/2)^k / k!

@@ -14,6 +14,7 @@ import heatansatz.verify as V
 from heatansatz.ansatz import PhiTable
 from heatansatz.cli import run
 from heatansatz.grpoly import GradedPoly
+from heatansatz.operators import BasisDecomposition
 from heatansatz.solution import BurgersSolution, SeriesSolution
 
 
@@ -61,6 +62,19 @@ def _commutator_pairs():
     return [(Fraction(rng.randrange(1, 5), 2), V.random_homogeneous(rng, w, w)) for w in (2, 3, 4)]
 
 
+def _tampered_tails(jet_phi_remainders):
+    def tails(delta, k_max):
+        out = jet_phi_remainders(delta, k_max)
+        out[2] = _plus_one(out[2])
+        return out
+
+    return tails
+
+
+def _homogeneous_polys():
+    return [p for _, p in _commutator_pairs()]
+
+
 def _rk4_defect() -> bool:
     # a wrong field both misses the exact trajectory and loses the fourth-order gain
     err, gain = V.rk4_errors(0.01)
@@ -70,6 +84,19 @@ def _rk4_defect() -> bool:
 CASES = {
     # shared function: (suite, name patched in heatansatz.verify, breaker, measurement that is 0 or False when sound)
     "chain_defects": ("operators", "annihilator", lambda real: lambda p: real(p) + p, lambda: V.chain_defects(9)),
+    "displayed_chain_defects": (
+        "ansatz", "derivative_chain", lambda real: lambda k: [_plus_one(d) for d in real(k)],
+        V.displayed_chain_defects,
+    ),
+    "split_defects": ("ansatz", "jet_phi_remainders", _tampered_tails, lambda: V.split_defects(4)),
+    "round_trip_defects": (
+        "operators", "decompose_basis", lambda real: lambda p: BasisDecomposition(_plus_one(real(p).zpoly)),
+        lambda: V.round_trip_defects(_homogeneous_polys()),
+    ),
+    "kernel_defects": (
+        "operators", "is_annihilated", lambda real: lambda p: not real(p),
+        lambda: V.kernel_defects(_homogeneous_polys()),
+    ),
     "commutator_defects": (
         "operators", "euler_operator", lambda real: lambda p: real(p) + p,
         lambda: V.commutator_defects(_commutator_pairs()),
