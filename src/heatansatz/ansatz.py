@@ -5,13 +5,12 @@ prefactor times the bracket series
 
     z^delta + sum_{k>=2} Phi_k * z^(2k+delta) / (2k+delta)!
 
-and the heat equation pins the coefficients order by order.  This module
-builds the Phi_k two ways and keeps them exactly consistent:
-
-* in jet variables (Phi_k as a polynomial of h and its derivatives),
-* over the ansatz parameters x2..x_{n+1} for a polynomial family; the
-  reduced chain family driven by one top polynomial P_n is the family
-  (x2, ..., x_{n+1}, P_n).
+and the heat equation pins the coefficients order by order.  The one
+recursion runs over the ansatz parameters x2..x_{n+1} of a polynomial
+family (the reduced chain family with top polynomial P_n is the family
+(x2, ..., x_{n+1}, P_n)).  The basis symbol Z_k is the chain value of
+x_k, so the tails Q_k and jet images are tables read through x_k -> Z_k.
+``jet_phi_table`` is an independent oracle in jet variables.
 
 Parity is delta in {0, 1}; odd-order entries vanish for the closed-form
 families but are carried by the recursions regardless.
@@ -25,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .grpoly import GradedPoly, Numeric, VariableFamily
-from .operators import derivative_chain, jet_derivative, weighted_derivative
+from .operators import expand_basis, params_as_basis, weighted_derivative
 
 
 def _check_delta(delta: int) -> int:
@@ -79,30 +78,17 @@ def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
     """The tails Q_k with Phi_k = -2^(k-2) (2+delta)(1+delta) Z_k + Q_k.
 
     Entries are polynomials in basis symbols (position k-1 stands for
-    Z_k; position 0, y1, never occurs).  Q_0 = Q_1 undefined and returned
-    as 0; Q_2 = Q_3 = 0 and
-
-        Q_k = 2 R Q_{k-1} + (2k+delta-2)(2k+delta-3) Z_2 *
-              (2^(k-4) (2+delta)(1+delta) Z_{k-2} - Q_{k-2}),
-
-    with R = ``jet_derivative`` read on basis symbols, Z_j -> Z_{j+1} (no
-    tail uses y1); it stands in for the weighted derivative because the
-    recursion keeps the operator weight equal to the monomial weight.
+    Z_k; y1 never occurs); Q_0 = Q_1 are undefined and returned as 0.
+    Phi_k is the chain family's entry with x_k read as Z_k; through order
+    k_max that table never meets the closure x_{k_max+1} = 0.
     """
     _check_delta(delta)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    ring = k_max
-    zero = GradedPoly.zero(VariableFamily.Y, ring)
-    z_sym = lambda j: GradedPoly.variable(VariableFamily.Y, ring, j) if j >= 2 else zero
-    out = [zero, zero, zero, zero][: k_max + 1]
-    while len(out) < k_max + 1:
-        k = len(out)
-        lead = 2 * jet_derivative(out[k - 1])
-        c = Fraction((2 * k + delta - 2) * (2 * k + delta - 3))
-        inner = Fraction(2) ** (k - 4) * (2 + delta) * (1 + delta) * z_sym(k - 2) - out[k - 2]
-        out.append((lead.with_nvars(ring) + c * (z_sym(2) * inner)).with_nvars(ring))
-    return out
+    table = general_phi_table(AnsatzSpec.chain(k_max - 1, delta), k_max)
+    lead = lambda k: (2 + delta) * (1 + delta) * 2 ** (k - 2) * GradedPoly.variable(VariableFamily.Y, k_max, k)
+    zero = GradedPoly.zero(VariableFamily.Y, k_max)
+    return [zero, zero] + [params_as_basis(table[k]) + lead(k) for k in range(2, k_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -216,14 +202,7 @@ def ansatz_to_jet(poly: GradedPoly, k_max: int) -> GradedPoly:
         raise ValueError("substitution expects an X-family polynomial")
     if poly.max_used_position() > k_max - 1:
         raise ValueError(f"polynomial uses parameters beyond x{k_max + 1}")
-    if k_max < 1:
-        if poly.is_zero:
-            return GradedPoly.zero(VariableFamily.Y, 1)
-        return GradedPoly.const(VariableFamily.Y, 1, poly.coefficient((0,) * poly.nvars))
-    chain = derivative_chain(k_max)
-    ring = k_max + 1
-    images = [chain[i].with_nvars(ring) for i in range(min(poly.nvars, k_max))]
-    return poly.substitute(images, VariableFamily.Y, ring)
+    return expand_basis(params_as_basis(poly.with_nvars(k_max)))
 
 
 TimeFunction = Callable[[Numeric], Numeric]

@@ -28,7 +28,7 @@ from .dynsys import (
     rk4_integrate,
     rk4_step_count,
 )
-from .operators import derivative_chain
+from .operators import basis_name, derivative_chain
 from .solution import _axis, assemble_psi, closed_form_0ansatz, cole_hopf, rescale_to_mu
 from .verify import run_suite
 
@@ -92,10 +92,6 @@ def _parse_poles(text: str) -> tuple[MobiusParam, ...]:
     return tuple(MobiusParam.parse(part) for part in text.split(","))
 
 
-def _basis_names(position: int) -> str:
-    return "y1" if position == 0 else f"Z{position + 1}"
-
-
 def _print_table(labels, polys, as_json: bool, names=None) -> None:
     for label, poly in zip(labels, polys):
         if as_json:
@@ -115,7 +111,7 @@ def cmd_phi(args) -> int:
     if args.table == "q":
         tails = jet_phi_remainders(args.delta, args.qmax)
         labels = [f"Q_{k}" for k in range(2, args.qmax + 1)]
-        _print_table(labels, tails[2 : args.qmax + 1], args.json, names=_basis_names)
+        _print_table(labels, tails[2 : args.qmax + 1], args.json, names=basis_name)
         return 0
     table = general_phi_table(AnsatzSpec.chain(args.n, args.delta), args.qmax)
     _print_table([f"Phi_{k}" for k in range(args.qmax + 1)], table.entries, args.json)

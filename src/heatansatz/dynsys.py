@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .grpoly import GradedPoly, JetPoint, Numeric, VariableFamily
 from .ansatz import AnsatzSpec
-from .operators import decompose_basis, derivative_chain
+from .operators import basis_as_params, decompose_basis, derivative_chain
 
 
 class PoleError(ZeroDivisionError):
@@ -75,10 +75,11 @@ class MobiusParam:
     @classmethod
     def parse(cls, text: str) -> "MobiusParam":
         """Parse 'a:b' with decimal-rational components."""
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'alpha:beta', got {text!r}")
-        return cls(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        try:
+            alpha, beta = (Fraction(part.strip()) for part in text.split(":"))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"pole {text!r} is not 'alpha:beta' with rational alpha and beta") from None
+        return cls(alpha, beta)
 
     def pole_time(self) -> Union[Fraction, None]:
         """Where this summand of h blows up (None for the vanishing summand)."""
@@ -299,10 +300,4 @@ def rational_top(n: int) -> GradedPoly:
     from_s = [(1 / scale(j)) * GradedPoly.variable(yfam, n + 1, j) for j in range(1, n + 2)]
     on_shell = derivative_chain(n + 1)[n].substitute(to_s, yfam, ring)
     jet_poly = on_shell.substitute(from_s, yfam, n + 1)
-    dec = decompose_basis(jet_poly)
-    terms = {}
-    for exps, coeff in dec.zpoly.terms():
-        if exps[0]:
-            raise RuntimeError("rational family closure unexpectedly involves y1")
-        terms[tuple(exps[1:])] = coeff
-    return GradedPoly(VariableFamily.X, max(n - 1, 0), terms)
+    return basis_as_params(decompose_basis(jet_poly).zpoly)

@@ -13,7 +13,8 @@ time derivatives.  Three first-order operators drive everything here:
 Iterating the weighted derivative on y1 produces the chain polynomials
 D1 = y2 + y1^2, D2, D3, ...; together with y1 they generate a
 multiplicative basis in which membership of the annihilator's kernel is
-visible monomial by monomial.
+visible monomial by monomial.  The basis symbol Z_k = D_{k-1} is the chain
+value of the ansatz parameter x_k, and one relabelling reads one as the other.
 """
 
 from __future__ import annotations
@@ -105,6 +106,27 @@ def basis_elements(m: int) -> list[GradedPoly]:
     return [zero, zero] + derivative_chain(m - 1)
 
 
+def basis_name(position: int) -> str:
+    """The printed name of a basis-symbol position: y1 at 0, Z_k at k-1."""
+    return "y1" if position == 0 else f"Z{position + 1}"
+
+
+def params_as_basis(poly: GradedPoly) -> GradedPoly:
+    """Read each ansatz parameter x_k as the basis symbol Z_k = D_{k-1} (y1 unused),
+    keeping the term order that a later substitution sums in."""
+    if poly.family is not VariableFamily.X:
+        raise ValueError("only ansatz parameters read as basis symbols")
+    return GradedPoly(VariableFamily.Y, poly.nvars + 1, (((0, *e), c) for e, c in poly._terms.items()))
+
+
+def basis_as_params(zpoly: GradedPoly) -> GradedPoly:
+    """The inverse of :func:`params_as_basis`, terms in canonical order."""
+    terms = zpoly.terms()
+    if zpoly.family is not VariableFamily.Y or any(e[0] for e, _ in terms):
+        raise ValueError("only basis polynomials free of y1 read as ansatz parameters")
+    return GradedPoly(VariableFamily.X, max(zpoly.nvars - 1, 0), ((e[1:], c) for e, c in terms))
+
+
 def expand_basis(poly: GradedPoly) -> GradedPoly:
     """Expand a polynomial in basis symbols (position 0 = y1, position
     k-1 = Z_k) back into plain jet variables."""
@@ -132,7 +154,7 @@ class BasisDecomposition:
         return any(exps[0] for exps, _ in self.zpoly.terms())
 
     def to_text(self) -> str:
-        return self.zpoly.to_text(names=lambda i: "y1" if i == 0 else f"Z{i + 1}")
+        return self.zpoly.to_text(names=basis_name)
 
 
 def decompose_basis(poly: GradedPoly) -> BasisDecomposition:

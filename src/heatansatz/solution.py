@@ -618,12 +618,15 @@ def residual_report(
 
 
 def closed_form_0ansatz(delta: int, pole: MobiusParam, r0: Union[Fraction, float] = 0.0) -> Callable:
-    """psi = (alpha/(alpha t - beta))^(1/2+delta) e^{-alpha z^2/(2(alpha t-beta)) + r0} z^delta."""
+    """psi = (alpha/(alpha t - beta))^(1/2+delta) e^{-alpha z^2/(2(alpha t-beta)) + r0} z^delta,
+    and e^{r0} z^delta for the vanishing pole (0 : beta), the profile h = 0."""
     _check_delta(delta)
     a, b = float(pole.alpha), float(pole.beta)
     c0 = math.exp(float(r0))
 
     def psi(z: float, t: float) -> float:
+        if not a:
+            return c0 * z if delta else c0
         den = a * t - b
         if den == 0:
             raise PoleError(f"pole at t = {t}")

@@ -195,6 +195,19 @@ def test_substitution_into_jets():
         ansatz_to_jet(x(3, 2), 1)  # ring too small for x3
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_substitution_sums_terms_as_listed(n):
+    # against the direct substitution of the chain polynomials: the same
+    # ring, and the float sum of every term in the same order
+    chain = derivative_chain(n)
+    names = [f"y{i}" for i in range(1, n + 2)]
+    for entry in general_phi_table(AnsatzSpec.reduced(n, 1, rational_top(n)), 9).entries:
+        direct = entry.substitute([d.with_nvars(n + 1) for d in chain], Y, n + 1)
+        image = ansatz_to_jet(entry, n)
+        assert image == direct and image.nvars == direct.nvars
+        assert image.float_source(names) == direct.float_source(names)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         AnsatzSpec.chain(1, 2)  # parity must be 0 or 1

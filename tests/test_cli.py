@@ -146,11 +146,18 @@ P4 = "1:0,1:1,2:-1,1:-2"
          "2bb67d6e778024fcfc4ceb9cde3c12e74cdb4d37d025f564ccc9341a4008ea91"),
         (["phi", "--table", "q", "--qmax", "14", "--delta", "1", "--json"],
          "b2be778596b2eae0316599bce1213744e25187c2a56dc7f0a6956d489e9bc4ec"),
+        (["phi", "--table", "q", "--qmax", "14", "--delta", "0"],
+         "b0ce69df79881cc7681aa5e2e3141635f270e1665e19017e63af9f53ce099f20"),
+        (["phi", "--table", "q", "--qmax", "12", "--delta", "1"],
+         "f5de8ac0a7a27527662e65c63fcac86cade3c1fe62e89bff80737636728f68e1"),
+        (["phi", "--table", "y", "--qmax", "10", "--delta", "0", "--json"],
+         "aeeda7362ee3850515dd187b2de17490bea2a84d7c130e6503a5c81fee286f50"),
     ],
 )
-def test_trajectory_golden_digest(argv, digest, capsys):
+def test_golden_digest(argv, digest, capsys):
     # golden digests of whole outputs: the compiled field must match per-term evaluate to the last digit,
-    # and the burgers grid (no exp in v), the self-checks and the tail table must not move
+    # and the burgers grid (no exp in v), the self-checks, the tail tables in basis names and the jet table
+    # must not move
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -197,6 +204,8 @@ def test_trajectory_times_are_rationals(option, value, capsys):
     (["eval", "--family", "1ansatz", "--kmax", "-3", "--t", "2"], "--kmax must be at least 2"),
     (["burgers", "--family", "nansatz", "--kmax", "1", "--t", "2"], "--kmax must be at least 2"),
     (["burgers", "--family", "0ansatz", "--kmax", "0", "--t", "2"], "--kmax must be at least 2"),
+    (["eval", "--poles", "1:x", "--t", "1"], "pole '1:x' is not 'alpha:beta' with rational alpha and beta"),
+    (["eval", "--poles", "1:1/0", "--t", "1"], "pole '1:1/0' is not 'alpha:beta' with rational alpha and beta"),
 ])
 def test_option_bounds_name_the_option(argv, message, capsys):
     assert run(argv) == 1
@@ -293,6 +302,18 @@ def test_eval_at_profile_pole_is_domain_error():
     code, _, err = cli("eval", "--family", "0ansatz", "--poles", "1:1", "--t", "1")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("delta", ["0", "1"])
+def test_eval_vanishing_pole_closed_form_matches_series(delta, capsys):
+    # the pole (0:1) is the profile h = 0: both families print psi = e^{r0} z^delta
+    for r0 in ("0", "0.5"):
+        outputs = []
+        for family in ("0ansatz", "nansatz"):
+            argv = ["eval", "--family", family, "--poles", "0:1", "--delta", delta, "--t", "1,2", "--r0", r0]
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def test_wrong_pole_count_is_domain_error():

@@ -306,6 +306,15 @@ def test_rational_top_values():
         assert top.max_used_position() <= n - 2
 
 
+def test_rational_top_sums_in_canonical_order():
+    # the compiled field adds the terms of P_n in the order P_n lists them
+    for n in range(8):
+        top = rational_top(n)
+        names = [f"x{i}" for i in range(2, top.nvars + 2)]
+        assert top.nvars == max(n - 1, 0)
+        assert top.float_source(names) == GradedPoly(X, top.nvars, top.terms()).float_source(names)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_rational_top_closes_the_family(n):
     poles = tuple(MobiusParam(k % 3 + 1, 2 * k - 3) for k in range(n + 1))

@@ -3,6 +3,7 @@
 Each case breaks one dependency inside ``heatansatz.verify``.  The shared
 function must then report a defect, and ``verify --suite <suite>`` must
 print a FAIL line, exit 1 and count fewer passed checks than it ran.
+The operators checks must also read every input their draw holds.
 """
 
 import random
@@ -126,3 +127,20 @@ def test_shared_check_reports_a_broken_dependency(shared, monkeypatch, capsys):
     assert any(line.startswith("FAIL ") for line in lines)
     passed, total = map(int, lines[-1].removesuffix(" checks passed").split("/"))
     assert passed < total == len(lines) - 1
+
+
+def test_operator_checks_read_every_draw(monkeypatch):
+    # a check fed fewer inputs still passes, so count what each one reads
+    counts = {}
+
+    def counting(name, real):
+        def check(inputs):
+            counts[name] = len(inputs)
+            return real(inputs)
+
+        return check
+
+    for name in ("commutator_defects", "round_trip_defects", "kernel_defects"):
+        monkeypatch.setattr(V, name, counting(name, getattr(V, name)))
+    assert all(ok for _, ok in V.run_suite("operators"))
+    assert counts == {"commutator_defects": 25, "round_trip_defects": 10, "kernel_defects": 10}
