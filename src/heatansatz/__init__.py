@@ -57,7 +57,6 @@ from .solution import (
     diffusion_residual_numeric,
     exp_r,
     gamma_ratio_coeff,
-    heat_residual_numeric,
     heat_residual_series,
     rescale_to_mu,
     residual_report,
@@ -96,7 +95,6 @@ __all__ = [
     "expand_basis",
     "gamma_ratio_coeff",
     "general_phi_table",
-    "heat_residual_numeric",
     "heat_residual_series",
     "heat_system_field",
     "is_annihilated",

@@ -131,10 +131,10 @@ def expand_basis(poly: GradedPoly) -> GradedPoly:
     """Expand a polynomial in basis symbols (position 0 = y1, position
     k-1 = Z_k) back into plain jet variables."""
     _require_y(poly)
-    m = poly.nvars
-    zs = basis_elements(m)
-    images = [GradedPoly.variable(VariableFamily.Y, 1, 1)] + [zs[k] for k in range(2, m + 1)]
-    return poly.substitute(images, VariableFamily.Y, max(m, 1))
+    used = poly.max_used_position() + 1  # the chain is built only as far as the polynomial reaches
+    zs = basis_elements(used)
+    images = [GradedPoly.variable(VariableFamily.Y, 1, 1)] + [zs[k] for k in range(2, used + 1)]
+    return poly.substitute(images, VariableFamily.Y, max(poly.nvars, 1))
 
 
 @dataclass(frozen=True)

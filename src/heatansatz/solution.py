@@ -11,8 +11,9 @@ series side is exact: coefficients, order-by-order heat residuals, the
 Cole-Hopf image and its Burgers residual are all computed in rational
 arithmetic, over the ansatz parameters x(t) rather than over the jets of
 h.  Floats appear only in pointwise evaluation and in the
-finite-difference residual checks.  The exact residuals take the
-parameters' rates from the one vector field, ``dynsys.heat_system_field``.
+finite-difference residual checks.  Both exact residuals run on one
+driver, ``_series_residual``, which takes the parameters' rates from the
+one vector field, ``dynsys.heat_system_field``.
 
 Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
@@ -36,13 +37,18 @@ HALF = Fraction(1, 2)
 
 
 def _horner(coeffs: Sequence[float], x: float) -> float:
-    """sum_k coeffs[k] x^k; OverflowError when that leaves the float range."""
+    """sum_k coeffs[k] x^k."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
-    if not math.isfinite(acc):
-        raise OverflowError(f"series not finite at z^2 = {x}")
     return acc
+
+
+def _finite(value: float, name: str, z: float) -> float:
+    """value, or OverflowError naming z when it has left the float range."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} not finite at z = {z}")
+    return value
 
 
 class PsiSlice(NamedTuple):
@@ -60,11 +66,11 @@ class PsiSlice(NamedTuple):
     def bracket(self, z: float) -> float:
         z = float(z)
         value = _horner(self.coeffs, z * z)
-        return value * z if self.delta else value
+        return _finite(value * z if self.delta else value, "series", z)
 
     def psi(self, z: float) -> float:
         z = float(z)
-        return math.exp(-0.5 * self.h * (z * z)) * self.prefactor * self.bracket(z)
+        return _finite(math.exp(-0.5 * self.h * (z * z)) * self.prefactor * self.bracket(z), "psi", z)
 
 
 class BurgersSlice(NamedTuple):
@@ -86,7 +92,7 @@ class BurgersSlice(NamedTuple):
         # the pole and the linear term first: for odd parity they nearly
         # cancel, and their difference is then exact
         lead = self.h * z - self.delta / z if self.delta else self.h * z
-        return lead - z * zz * _horner(self.coeffs, zz)
+        return _finite(lead - z * zz * _horner(self.coeffs, zz), "v", z)
 
 
 def _same_time(memo, t: Numeric) -> bool:
@@ -184,6 +190,9 @@ class _TrajectoryInterp:
 class SeriesSolution:
     """A truncated ansatz solution with an attached profile source.
 
+    The coefficient table fixes the solution's shape: the parity delta is
+    ``phi.delta``, n is the size of the ring x2..x_{n+1} that the entries
+    are declared over, and the truncation order K is the last entry's index.
     ``h_source`` is either a :class:`RationalH` (exact jets, closed-form
     prefactor) or an integrated trajectory (floats, interpolated).  The two
     read ``r0`` differently: an exact source takes it as the constant in
@@ -196,32 +205,23 @@ class SeriesSolution:
 
     def __init__(
         self,
-        delta: int,
-        n: int,
+        phi: PhiTable,
         h_source: Union[RationalH, Sequence[DynState]],
         r0: Union[Fraction, float],
-        phi: PhiTable,
-        truncation: int,
         gauge: Union[tuple[Callable, Callable], None] = None,
     ) -> None:
-        if truncation < 2:
-            raise ValueError("truncation order must be at least 2")
-        if len(phi.entries) < truncation + 1:
-            raise ValueError("phi table shorter than the truncation order")
-        if phi.delta != delta:
-            raise ValueError(f"phi table has parity {phi.delta}, not delta = {delta}")
-        self.delta = delta
-        self.n = n
+        self.phi = phi
+        self.delta = phi.delta
+        self.n = phi.entries[0].nvars
+        self.truncation = len(phi.entries) - 1
         self.h_source = h_source
         self.r0 = r0
-        self.phi = phi
-        self.truncation = truncation
         self.gauge = gauge
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source)
         # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!,
         # divided exactly: every series and slice of psi and of v reads it
         self.scaled = tuple(
-            entry * Fraction(1, math.factorial(2 * k + delta)) for k, entry in enumerate(phi.entries[: truncation + 1])
+            entry * Fraction(1, math.factorial(2 * k + self.delta)) for k, entry in enumerate(phi.entries)
         )
         self._bracket_cache: Union[list[GradedPoly], None] = None
         self._last: Union[tuple[Numeric, PsiSlice], None] = None
@@ -311,7 +311,7 @@ class SeriesSolution:
         else:
             old_f, old_g = self.gauge
             gauge = (lambda t: old_f(t) + f(t), lambda t: old_g(t) + antiderivative(t))
-        return SeriesSolution(self.delta, self.n, self.h_source, self.r0, self.phi, self.truncation, gauge)
+        return SeriesSolution(self.phi, self.h_source, self.r0, gauge)
 
 
 def assemble_psi(
@@ -328,8 +328,7 @@ def assemble_psi(
     """
     if truncation < 2:
         raise ValueError("truncation order must be at least 2")
-    phi = general_phi_table(spec, truncation)
-    return SeriesSolution(spec.delta, spec.n, h_source, r0, phi, truncation)
+    return SeriesSolution(general_phi_table(spec, truncation), h_source, r0)
 
 
 def rescale_to_mu(psi: Callable, mu: float) -> Callable:
@@ -363,28 +362,30 @@ def _gauss(base, count: int) -> list:
     return [base**i * Fraction(1, math.factorial(i)) for i in range(count)]
 
 
-def _exact_flow(sol: SeriesSolution, t: Numeric) -> tuple[tuple, list]:
-    """Exact (x1, ..., x_{n+1}) at t and their time derivatives.
+def _series_residual(sol: SeriesSolution, polys: Sequence[GradedPoly], t_samples: Sequence[Numeric], defects: Callable):
+    """Max |defect| over the samples of an exact residual, for polynomials over x2..x_{n+1}.
 
-    The rates are the heat field of the chain family one size up, whose
-    lines for x1..x_{n+1} read x_{n+2} = D_{n+1}(jets) from the profile:
-    off shell that differs from the spec's top polynomial.
+    At each sample the exact (x1, ..., x_{n+1}) and their rates x' come from
+    the chain family one size up, whose heat field lines for x1..x_{n+1} read
+    x_{n+2} = D_{n+1}(jets) from the profile: off shell that differs from the
+    spec's top polynomial.  ``defects(x, x', p, p')`` yields the defects from
+    the polynomials' values p and rates p' = grad p . x' (the chain rule).
     """
-    x = reduced_initial_state(sol.h_source, sol.n + 1, t)
-    return x[:-1], list(heat_system_field(AnsatzSpec.chain(sol.n + 1, 0), x)[:-1])
-
-
-def _gradients(polys: Sequence[GradedPoly], n: int) -> list[list[GradedPoly]]:
-    """d/dx2, ..., d/dx_{n+1} of each polynomial."""
-    return [[p.partial(k) for k in range(2, n + 2)] for p in polys]
-
-
-def _values_and_rates(polys, grads, x: tuple, rates: list) -> tuple[list, list]:
-    """p(x) and dp/dt = grad p(x) . x' for polynomials over x2..x_{n+1}."""
-    point = x[1:]
-    values = [p.evaluate(point) for p in polys]
-    slopes = [sum((g.evaluate(point) * r for g, r in zip(grad, rates[1:]) if g), Fraction(0)) for grad in grads]
-    return values, slopes
+    if not sol.exact:
+        raise ValueError("the exact residual needs a rational profile source")
+    n = sol.n
+    grads = [[p.partial(k) for k in range(2, n + 2)] for p in polys]
+    chain = AnsatzSpec.chain(n + 1, 0)
+    worst = Fraction(0)
+    for t in t_samples:
+        state = reduced_initial_state(sol.h_source, n + 1, t)
+        x, rates = state[:-1], heat_system_field(chain, state)[:-1]
+        point = x[1:]
+        values = [p.evaluate(point) for p in polys]
+        slopes = [sum((g.evaluate(point) * r for g, r in zip(grad, rates[1:]) if g), Fraction(0)) for grad in grads]
+        for defect in defects(x, rates, values, slopes):
+            worst = max(worst, abs(defect))
+    return worst
 
 
 def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
@@ -397,24 +398,18 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
     valid for gauged solutions.  b_k and b_k' are exact numbers at each
     sample: the chain rule over the parameters, with their exact rates.
     """
-    if not sol.exact:
-        raise ValueError("the exact residual needs a rational profile source")
     K, d = sol.truncation, sol.delta
-    a = sol.scaled[:K]
-    grads = _gradients(a, sol.n)
-    worst = Fraction(0)
-    for t in t_samples:
-        x, rates = _exact_flow(sol, t)
-        values, slopes = _values_and_rates(a, grads, x, rates)
+
+    def defects(x, rates, values, slopes):
         h = x[0]
         gauss = _gauss(-HALF * h, K)
         # d/dt (-h/2)^i / i! = (-h/2)^(i-1) / (i-1)! * (-h'/2)
         dgauss = [Fraction(0)] + [g * (-HALF * rates[0]) for g in gauss[:-1]]
         b = sol._bracket(gauss, values)
         db = [p + q for p, q in zip(sol._bracket(dgauss, values), sol._bracket(gauss, slopes))]
-        for k in range(1, K):
-            worst = max(worst, abs(b[k] + (2 * d + 1) * h * b[k - 1] - 2 * db[k - 1]))
-    return worst
+        return (b[k] + (2 * d + 1) * h * b[k - 1] - 2 * db[k - 1] for k in range(1, K))
+
+    return _series_residual(sol, sol.scaled[:K], t_samples, defects)
 
 
 def _grid_residual(u: Callable, grid: GridSpec, pointwise: Callable) -> float:
@@ -446,7 +441,7 @@ def diffusion_residual_numeric(psi: Callable, grid: GridSpec, mu: float = 0.5, l
     return _grid_residual(psi, grid, lambda t, u, u_t, u_z, u_zz: u_t - mu * u_zz + loss(t) * u)
 
 
-# diffusion_residual_numeric at mu = 1/2, kept as a name while perfbench/spans.py TARGETS wraps it
+# diffusion_residual_numeric at mu = 1/2, kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
 def heat_residual_numeric(psi: Callable, grid: GridSpec, loss: Union[Callable, None] = None) -> float:
     return diffusion_residual_numeric(psi, grid, 0.5, loss)
 
@@ -564,20 +559,14 @@ def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Se
     # v = sum_m f_m z^(2m-1) with f_0 = -delta, f_1 = h and f_m = -c_m; the
     # z^(2M-3) coefficient of v_t + v v_z - mu v_zz is
     # f'_{M-1} + (M-1) (f*f)_M - mu (2M-1)(2M-2) f_M, trusted for M <= K
-    if not image.source.exact:
-        raise ValueError("the exact residual needs a rational profile source")
     K = image.truncation
-    grads = _gradients(image.series_jets, image.source.n)
-    worst = Fraction(0)
-    for t in t_samples:
-        x, rates = _exact_flow(image.source, t)
-        values, slopes = _values_and_rates(image.series_jets, grads, x, rates)
+
+    def defects(x, rates, values, slopes):
         f = [Fraction(-image.delta), x[0], *(-c for c in values[2:])]
-        df = [Fraction(0), rates[0], *(-dc for dc in slopes[2:])]
-        for M in range(K + 1):
-            rate = df[M - 1] if M else 0
-            worst = max(worst, abs(rate + (M - 1) * _cauchy(f, f, M) - mu * (2 * M - 1) * (2 * M - 2) * f[M]))
-    return worst
+        df = [0, Fraction(0), rates[0], *(-dc for dc in slopes[2:])]  # f'_{M-1} at index M
+        return (df[M] + (M - 1) * _cauchy(f, f, M) - mu * (2 * M - 1) * (2 * M - 2) * f[M] for M in range(K + 1))
+
+    return _series_residual(image.source, image.series_jets, t_samples, defects)
 
 
 def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) -> float:

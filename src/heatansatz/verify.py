@@ -41,8 +41,8 @@ from .solution import (
     burgers_residual,
     closed_form_0ansatz,
     cole_hopf,
+    diffusion_residual_numeric,
     gamma_ratio_coeff,
-    heat_residual_numeric,
     heat_residual_series,
 )
 
@@ -239,7 +239,7 @@ CHECKS = (
     ("solution", "exact order-by-order heat residual vanishes",
      lambda once: exact_heat_residual(CHAIN_CASES, 8, SAMPLES) == 0),
     ("solution", "closed form matches the assembled series", lambda once: _closed_form_agrees()),
-    ("solution", "finite-difference heat residual small", lambda once: heat_residual_numeric(
+    ("solution", "finite-difference heat residual small", lambda once: diffusion_residual_numeric(
         closed_form_0ansatz(0, MobiusParam(1, 0)), GridSpec(-1.0, 1.0, 9, 0.5, 1.5, 5, 1e-3, 1e-3)) <= 1e-5),
     ("solution", "exact Burgers residual of the Cole-Hopf image vanishes",
      lambda once: exact_burgers_residual([(H2, 0), (H2, 1)], 8, SAMPLES) == 0),

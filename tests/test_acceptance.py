@@ -15,7 +15,7 @@ from heatansatz.solution import (
     burgers_residual,
     closed_form_0ansatz,
     cole_hopf,
-    heat_residual_numeric,
+    diffusion_residual_numeric,
 )
 from heatansatz.verify import (
     CHAIN_CASES,
@@ -148,8 +148,8 @@ def test_criterion_10_numeric_residual_convergence():
     ratios = []
     for delta in (0, 1):
         psi = closed_form_0ansatz(delta, MobiusParam(1, 0))
-        fine = heat_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3))
-        coarse = heat_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 2e-3, 2e-3))
+        fine = diffusion_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3))
+        coarse = diffusion_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 2e-3, 2e-3))
         ok = ok and fine <= 1e-5 and 3.5 <= coarse / fine <= 4.5
         ratios.append(coarse / fine)
         image = cole_hopf(assemble_psi(AnsatzSpec.chain(0, delta), H1, 0, 4))

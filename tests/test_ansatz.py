@@ -12,8 +12,6 @@ from heatansatz.ansatz import (
     general_phi_table,
     jet_phi_remainders,
     jet_phi_table,
-    phi_table_for,
-    reduced_phi_table,
 )
 from heatansatz.dynsys import MobiusParam, RationalH, rational_top
 from heatansatz.grpoly import GradedPoly, VariableFamily
@@ -95,7 +93,7 @@ def test_remainder_free_of_y1():
 
 @pytest.mark.parametrize("delta,c2,c4,c6", [(0, -2, 60, -5400), (1, -6, 252, -27720)])
 def test_one_parameter_table(delta, c2, c4, c6):
-    table = phi_table_for(AnsatzSpec.chain(1, delta), 6)
+    table = general_phi_table(AnsatzSpec.chain(1, delta), 6)
     assert table[0] == GradedPoly.const(X, 1, 1)
     assert table[1].is_zero
     assert table[2] == c2 * x(2, 1)
@@ -108,7 +106,7 @@ def test_one_parameter_table(delta, c2, c4, c6):
 @pytest.mark.parametrize("delta", [0, 1])
 def test_ratio_series_oracle(delta):
     # Phi_{2m} = (4m+delta)! gamma_m (-x2)^m / 16^m, odd entries zero
-    table = phi_table_for(AnsatzSpec.chain(1, delta), 20)
+    table = general_phi_table(AnsatzSpec.chain(1, delta), 20)
     for m in range(11):
         coeff = (
             Fraction(math.factorial(4 * m + delta))
@@ -135,22 +133,11 @@ def test_gamma_ratio_closed_form():
             assert ratio == 1 / (m * (Fraction(m) - Fraction(1, 4) + Fraction(delta, 2)))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("delta", [0, 1])
-def test_general_matches_reduced_on_chain(n, delta):
-    ring = n + 1
-    ps = [GradedPoly.variable(X, ring, q) for q in range(2, n + 3)]
-    gtable = general_phi_table(AnsatzSpec.general(n, delta, ps), 8)
-    rtable = phi_table_for(AnsatzSpec.chain(n, delta), 8)
-    for q in range(9):
-        assert gtable[q] == rtable[q], f"q={q}"
-
-
 def test_reduced_with_nonzero_top():
     # n = 2 admits the closure P_2 = c x2^2; table entries stay homogeneous
     top = 5 * GradedPoly.variable(X, 1, 2) ** 2
-    table = reduced_phi_table(2, top, 0, 8)
-    chain_table = phi_table_for(AnsatzSpec.chain(2, 0), 8)
+    table = general_phi_table(AnsatzSpec.reduced(2, 0, top), 8)
+    chain_table = general_phi_table(AnsatzSpec.chain(2, 0), 8)
     for q in range(2, 9):
         assert table[q].degree() == -2 * q
     assert table[2] == chain_table[2]
@@ -160,7 +147,7 @@ def test_reduced_with_nonzero_top():
 
 
 def test_zero_parameter_table():
-    table = phi_table_for(AnsatzSpec.chain(0, 0), 6)
+    table = general_phi_table(AnsatzSpec.chain(0, 0), 6)
     assert table[0] == GradedPoly.const(X, 0, 1)
     for q in range(1, 7):
         assert table[q].is_zero
@@ -176,7 +163,7 @@ def test_parameter_and_jet_routes_agree(delta):
     chain = derivative_chain(7)
     for n in range(1, 5):
         h = RationalH(n, poles[: n + 1])
-        ptable = phi_table_for(AnsatzSpec.reduced(n, delta, rational_top(n)), 8)
+        ptable = general_phi_table(AnsatzSpec.reduced(n, delta, rational_top(n)), 8)
         for t in (Fraction(3, 2), Fraction(2), Fraction(17, 4)):
             jets = h.jets(t, 8)
             xs = [chain[i].evaluate(jets) for i in range(n)]

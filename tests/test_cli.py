@@ -298,6 +298,13 @@ def test_burgers_pole_at_origin_is_domain_error():
     assert "error:" in err
 
 
+def test_burgers_odd_image_at_origin_names_the_pole(capsys):
+    argv = ["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--delta", "1", "--t", "2",
+            "--z0", "0", "--z1", "1", "--znum", "2"]
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", "error: odd-parity Burgers image has a pole at z = 0\n")
+
+
 def test_eval_at_profile_pole_is_domain_error():
     code, _, err = cli("eval", "--family", "0ansatz", "--poles", "1:1", "--t", "1")
     assert code == 1
@@ -362,6 +369,13 @@ def test_empty_grid_is_usage_error(command, grid, capsys):
     # finite bounds whose span overflows
     ["eval", "--family", "0ansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
     ["eval", "--family", "nansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
+    # a finite series whose final factor z, z^3 or delta/z leaves the float range
+    ["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2", "--delta", "1",
+     "--z0", "1e76", "--z1", "1e76", "--znum", "1", "--t", "2"],
+    ["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2",
+     "--z0", "1e103", "--z1", "1e103", "--znum", "1", "--t", "2"],
+    ["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2", "--delta", "1",
+     "--z0", "1e-320", "--z1", "1e-320", "--znum", "1", "--t", "2"],
 ])
 def test_float_overflow_is_domain_error(argv, capsys):
     assert run(argv) == 1

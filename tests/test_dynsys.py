@@ -19,7 +19,6 @@ from heatansatz.dynsys import (
     ode_residual,
     rational_top,
     reduced_initial_state,
-    reduced_system_field,
     rk4_integrate,
     rk4_step_count,
 )
@@ -94,14 +93,14 @@ def test_heat_system_field_example():
 
 
 def test_reduced_system_field_example():
-    zero = GradedPoly.zero(X, 0)
-    out = reduced_system_field(1, zero, (Fraction(3, 4), Fraction(1, 16)))
+    spec = AnsatzSpec.reduced(1, 0, GradedPoly.zero(X, 0))
+    out = heat_system_field(spec, (Fraction(3, 4), Fraction(1, 16)))
     assert out == (Fraction(-1, 2), Fraction(-3, 16))
     # exact profile states sit on the flow: dx_k matches the jet derivative
     t = Fraction(2)
     state = reduced_initial_state(H2, 1, t)
     assert state == (Fraction(3, 4), Fraction(-1, 16))
-    field_value = reduced_system_field(1, zero, state)
+    field_value = heat_system_field(spec, state)
     # d/dt (h, D_1(jets)) = (h', D_1'(jets)) with D_1' = 2 L_1-derivative route
     eps = Fraction(1, 10**9)
     ahead = reduced_initial_state(H2, 1, t + eps)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from heatansatz import operators
 from heatansatz.grpoly import GradedPoly, NonHomogeneousError, VariableFamily
 from heatansatz.operators import (
     annihilator,
@@ -191,3 +192,18 @@ def test_expand_basis_inverse():
     chain = derivative_chain(3)
     zpoly = GradedPoly(Y, 4, {(0, 1, 0, 0): Fraction(2), (0, 0, 0, 1): Fraction(-1)})
     assert expand_basis(zpoly) == 2 * chain[0] - chain[2]
+
+
+def test_expand_basis_builds_only_the_used_chain(monkeypatch):
+    # y1 Z2 declared over 19 positions reaches Z2 only: the chain stops there
+    asked = []
+
+    def recording(m):
+        asked.append(m)
+        return basis_elements(m)
+
+    monkeypatch.setattr(operators, "basis_elements", recording)
+    out = expand_basis(y(1, 19) * y(2, 19))
+    assert asked and max(asked) <= 2
+    assert out == y(1, 19) * derivative_chain(1)[0].with_nvars(19)
+    assert out.nvars == 19

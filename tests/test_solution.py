@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from heatansatz.ansatz import AnsatzSpec, PhiTable, phi_table_for
+from heatansatz.ansatz import AnsatzSpec, PhiTable, general_phi_table
 from heatansatz.dynsys import (
     DynState,
     MobiusParam,
@@ -19,13 +19,11 @@ from heatansatz.dynsys import (
     rk4_integrate,
 )
 from heatansatz.grpoly import GradedPoly, VariableFamily
+from heatansatz.operators import derivative_chain
 from heatansatz.solution import (
     GridSpec,
     SeriesSolution,
     _axis,
-    _exact_flow,
-    _gradients,
-    _values_and_rates,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
@@ -33,7 +31,6 @@ from heatansatz.solution import (
     cole_hopf,
     diffusion_residual_numeric,
     exp_r,
-    heat_residual_numeric,
     heat_residual_series,
     rescale_to_mu,
     residual_report,
@@ -98,16 +95,8 @@ def test_perturbed_table_fails_residual():
     sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 6)
     entries = list(sol.phi.entries)
     entries[2] = entries[2] + GradedPoly.variable(X, 1, 2)
-    bad = SeriesSolution(0, 1, H2, 0, PhiTable(0, tuple(entries)), 6)
+    bad = SeriesSolution(PhiTable(0, tuple(entries)), H2, 0)
     assert heat_residual_series(bad, [Fraction(2)]) != 0
-
-
-@pytest.mark.parametrize("delta", [0, 1])
-def test_table_parity_must_match_delta(delta):
-    # a table of the other parity assembled a wrong psi with a nonzero heat residual
-    table = assemble_psi(AnsatzSpec.chain(1, 1 - delta), H2, 0, 6).phi
-    with pytest.raises(ValueError, match=f"phi table has parity {1 - delta}, not delta = {delta}"):
-        SeriesSolution(delta, 1, H2, 0, table, 6)
 
 
 @pytest.mark.parametrize("delta", [0, 1])
@@ -215,21 +204,21 @@ def test_closed_form_1ansatz_degenerate_pole():
 @pytest.mark.parametrize("delta", [0, 1])
 def test_heat_residual_numeric_converges(delta):
     psi = closed_form_0ansatz(delta, MobiusParam(1, 0))
-    fine = heat_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3))
-    coarse = heat_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 2e-3, 2e-3))
+    fine = diffusion_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3))
+    coarse = diffusion_residual_numeric(psi, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 2e-3, 2e-3))
     assert fine <= 1e-5
     assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_heat_residual_numeric_catches_wrong_function():
     wrong = lambda z, t: math.exp(-z * z / (2 * t))  # missing the prefactor
-    assert heat_residual_numeric(wrong, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3)) > 1e-2
+    assert diffusion_residual_numeric(wrong, GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3)) > 1e-2
 
 
 def test_assembled_numeric_residual():
     sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 12)
     g = GridSpec(-1.0, 1.0, 9, 2.0, 3.0, 5, 1e-3, 1e-3)
-    assert heat_residual_numeric(sol.psi, g) <= 1e-5
+    assert diffusion_residual_numeric(sol.psi, g) <= 1e-5
 
 
 def test_gauge_identity_and_loss():
@@ -269,7 +258,7 @@ def test_trajectory_source_tracks_exact():
     start = DynState(2.0, tuple(float(v) for v in state))
     traj = rk4_integrate(compiled_field(AnsatzSpec.chain(1, 0)), start, 3.0, 1e-3)
     spec = AnsatzSpec.chain(1, 0)
-    numeric = SeriesSolution(0, 1, traj, 0.0, phi_table_for(spec, 8), 8)
+    numeric = assemble_psi(spec, traj, 0.0, 8)
     exact = assemble_psi(spec, H2, 0.0, 8)
     assert not numeric.exact and exact.exact
     # the numeric r(t) starts from r0 at t0, so compare evolution ratios
@@ -302,7 +291,7 @@ def test_normalized_series_head(delta):
     # the first two normalized Laurent coefficients reproduce the ansatz table
     sol = assemble_psi(AnsatzSpec.chain(1, delta), H2, 0, 8)
     image = cole_hopf(sol)
-    table = phi_table_for(AnsatzSpec.chain(1, delta), 8)
+    table = general_phi_table(AnsatzSpec.chain(1, delta), 8)
     for t in (Fraction(2), Fraction(7, 2)):
         xs = sol.parameter_values(t)[1:]
         vals = image.normalized_coefficients(t)
@@ -322,7 +311,7 @@ def test_burgers_series_detects_tampering():
     sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 6)
     entries = list(sol.phi.entries)
     entries[2] = entries[2] + GradedPoly.variable(X, 1, 2)
-    bad = SeriesSolution(0, 1, H2, 0, PhiTable(0, tuple(entries)), 6)
+    bad = SeriesSolution(PhiTable(0, tuple(entries)), H2, 0)
     assert burgers_residual(cole_hopf(bad), mode="series", t_samples=[Fraction(2)]) != 0
 
 
@@ -393,7 +382,7 @@ def test_parity(delta):
 
 def test_residual_report_grid():
     grid = GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3)
-    worst = heat_residual_numeric(closed_form_0ansatz(0, MobiusParam(1, 0)), grid)
+    worst = diffusion_residual_numeric(closed_form_0ansatz(0, MobiusParam(1, 0)), grid)
     text = residual_report(worst, "grid", grid)
     assert residual_report(worst, "grid", grid) == text  # deterministic
     blob = json.loads(text)
@@ -456,7 +445,7 @@ def test_tampered_residual_values():
     sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 6)
     entries = list(sol.phi.entries)
     entries[2] = entries[2] + GradedPoly.variable(X, 1, 2)
-    bad = SeriesSolution(0, 1, H2, 0, PhiTable(0, tuple(entries)), 6)
+    bad = SeriesSolution(PhiTable(0, tuple(entries)), H2, 0)
     assert heat_residual_series(bad, [Fraction(2)]) == Fraction(2205, 256)
     assert burgers_residual(cole_hopf(bad), mode="series", t_samples=[Fraction(2)]) == Fraction(1, 32)
 
@@ -486,7 +475,7 @@ def test_cole_hopf_of_trajectory_source(delta):
     start = DynState(2.0, tuple(float(v) for v in state))
     traj = rk4_integrate(compiled_field(AnsatzSpec.reduced(2, 0, top)), start, 3.0, 1e-3)
     spec = AnsatzSpec.reduced(2, delta, top)
-    image = cole_hopf(SeriesSolution(delta, 2, traj, 0.0, phi_table_for(spec, 10), 10))
+    image = cole_hopf(assemble_psi(spec, traj, 0.0, 10))
     exact = cole_hopf(assemble_psi(spec, H3, 0.0, 10))
     for t in (2.05, 2.5, 2.95):
         for z in (0.4, 0.9, 1.3):
@@ -512,12 +501,21 @@ def _image_by_reciprocal(sol):
 def _burgers_residual_by_orders(image, mu, t_samples):
     """Max |coefficient| of v_t + v v_z - mu v_zz through order 2K-3, adding
     each pair of v's Laurent orders into a dict keyed by order."""
-    K = image.truncation
-    grads = _gradients(image.series_jets, image.source.n)
+    K, n, h = image.truncation, image.source.n, image.source.h_source
+    chain = derivative_chain(n + 1)
     worst = Fraction(0)
     for t in t_samples:
-        x, rates = _exact_flow(image.source, t)
-        values, slopes = _values_and_rates(image.series_jets, grads, x, rates)
+        # x1 = h, x_{k+1} = D_k(jets), and from D_{k+1} = (D + 2(k+1) y1) D_k the
+        # rates x_{k+1}' = D_{k+1} - 2(k+1) h D_k
+        jets = h.jets(t, n + 2)
+        d = [dk.evaluate(jets) for dk in chain]
+        x = (jets[0], *d[:n])
+        rates = (jets[1], *(d[k] - 2 * (k + 1) * jets[0] * d[k - 1] for k in range(1, n + 1)))
+        values = [p.evaluate(x[1:]) for p in image.series_jets]
+        slopes = [
+            sum((p.partial(k).evaluate(x[1:]) * rates[k - 1] for k in range(2, n + 2)), Fraction(0))
+            for p in image.series_jets
+        ]
         v = {1: (x[0], rates[0])}
         if image.delta:
             v[-1] = (-image.delta, 0)
@@ -555,7 +553,7 @@ def _tampered(delta):
     sol = assemble_psi(AnsatzSpec.chain(1, delta), H2, 0, 6)
     entries = list(sol.phi.entries)
     entries[2] = entries[2] + GradedPoly.variable(X, 1, 2)
-    return SeriesSolution(delta, 1, H2, 0, PhiTable(delta, tuple(entries)), 6)
+    return SeriesSolution(PhiTable(delta, tuple(entries)), H2, 0)
 
 
 @pytest.mark.parametrize("delta", [0, 1])

@@ -36,7 +36,7 @@ def _tampered_table(general_phi_table):
 def _tampered_series(assemble_psi):
     def series(spec, h, r0, k_max):
         sol = assemble_psi(spec, h, r0, k_max)
-        return SeriesSolution(sol.delta, sol.n, h, r0, _tamper(sol.phi), k_max)
+        return SeriesSolution(_tamper(sol.phi), h, r0)
 
     return series
 
