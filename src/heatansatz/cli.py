@@ -2,9 +2,12 @@
 
 Subcommands: ``phi`` (coefficient tables), ``dk`` (chain polynomials),
 ``verify`` (built-in check suites), ``trajectory`` (RK4 on the reduced
-system), ``eval`` (solution values on a grid), ``burgers`` (Cole-Hopf
-image values).  Exit codes: 0 success, 1 domain error (pole, grading
-violation, bad parameters), 2 usage error.
+system, n >= 0), ``eval`` (solution values on a grid), ``burgers``
+(Cole-Hopf image values).  ``eval`` and ``burgers`` evaluate the
+truncated series of every family, the 0-ansatz included (it is the
+one-pole member n = 0), through one grid writer; the closed forms in
+``solution`` are reference oracles only.  Exit codes: 0 success, 1 domain
+error (pole, grading violation, bad parameters), 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,26 +32,15 @@ from .dynsys import (
     rk4_step_count,
 )
 from .operators import basis_name, derivative_chain
-from .solution import _axis, assemble_psi, closed_form_0ansatz, cole_hopf, rescale_to_mu
+from .solution import _axis, assemble_psi, cole_hopf, rescale_to_mu
 from .verify import run_suite
 
 
-def fmt(value) -> str:
-    """Format one CSV cell; floats carry 17 significant digits."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def emit_csv(rows, header) -> str:
-    """Rows of cells to CSV text with LF line endings."""
-    width = len(header)
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged CSV row")
-        lines.append(",".join(fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    """Rows of floats to CSV text with LF line endings, each cell with 17 significant
+    digits; a row of the wrong width raises TypeError."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return "".join([",".join(header) + "\n", *(line % row for row in rows)])
 
 
 def _positive_int(text: str) -> int:
@@ -137,14 +129,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    poles = _parse_poles(args.poles)
-    if len(poles) != args.n + 1:
-        raise ValueError(f"n = {args.n} needs {args.n + 1} pole parameters")
-    if args.n < 1:
-        raise ValueError("the reduced system needs n >= 1")
+    h = RationalH(args.n, _parse_poles(args.poles))
     if args.t1 < args.t0:
         raise ValueError("--t1 must not precede --t0")
-    h = RationalH(args.n, poles)
     state = reduced_initial_state(h, args.n, args.t0)
     start = DynState(float(args.t0), tuple(float(v) for v in state))
     t_end = float(args.t1)
@@ -157,8 +144,25 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-def _grid(args) -> list[tuple[Fraction, float]]:
-    """The (t, z) points of an eval or burgers grid, t outside z."""
+def _family_spec(n: int, delta: int) -> AnsatzSpec:
+    return AnsatzSpec.reduced(n, delta, rational_top(n))
+
+
+def _series(args, r0):
+    """The series solution of an eval or burgers family: the pole count, then --kmax, is checked."""
+    default = "1:0,1:1" if args.family == "1ansatz" else "1:0"
+    poles = _parse_poles(default if args.poles is None else args.poles)
+    expected = {"0ansatz": 1, "1ansatz": 2}.get(args.family, len(poles))
+    if len(poles) != expected:
+        raise ValueError(f"{args.family} needs {expected} pole parameter(s)")
+    if args.kmax < 2:
+        raise ValueError("--kmax must be at least 2")
+    n = len(poles) - 1
+    return assemble_psi(_family_spec(n, args.delta), RationalH(n, poles), r0, args.kmax)
+
+
+def _write_grid(args, value) -> int:
+    """Write value(z, t) as CSV over the (t, z) grid of an eval or burgers run, t outside z."""
     if args.t is not None:
         ts = args.t
     elif args.t1 is None or args.tnum is None:
@@ -166,48 +170,19 @@ def _grid(args) -> list[tuple[Fraction, float]]:
     else:
         ts = _axis(args.t0, args.t1, args.tnum)
     zs = _axis(args.z0, args.z1, args.znum)
-    return [(t, z) for t in ts for z in zs]
-
-
-def _family_setup(args):
-    default = "1:0,1:1" if args.family == "1ansatz" else "1:0"
-    poles = _parse_poles(default if args.poles is None else args.poles)
-    expected = {"0ansatz": 1, "1ansatz": 2}.get(args.family, len(poles))
-    if len(poles) != expected:
-        raise ValueError(f"{args.family} needs {expected} pole parameter(s)")
-    n = len(poles) - 1
-    return RationalH(n, poles), n
-
-
-def _family_spec(n: int, delta: int) -> AnsatzSpec:
-    return AnsatzSpec.reduced(n, delta, rational_top(n))
-
-
-def _series(args, h: RationalH, n: int, r0):
-    if args.kmax < 2:  # checked only where a series is built
-        raise ValueError("--kmax must be at least 2")
-    return assemble_psi(_family_spec(n, args.delta), h, r0, args.kmax)
+    rows = [(float(t), z, value(z, float(t))) for t in ts for z in zs]
+    sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
+    return 0
 
 
 def cmd_eval(args) -> int:
-    h, n = _family_setup(args)
-    if args.family == "0ansatz":
-        fn = closed_form_0ansatz(args.delta, h.poles[0], args.r0)
-    else:
-        fn = _series(args, h, n, args.r0).psi
-    rows = [(float(t), z, fn(z, float(t))) for t, z in _grid(args)]
-    sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
-    return 0
+    return _write_grid(args, _series(args, args.r0).psi)
 
 
 def cmd_burgers(args) -> int:
-    h, n = _family_setup(args)
-    image = cole_hopf(_series(args, h, n, 0.0))
     # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
-    v = rescale_to_mu(image.v, args.mu)
-    rows = [(float(t), z, 2 * args.mu * v(z, float(t))) for t, z in _grid(args)]
-    sys.stdout.write(emit_csv(rows, ["t", "z", "value"]))
-    return 0
+    v = rescale_to_mu(cole_hopf(_series(args, 0.0)).v, args.mu)
+    return _write_grid(args, lambda z, t: 2 * args.mu * v(z, t))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -106,7 +106,8 @@ class RationalH:
         """(h(t), h'(t), ..., h^(m-1)(t)), exact when t is exact.
 
         d^j/dt^j of each summand alpha/(alpha t - beta) is
-        (-1)^j j! alpha^(j+1) / (alpha t - beta)^(j+1).
+        (-1)^j j! alpha^(j+1) / (alpha t - beta)^(j+1).  At a float t whose
+        powers (alpha t - beta)^(j+1) leave the float range, OverflowError names t.
         """
         if m < 0:
             raise ValueError("jet length must be nonnegative")
@@ -123,7 +124,10 @@ class RationalH:
             total = Fraction(0)
             for p, d in zip(self.poles, denoms):
                 if p.alpha:
-                    total = total + p.alpha ** (j + 1) / d ** (j + 1)
+                    try:
+                        total = total + p.alpha ** (j + 1) / d ** (j + 1)
+                    except (ZeroDivisionError, OverflowError):  # a float power of d underflowed to 0 or overflowed
+                        raise OverflowError(f"profile jets not finite at t = {t}") from None
             out.append(sign * math.factorial(j) * scale * total)
         return tuple(out)
 

@@ -137,7 +137,8 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
 
     e^{r} = e^{r0} * prod_{alpha_k != 0} (alpha_k/(alpha_k t - beta_k))^p
     with p = (delta + 1/2)/(n+1).  Only evaluated where every base is
-    positive; other regions are rejected.
+    positive; other regions are rejected, and a prefactor that leaves the
+    float range raises OverflowError naming t.
     """
     p = (delta + 0.5) / (h.n + 1)
     acc = math.exp(float(r0))
@@ -146,10 +147,15 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
             den = pole.alpha * t - pole.beta
             if den == 0:
                 raise PoleError(f"profile pole at t = {t}")
-            base = float(pole.alpha / den) if not isinstance(t, float) else float(pole.alpha) / float(den)
+            base = float(pole.alpha / den)  # Fraction / float divides in floats
             if base <= 0:
                 raise ValueError(f"fractional power of non-positive base at t = {t}")
-            acc *= base**p
+            try:
+                acc *= base**p
+            except OverflowError:
+                acc = math.inf
+    if not math.isfinite(acc):
+        raise OverflowError(f"prefactor not finite at t = {t}")
     return acc
 
 
@@ -608,22 +614,23 @@ def residual_report(
 
 def closed_form_0ansatz(delta: int, pole: MobiusParam, r0: Union[Fraction, float] = 0.0) -> Callable:
     """psi = (alpha/(alpha t - beta))^(1/2+delta) e^{-alpha z^2/(2(alpha t-beta)) + r0} z^delta,
-    and e^{r0} z^delta for the vanishing pole (0 : beta), the profile h = 0."""
+    and e^{r0} z^delta for the vanishing pole (0 : beta), the profile h = 0.  A reference
+    oracle for the n = 0 series; a value that leaves the float range raises OverflowError."""
     _check_delta(delta)
     a, b = float(pole.alpha), float(pole.beta)
     c0 = math.exp(float(r0))
 
     def psi(z: float, t: float) -> float:
-        if not a:
-            return c0 * z if delta else c0
-        den = a * t - b
-        if den == 0:
-            raise PoleError(f"pole at t = {t}")
-        base = a / den
-        if base <= 0:
-            raise ValueError(f"fractional power of non-positive base at t = {t}")
-        value = base ** (0.5 + delta) * math.exp(-a * z * z / (2 * den)) * c0
-        return value * z if delta else value
+        value = c0
+        if a:
+            den = a * t - b
+            if den == 0:
+                raise PoleError(f"pole at t = {t}")
+            base = a / den
+            if base <= 0:
+                raise ValueError(f"fractional power of non-positive base at t = {t}")
+            value = base ** (0.5 + delta) * math.exp(-a * z * z / (2 * den)) * c0
+        return _finite(value * z if delta else value, "psi", z)
 
     return psi
 
@@ -653,7 +660,8 @@ def closed_form_1ansatz(
           * z^delta * sum_m gamma_m (-1)^m x2(t)^m (z/2)^(4m)
 
     with x2(t) = -(A - B)^2/4 for the two summands A, B of 2h: the chain
-    value D_1 = h' + h^2 of the profile.
+    value D_1 = h' + h^2 of the profile.  A reference oracle for the n = 1
+    series; a value that leaves the float range raises OverflowError.
     """
     _check_delta(delta)
     poles = (pole1, pole2)
@@ -683,6 +691,6 @@ def closed_form_1ansatz(
             if term <= 1e-17 * abs(acc):
                 break
         value = prefactor * math.exp(-(z * z) / 4 * (summands[0] + summands[1])) * acc
-        return value * z if delta else value
+        return _finite(value * z if delta else value, "psi", z)
 
     return psi

@@ -1,6 +1,7 @@
 """CLI surface: dispatch, CSV contract, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import heatansatz.cli as cli_module
-from heatansatz.cli import build_parser, emit_csv, fmt, run
+from heatansatz.cli import build_parser, emit_csv, run
 from heatansatz.dynsys import MobiusParam
 from heatansatz.solution import closed_form_0ansatz, closed_form_1ansatz
 
@@ -23,17 +24,15 @@ def cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_fmt_floats_round_trip():
-    for v in (1 / 3, 1e-17, 123456.789, -0.1):
-        assert float(fmt(v)) == v
-    assert fmt(0.5) == "0.5"
-    assert fmt(3) == "3"
-
-
 def test_emit_csv_contract():
     assert emit_csv([], ["a", "b"]) == "a,b\n"
     assert emit_csv([(1, 2.5)], ["a", "b"]) == "a,b\n1,2.5\n"
-    with pytest.raises(ValueError):
+    assert emit_csv([(0.5, 3)], ["a", "b"]) == "a,b\n0.5,3\n"
+    # 17 significant digits round-trip every float
+    values = (1 / 3, 1e-17, 123456.789, -0.1)
+    cells = emit_csv([values], ["a", "b", "c", "d"]).splitlines()[1].split(",")
+    assert tuple(map(float, cells)) == values
+    with pytest.raises(TypeError):
         emit_csv([(1,)], ["a", "b"])
 
 
@@ -129,6 +128,15 @@ def test_trajectory_tracks_profile_for_three_poles():
         assert abs(float(got) - float(want)) < 1e-10
 
 
+def test_trajectory_one_pole_tracks_inverse_time(capsys):
+    # n = 0 is the one-pole chain h' = -h^2, solved by h = 1/t for the pole 1:0
+    assert run(["trajectory", "--n", "0", "--poles", "1:0", "--t0", "1", "--t1", "2", "--step", "1e-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["t,x1", "1,1"]
+    t, x1 = (float(cell) for cell in lines[-1].split(","))
+    assert t == 2.0 and abs(x1 - 0.5) < 1e-12
+
+
 P4 = "1:0,1:1,2:-1,1:-2"
 
 
@@ -206,13 +214,12 @@ def test_trajectory_times_are_rationals(option, value, capsys):
     (["burgers", "--family", "0ansatz", "--kmax", "0", "--t", "2"], "--kmax must be at least 2"),
     (["eval", "--poles", "1:x", "--t", "1"], "pole '1:x' is not 'alpha:beta' with rational alpha and beta"),
     (["eval", "--poles", "1:1/0", "--t", "1"], "pole '1:1/0' is not 'alpha:beta' with rational alpha and beta"),
+    (["eval", "--family", "0ansatz", "--kmax", "1", "--t", "2"], "--kmax must be at least 2"),
+    (["trajectory", "--n", "1", "--poles", "1:0", "--t0", "1", "--t1", "2"], "need 2 pole parameters, got 1"),
 ])
 def test_option_bounds_name_the_option(argv, message, capsys):
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    # the closed-form 0-ansatz builds no series, so --kmax does not bound it
-    assert run(["eval", "--family", "0ansatz", "--kmax", "1", "--t", "2", "--znum", "1"]) == 0
-    assert capsys.readouterr().out == "t,z,value\n2,-1,0.5506953149031838\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "burgers"])
@@ -313,11 +320,12 @@ def test_eval_at_profile_pole_is_domain_error():
 
 @pytest.mark.parametrize("delta", ["0", "1"])
 def test_eval_vanishing_pole_closed_form_matches_series(delta, capsys):
-    # the pole (0:1) is the profile h = 0: both families print psi = e^{r0} z^delta
-    for r0 in ("0", "0.5"):
+    # the 0-ansatz is the one-pole series, so both families print the same bytes; the pole (0:1)
+    # is the profile h = 0, where both print psi = e^{r0} z^delta
+    for pole, r0 in itertools.product(("0:1", "1:0", "2:-1"), ("0", "0.5")):
         outputs = []
         for family in ("0ansatz", "nansatz"):
-            argv = ["eval", "--family", family, "--poles", "0:1", "--delta", delta, "--t", "1,2", "--r0", r0]
+            argv = ["eval", "--family", family, "--poles", pole, "--delta", delta, "--t", "1,2", "--r0", r0]
             assert run(argv) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
@@ -363,25 +371,41 @@ def test_empty_grid_is_usage_error(command, grid, capsys):
     assert captured.out == "" and message in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--family", "0ansatz", "--r0", "1000", "--t", "2"],
-    ["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "30", "--z0", "2e6", "--znum", "1", "--t", "2"],
+OVERFLOWS = [
+    (["eval", "--family", "0ansatz", "--r0", "1000", "--t", "2"], "floating-point overflow (math range error)"),
+    (["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "30", "--z0", "2e6", "--znum", "1", "--t", "2"],
+     "floating-point overflow (series not finite at z = 2000000.0)"),
     # finite bounds whose span overflows
-    ["eval", "--family", "0ansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
-    ["eval", "--family", "nansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
+    (["eval", "--family", "0ansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
+     "grid from -1e+308 to 1e+308 has a span that is not finite"),
+    (["eval", "--family", "nansatz", "--z0=-1e308", "--z1", "1e308", "--znum", "3", "--t", "2"],
+     "grid from -1e+308 to 1e+308 has a span that is not finite"),
     # a finite series whose final factor z, z^3 or delta/z leaves the float range
-    ["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2", "--delta", "1",
-     "--z0", "1e76", "--z1", "1e76", "--znum", "1", "--t", "2"],
-    ["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2",
-     "--z0", "1e103", "--z1", "1e103", "--znum", "1", "--t", "2"],
-    ["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2", "--delta", "1",
-     "--z0", "1e-320", "--z1", "1e-320", "--znum", "1", "--t", "2"],
-])
-def test_float_overflow_is_domain_error(argv, capsys):
+    (["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2", "--delta", "1",
+      "--z0", "1e76", "--z1", "1e76", "--znum", "1", "--t", "2"],
+     "floating-point overflow (series not finite at z = 1e+76)"),
+    (["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2",
+      "--z0", "1e103", "--z1", "1e103", "--znum", "1", "--t", "2"],
+     "floating-point overflow (v not finite at z = 1e+103)"),
+    (["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "2", "--delta", "1",
+      "--z0", "1e-320", "--z1", "1e-320", "--znum", "1", "--t", "2"],
+     "floating-point overflow (v not finite at z = 1e-320)"),
+    # a time so close to, or so far from, a pole that the prefactor or the profile jets leave the float range
+    (["eval", "--family", "0ansatz", "--r0", "709", "--z0", "0", "--znum", "1", "--t", "1e-300"],
+     "floating-point overflow (prefactor not finite at t = 1e-300)"),
+    (["eval", "--family", "nansatz", "--delta", "1", "--z0", "0", "--znum", "1", "--t", "1e-300"],
+     "floating-point overflow (prefactor not finite at t = 1e-300)"),
+    (["eval", "--family", "1ansatz", "--znum", "1", "--t", "1e-300"],
+     "floating-point overflow (profile jets not finite at t = 1e-300)"),
+    (["eval", "--family", "1ansatz", "--znum", "1", "--t", "1e200"],
+     "floating-point overflow (profile jets not finite at t = 1e+200)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERFLOWS, ids=[f"argv{i}" for i in range(len(OVERFLOWS))])
+def test_float_overflow_is_domain_error(argv, message, capsys):
     assert run(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("delta", [0, 1])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from types import SimpleNamespace
 from fractions import Fraction
 
@@ -199,6 +200,24 @@ def test_closed_form_1ansatz_degenerate_pole():
     single = closed_form_0ansatz(0, MobiusParam(1, 0))
     for z in (0.0, 0.6, -1.1):
         assert merged(z, 2.0) == pytest.approx(single(z, 2.0), rel=1e-13)
+
+
+def test_float_overflow_names_where_it_happened():
+    # the closed forms check their final value as PsiSlice does; the prefactor and the
+    # profile jets name the time at which a float power left the float range
+    with pytest.raises(OverflowError, match=r"^psi not finite at z = 0\.0$"):
+        closed_form_0ansatz(0, MobiusParam(1, 0), 709)(0.0, 1e-300)
+    with pytest.raises(OverflowError, match=r"^psi not finite at z = 0\.0$"):
+        closed_form_1ansatz(0, MobiusParam(1, 0), MobiusParam(1, 0), 709)(0.0, 1e-150)
+    with pytest.raises(OverflowError, match=r"^prefactor not finite at t = 1e-300$"):
+        exp_r(H1, 1, 0.0, 1e-300)
+    with pytest.raises(OverflowError, match=r"^prefactor not finite at t = 1e-300$"):
+        exp_r(H1, 0, 709.0, 1e-300)
+    for t in (1e-300, 1e200):
+        with pytest.raises(OverflowError, match=re.escape(f"profile jets not finite at t = {t}")):
+            H2.jets(t, 2)
+    with pytest.raises(PoleError):
+        H2.jets(0.0, 2)
 
 
 @pytest.mark.parametrize("delta", [0, 1])
