@@ -7,7 +7,8 @@ system, n >= 0), ``eval`` (solution values on a grid), ``burgers``
 truncated series of every family, the 0-ansatz included (it is the
 one-pole member n = 0), through one grid writer; the closed forms in
 ``solution`` are reference oracles only.  Exit codes: 0 success, 1 domain
-error (pole, grading violation, bad parameters), 2 usage error.
+error (pole, grading violation, bad parameters) or a closed output pipe,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -253,7 +255,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+    except BrokenPipeError:  # the reader has gone: no traceback, and devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

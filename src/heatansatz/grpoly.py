@@ -75,6 +75,13 @@ class GradedPoly:
     rational coefficients.  Binary operations require equal families;
     differing variable counts are reconciled by zero padding, and
     equality/hashing ignore trailing unused variables.
+
+    The constructor is the one place where terms are summed, one at a time
+    in the order given: a key whose sum cancels is dropped, and a later term
+    that brings it back is appended again.  ``+``, :meth:`derivation` and
+    :meth:`substitute` pass it their summands, so each keeps the term order
+    of the sum built term by term, which is the order a float ``evaluate``
+    adds in.
     """
 
     __slots__ = ("family", "nvars", "_terms")
@@ -98,12 +105,14 @@ class GradedPoly:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
-            if c:
-                acc = clean.get(exps, Fraction(0)) + c
-                if acc:
-                    clean[exps] = acc
-                else:
-                    clean.pop(exps, None)
+            if exps in clean:
+                c += clean[exps]
+                if not c:
+                    del clean[exps]
+                    continue
+            elif not c:
+                continue
+            clean[exps] = c
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -137,13 +146,6 @@ class GradedPoly:
     def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical graded-lexicographic order (ascending)."""
         return sorted(self._terms.items(), key=lambda item: self._key(item[0]))
-
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        """The graded-lex largest term (highest jet index dominates)."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self._terms, key=self._key)
-        return exps, self._terms[exps]
 
     @property
     def is_zero(self) -> bool:
@@ -183,12 +185,8 @@ class GradedPoly:
             return NotImplemented
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for poly in (self, other):
-            for exps, coeff in poly._terms.items():
-                key = self._pad(exps, nvars)
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-        return GradedPoly(self.family, nvars, acc)
+        summands = [(self._pad(exps, nvars), c) for poly in (self, other) for exps, c in poly._terms.items()]
+        return GradedPoly(self.family, nvars, summands)
 
     def __neg__(self) -> "GradedPoly":
         return GradedPoly(self.family, self.nvars, {e: -c for e, c in self._terms.items()})
@@ -212,7 +210,7 @@ class GradedPoly:
             for e2, c2 in other._terms.items():
                 e2 = self._pad(e2, nvars)
                 key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+                acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
         return GradedPoly(self.family, nvars, acc)
 
     def __rmul__(self, other: Scalar) -> "GradedPoly":
@@ -271,15 +269,13 @@ class GradedPoly:
         """sum_i images[i] * dP/dv_i over a ring of ``nvars`` variables.
 
         An image of None, or a position past the end of ``images``, is not
-        differentiated.  One pass over the terms of P and of each image,
-        and one constructor call.  The terms come out in the order of the
-        same sum built with ``*`` and ``+`` (a term that cancels leaves
-        it), which fixes the order in which a float ``evaluate`` adds them.
+        differentiated.  One pass over the terms of P and of each image, and
+        one constructor call that sums the products image_i * dP/dv_i.
         """
         if self.max_used_position() >= nvars:
             raise ValueError(f"polynomial does not fit in {nvars} variables")
         terms = [(self._pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
-        acc: dict[tuple[int, ...], Fraction] = {}
+        summands: list[tuple[tuple[int, ...], Fraction]] = []
         for i, image in enumerate(images[:nvars]):
             if image is None:
                 continue
@@ -293,16 +289,8 @@ class GradedPoly:
                 for exps, c in lowered:
                     key = tuple(a + b for a, b in zip(exps, image_exps))
                     part[key] = part[key] + c * image_c if key in part else c * image_c
-            for key, c in part.items():
-                if not c:
-                    continue
-                if key not in acc:
-                    acc[key] = c
-                elif acc[key] + c:
-                    acc[key] += c
-                else:
-                    del acc[key]
-        return GradedPoly(self.family, nvars, acc)
+            summands += part.items()
+        return GradedPoly(self.family, nvars, summands)
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.
@@ -352,14 +340,15 @@ class GradedPoly:
     ) -> "GradedPoly":
         """Replace the variable at position i by ``images[i]``, expanding.
 
-        The target ring is given explicitly; every image must live in it.
-        A position with image None must not occur in any term.
+        The target ring is given explicitly; every image is re-declared to
+        it, so an image that uses a position outside it raises ValueError.
+        A position with image None must not occur in any term.  One
+        constructor call sums the products of the terms.
         """
-        result = GradedPoly.zero(family, nvars)
-        one = GradedPoly.const(family, nvars, 1)
         cache: dict[tuple[int, int], GradedPoly] = {}
+        summands: list[tuple[tuple[int, ...], Fraction]] = []
         for exps, coeff in self._terms.items():
-            prod = one * coeff
+            prod = GradedPoly.const(family, nvars, coeff)
             for i, e in enumerate(exps):
                 if not e:
                     continue
@@ -367,10 +356,10 @@ class GradedPoly:
                     raise ValueError(f"no substitution image for position {i}")
                 key = (i, e)
                 if key not in cache:
-                    cache[key] = images[i] ** e
+                    cache[key] = images[i].with_nvars(nvars) ** e
                 prod = prod * cache[key]
-            result = result + prod
-        return result
+            summands += prod._terms.items()
+        return GradedPoly(family, nvars, summands)
 
     def with_nvars(self, nvars: int) -> "GradedPoly":
         """Re-declare the ring size, padding with (or dropping) unused slots."""

@@ -13,8 +13,10 @@ time derivatives.  Three first-order operators drive everything here:
 Iterating the weighted derivative on y1 produces the chain polynomials
 D1 = y2 + y1^2, D2, D3, ...; together with y1 they generate a
 multiplicative basis in which membership of the annihilator's kernel is
-visible monomial by monomial.  The basis symbol Z_k = D_{k-1} is the chain
-value of the ansatz parameter x_k, and one relabelling reads one as the other.
+visible monomial by monomial; the basis change and its inverse are two
+substitutions (see :func:`decompose_basis`).  The basis symbol Z_k = D_{k-1}
+is the chain value of the ansatz parameter x_k, and one relabelling reads one
+as the other.
 """
 
 from __future__ import annotations
@@ -72,13 +74,11 @@ def euler_operator(poly: GradedPoly) -> GradedPoly:
 
 @lru_cache(maxsize=None)
 def _chain(k_max: int) -> tuple[GradedPoly, ...]:
-    chain: list[GradedPoly] = []
-    current = GradedPoly.variable(VariableFamily.Y, 1, 1)
-    for k in range(1, k_max + 1):
-        weight = Fraction(1, 2) if k == 1 else Fraction(k)
-        current = weighted_derivative(weight, current)
-        chain.append(current)
-    return tuple(chain)
+    """D_1..D_{k_max}, each built once per process from the one before it."""
+    if k_max == 1:
+        return (weighted_derivative(Fraction(1, 2), GradedPoly.variable(VariableFamily.Y, 1, 1)),)
+    lower = _chain(k_max - 1)
+    return (*lower, weighted_derivative(k_max, lower[-1]))
 
 
 def derivative_chain(k_max: int) -> list[GradedPoly]:
@@ -97,8 +97,8 @@ def basis_elements(m: int) -> list[GradedPoly]:
     """[Z0, Z1, Z2, ..., Zm] with Z0 = Z1 = 0 and Z_k = D_{k-1} for k >= 2.
 
     {y1, Z2, Z3, ...} is a multiplicative basis of the jet polynomials:
-    Z_k = y_k + (graded-lex lower terms), so the map from basis monomials
-    to their leading jet monomials is triangular with unit coefficients.
+    Z_k is y_k plus terms in y1..y_{k-1}, so substituting Z_k = D_{k-1} is
+    triangular with unit diagonal and :func:`decompose_basis` inverts it.
     """
     zero = GradedPoly.zero(VariableFamily.Y, 1)
     if m < 2:
@@ -132,8 +132,7 @@ def expand_basis(poly: GradedPoly) -> GradedPoly:
     k-1 = Z_k) back into plain jet variables."""
     _require_y(poly)
     used = poly.max_used_position() + 1  # the chain is built only as far as the polynomial reaches
-    zs = basis_elements(used)
-    images = [GradedPoly.variable(VariableFamily.Y, 1, 1)] + [zs[k] for k in range(2, used + 1)]
+    images = [GradedPoly.variable(VariableFamily.Y, 1, 1)] + basis_elements(used)[2:]
     return poly.substitute(images, VariableFamily.Y, max(poly.nvars, 1))
 
 
@@ -157,42 +156,30 @@ class BasisDecomposition:
         return self.zpoly.to_text(names=basis_name)
 
 
+@lru_cache(maxsize=None)
+def _inverse_images(m: int) -> tuple[GradedPoly, ...]:
+    """y1..y_m over the basis symbols: y1 stays, and y_k = Z_k - (D_{k-1} - y_k)
+    with y1..y_{k-1} in it already rewritten."""
+    y = lambda k: GradedPoly.variable(VariableFamily.Y, m, k)
+    if m == 1:
+        return (y(1),)
+    lower = _inverse_images(m - 1)
+    return (*lower, y(m) - (basis_elements(m)[m] - y(m)).substitute(lower, VariableFamily.Y, m))
+
+
 def decompose_basis(poly: GradedPoly) -> BasisDecomposition:
     """Rewrite a homogeneous jet polynomial over {y1, Z2, Z3, ...}.
 
-    Triangular elimination: the graded-lex leading monomial
-    y1^a1 y2^a2 ... ym^am of the remainder is matched by the basis
-    monomial y1^a1 Z2^a2 ... Zm^am (same leading term, coefficient 1),
-    which is subtracted off.  Each step strictly lowers the leading
-    monomial inside a fixed finite degree class, so this terminates and
-    the result is unique.
+    The inverse substitution of :func:`expand_basis`, which puts D_{k-1} for
+    Z_k: this puts Z_k - (D_{k-1} - y_k) for y_k, with the y1..y_{k-1} in it
+    rewritten first.  Z_k is y_k plus terms in y1..y_{k-1}, so the two are
+    inverse ring isomorphisms and the decomposition is unique.
     """
     _require_y(poly)
     if not poly.is_homogeneous():
         raise NonHomogeneousError("basis decomposition needs homogeneous input")
-    work = poly.trimmed()
-    m = max(work.nvars, 1)
-    zs = basis_elements(m)
-    out: dict[tuple[int, ...], Fraction] = {}
-    power_cache: dict[tuple[int, int], GradedPoly] = {}
-
-    def basis_power(position: int, e: int) -> GradedPoly:
-        key = (position, e)
-        if key not in power_cache:
-            base = GradedPoly.variable(VariableFamily.Y, 1, 1) if position == 0 else zs[position + 1]
-            power_cache[key] = base**e
-        return power_cache[key]
-
-    while work:
-        exps, coeff = work.leading_term()
-        exps = exps + (0,) * (m - len(exps))
-        prod = GradedPoly.const(VariableFamily.Y, 1, 1)
-        for i, e in enumerate(exps):
-            if e:
-                prod = prod * basis_power(i, e)
-        out[exps] = out.get(exps, Fraction(0)) + coeff
-        work = work - coeff * prod
-    return BasisDecomposition(GradedPoly(VariableFamily.Y, m, out))
+    m = max(poly.max_used_position() + 1, 1)
+    return BasisDecomposition(poly.substitute(_inverse_images(m), VariableFamily.Y, m))
 
 
 def is_annihilated(poly: GradedPoly) -> bool:

@@ -51,6 +51,20 @@ def _finite(value: float, name: str, z: float) -> float:
     return value
 
 
+def _psi_oracle(value: Callable) -> Callable:
+    """psi(z, t) = value(z, t), where an OverflowError inside value, like a value that
+    is not finite, raises OverflowError naming z."""
+
+    def psi(z: float, t: float) -> float:
+        try:
+            out = value(z, t)
+        except OverflowError:
+            out = math.inf
+        return _finite(out, "psi", z)
+
+    return psi
+
+
 class PsiSlice(NamedTuple):
     """A series solution at one time t, as floats.
 
@@ -141,19 +155,21 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
     float range raises OverflowError naming t.
     """
     p = (delta + 0.5) / (h.n + 1)
-    acc = math.exp(float(r0))
+    bases = []
     for pole in h.poles:
         if pole.alpha:
             den = pole.alpha * t - pole.beta
             if den == 0:
                 raise PoleError(f"profile pole at t = {t}")
-            base = float(pole.alpha / den)  # Fraction / float divides in floats
-            if base <= 0:
+            bases.append(float(pole.alpha / den))  # Fraction / float divides in floats
+            if bases[-1] <= 0:
                 raise ValueError(f"fractional power of non-positive base at t = {t}")
-            try:
-                acc *= base**p
-            except OverflowError:
-                acc = math.inf
+    try:
+        acc = math.exp(float(r0))
+        for base in bases:
+            acc *= base**p
+    except OverflowError:
+        acc = math.inf
     if not math.isfinite(acc):
         raise OverflowError(f"prefactor not finite at t = {t}")
     return acc
@@ -617,11 +633,10 @@ def closed_form_0ansatz(delta: int, pole: MobiusParam, r0: Union[Fraction, float
     and e^{r0} z^delta for the vanishing pole (0 : beta), the profile h = 0.  A reference
     oracle for the n = 0 series; a value that leaves the float range raises OverflowError."""
     _check_delta(delta)
-    a, b = float(pole.alpha), float(pole.beta)
-    c0 = math.exp(float(r0))
+    a, b, r0 = float(pole.alpha), float(pole.beta), float(r0)
 
     def psi(z: float, t: float) -> float:
-        value = c0
+        value = c0 = math.exp(r0)
         if a:
             den = a * t - b
             if den == 0:
@@ -630,9 +645,9 @@ def closed_form_0ansatz(delta: int, pole: MobiusParam, r0: Union[Fraction, float
             if base <= 0:
                 raise ValueError(f"fractional power of non-positive base at t = {t}")
             value = base ** (0.5 + delta) * math.exp(-a * z * z / (2 * den)) * c0
-        return _finite(value * z if delta else value, "psi", z)
+        return value * z if delta else value
 
-    return psi
+    return _psi_oracle(psi)
 
 
 def gamma_ratio_coeff(m: int, delta: int) -> Fraction:
@@ -665,7 +680,7 @@ def closed_form_1ansatz(
     """
     _check_delta(delta)
     poles = (pole1, pole2)
-    c0 = math.exp(float(r0))
+    r0 = float(r0)
     p = (1 + 2 * delta) / 4
 
     def psi(z: float, t: float) -> float:
@@ -675,7 +690,7 @@ def closed_form_1ansatz(
             if den == 0:
                 raise PoleError(f"pole at t = {t}")
             summands.append(float(pole.alpha) / den)
-        prefactor = c0
+        prefactor = math.exp(r0)
         for s, pole in zip(summands, poles):
             if pole.alpha:
                 if s <= 0:
@@ -691,6 +706,6 @@ def closed_form_1ansatz(
             if term <= 1e-17 * abs(acc):
                 break
         value = prefactor * math.exp(-(z * z) / 4 * (summands[0] + summands[1])) * acc
-        return _finite(value * z if delta else value, "psi", z)
+        return value * z if delta else value
 
-    return psi
+    return _psi_oracle(psi)

@@ -372,7 +372,8 @@ def test_empty_grid_is_usage_error(command, grid, capsys):
 
 
 OVERFLOWS = [
-    (["eval", "--family", "0ansatz", "--r0", "1000", "--t", "2"], "floating-point overflow (math range error)"),
+    (["eval", "--family", "0ansatz", "--r0", "1000", "--t", "2"],
+     "floating-point overflow (prefactor not finite at t = 2.0)"),
     (["eval", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "30", "--z0", "2e6", "--znum", "1", "--t", "2"],
      "floating-point overflow (series not finite at z = 2000000.0)"),
     # finite bounds whose span overflows
@@ -423,6 +424,19 @@ def test_eval_high_truncation(kmax, delta, capsys):
     for line in lines[1:]:
         t, z, value = (float(p) for p in line.split(","))
         assert value == pytest.approx(psi(z, t), rel=1e-12)
+
+
+def test_closed_output_pipe_ends_quietly():
+    # over 64 KiB of CSV into a pipe whose reader has gone: exit 1 and no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heatansatz.cli", "eval", "--family", "nansatz", "--znum", "5000", "--t", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_help_available():

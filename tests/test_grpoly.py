@@ -178,13 +178,11 @@ def test_float_source_matches_evaluate_bitwise():
         p.float_source(["a", "b"])
 
 
-def test_leading_term_order():
+def test_terms_order():
     # graded order: higher weight wins; ties break toward higher variable index
     p = y(3) + y(1) * y(2) + y(1) ** 3
-    exps, coeff = p.leading_term()
-    assert exps[2] == 1 and coeff == 1
     ordered = [t[0] for t in p.terms()]
-    assert ordered[-1] == exps
+    assert ordered[-1] == (0, 0, 1, 0, 0, 0)
     assert ordered[0] == (3, 0, 0, 0, 0, 0)  # y1^3 weight 6, lowest tiebreak
 
 
@@ -196,6 +194,19 @@ def test_substitute():
     assert out == -2 * image * image
     with pytest.raises(ValueError):
         (ring * GradedPoly.variable(X, 2, 3)).substitute([image], Y, 2)
+    # every image is re-declared to the target ring: a wider declaration that fits is
+    # narrowed, and an image that uses a position outside the ring is an error
+    assert ring.substitute([image.with_nvars(5)], Y, 2).nvars == 2
+    with pytest.raises(ValueError):
+        ring.substitute([y(3, 3)], Y, 2)
+
+
+def test_substitute_keeps_the_order_of_the_sum():
+    # u + (-u) + w + u added one term at a time: u cancels, leaves, and comes back after w,
+    # so the terms (which a float evaluate sums in this order) are [w, u], not [u, w]
+    u, w = y(1, 4) * y(2, 4), y(3, 4)
+    out = (y(1, 4) - y(2, 4) + y(3, 4) + y(4, 4)).substitute([u, u, w, u], Y, 4)
+    assert list(out._terms.items()) == [((0, 0, 1, 0), 1), ((1, 1, 0, 0), 1)]
 
 
 def test_json_round_trip():

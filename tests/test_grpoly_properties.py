@@ -1,5 +1,7 @@
-"""Property tests for GradedPoly: ring axioms, JSON, padding, derivations."""
+"""Property tests for GradedPoly: ring axioms, JSON, padding, derivations,
+substitutions, and the basis change that is two substitutions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from heatansatz.grpoly import GradedPoly, VariableFamily  # noqa: E402
+from heatansatz.operators import decompose_basis, expand_basis, is_annihilated  # noqa: E402
+from heatansatz.verify import random_homogeneous  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
@@ -41,6 +45,20 @@ def derivation_cases(draw):
     return p, q, draw(st.lists(image, max_size=nvars + 1)), nvars
 
 
+@st.composite
+def substitution_cases(draw):
+    """(P, images, family, nvars): one image in the target ring per declared variable of P.
+    P has unit coefficients and the images come from a pool of two, so that terms of the
+    sum can cancel and come back."""
+    size = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 1)] * size)
+    p = GradedPoly(draw(st.sampled_from(list(VariableFamily))), size,
+                   draw(st.lists(st.tuples(exps, st.sampled_from([-1, 1])), max_size=10)))
+    family, nvars = draw(st.sampled_from(list(VariableFamily))), draw(st.integers(0, 4))
+    pool = draw(st.lists(polys(family, nvars), min_size=1, max_size=2))
+    return p, [draw(st.sampled_from(pool)) for _ in range(size)], family, nvars
+
+
 def partial_by_terms(poly, position):
     # d/dv_position, term by term
     acc = {}
@@ -61,6 +79,18 @@ def derivation_by_sum(poly, images, nvars):
         d = partial_by_terms(poly, i)
         if d:
             result = result + image * d.with_nvars(nvars)
+    return result
+
+
+def substitute_by_sum(poly, images, family, nvars):
+    # one product per term of P, in insertion order, added with + one term at a time
+    result = GradedPoly.zero(family, nvars)
+    for exps, coeff in poly._terms.items():
+        prod = GradedPoly.const(family, nvars, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                prod = prod * images[i] ** e
+        result = result + prod
     return result
 
 
@@ -125,3 +155,24 @@ def test_with_nvars_padding(p, extra):
     if p.max_used_position() >= 0:
         with pytest.raises(ValueError):
             p.with_nvars(p.max_used_position())
+
+
+@PROPERTY
+@given(substitution_cases())
+def test_substitute_matches_sum_of_products(case):
+    # the same term list, in the same order, that float evaluation sums in
+    p, images, family, nvars = case
+    out = p.substitute(images, family, nvars)
+    assert out.nvars == nvars
+    assert list(out._terms.items()) == list(substitute_by_sum(p, images, family, nvars)._terms.items())
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32))
+def test_decomposition_inverts_expansion(weight, nvars, seed):
+    # expand_basis is a ring isomorphism, so the round trip pins the unique decomposition
+    p = random_homogeneous(random.Random(seed), weight, nvars)
+    dec = decompose_basis(p)
+    assert expand_basis(dec.zpoly) == p
+    assert dec.zpoly.nvars == max(p.trimmed().nvars, 1)
+    assert dec.uses_y1() == (not is_annihilated(p))

@@ -209,6 +209,11 @@ def test_float_overflow_names_where_it_happened():
         closed_form_0ansatz(0, MobiusParam(1, 0), 709)(0.0, 1e-300)
     with pytest.raises(OverflowError, match=r"^psi not finite at z = 0\.0$"):
         closed_form_1ansatz(0, MobiusParam(1, 0), MobiusParam(1, 0), 709)(0.0, 1e-150)
+    # an overflowing float power or e^{r0} reads the same, and building the oracle does not raise
+    with pytest.raises(OverflowError, match=r"^psi not finite at z = 0\.0$"):
+        closed_form_0ansatz(1, MobiusParam(1, 0))(0.0, 1e-300)
+    with pytest.raises(OverflowError, match=r"^psi not finite at z = 0\.5$"):
+        closed_form_0ansatz(0, MobiusParam(1, 0), 1000)(0.5, 2.0)
     with pytest.raises(OverflowError, match=r"^prefactor not finite at t = 1e-300$"):
         exp_r(H1, 1, 0.0, 1e-300)
     with pytest.raises(OverflowError, match=r"^prefactor not finite at t = 1e-300$"):
