@@ -27,7 +27,6 @@ from .dynsys import (
     MobiusParam,
     PoleError,
     RationalH,
-    compiled_field,
     rational_top,
     reduced_initial_state,
     rk4_integrate,
@@ -45,14 +44,27 @@ def emit_csv(rows, header) -> str:
     return "".join([",".join(header) + "\n", *(line % row for row in rows)])
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for grid counts: an empty grid is a usage error."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for grid counts: an empty grid is a usage error."""
+    if (value := _int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+DK_MAX = 30  # dk --k 30 takes seconds and prints 1.5 MB; each further 4 orders cost about 3x more
+
+
+def _chain_order(text: str) -> int:
+    """argparse type for dk --k: more than DK_MAX orders is a usage error."""
+    if (value := _int(text)) > DK_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {DK_MAX}, got {value}")
     return value
 
 
@@ -139,7 +151,7 @@ def cmd_trajectory(args) -> int:
     t_end = float(args.t1)
     if rk4_step_count(t_end - start.t, args.step) > 10**6:
         raise ValueError(f"--step {args.step:g} needs more than 10^6 steps from --t0 to --t1")
-    trajectory = rk4_integrate(compiled_field(_family_spec(args.n, 0)), start, t_end, args.step)
+    trajectory = rk4_integrate(_family_spec(args.n, 0), start, t_end, args.step)
     header = ["t"] + [f"x{i + 1}" for i in range(args.n + 1)]
     rows = [(s.t, *s.x) for s in trajectory]
     sys.stdout.write(emit_csv(rows, header))
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("dk", help="print the chain polynomials")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_chain_order, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_dk)
 

@@ -2,10 +2,13 @@
 
 The ansatz parameters evolve by one graded polynomial system per
 ``AnsatzSpec`` (the reduced chain is one such family).  Its field has one
-exact definition, ``heat_system_field``, and one compiled float form,
-``compiled_field``, which fixed-step fourth-order Runge-Kutta integrates;
-the symbolic side never sees a float.  The exact series residuals read
-their parameter rates off ``heat_system_field`` too.
+exact definition, ``heat_system_field``; the exact series residuals read
+their parameter rates off it, and the symbolic side never sees a float.
+Fixed-step fourth-order Runge-Kutta, ``rk4_integrate``, runs one loop of
+straight-line float code generated once per spec: its rows are the
+``float_source`` of the same polynomials and its stages take the classical
+float steps in the classical order, so its states are bit-identical to a
+generic RK4 loop over ``heat_system_field`` on floats.
 
 The built-in exact profile family is
 
@@ -154,17 +157,6 @@ def heat_system_field(spec: AnsatzSpec, state: Sequence[Numeric]) -> tuple:
     return (head, *(spec.ps[k - 1].evaluate(xs) - 2 * k * state[0] * state[k - 1] for k in range(2, spec.n + 2)))
 
 
-def compiled_field(spec: AnsatzSpec) -> Callable:
-    """``heat_system_field`` of ``spec`` as a float function ``field(t, x)`` of generated
-    straight-line code: the same float steps in the same order, so bit-identical on floats.
-    A wrong-length x raises ValueError."""
-    xs = [f"x{i}" for i in range(2, spec.n + 2)]
-    tails = ["x1 ** 2"] + [f"{2 * k} * x1 * x{k}" for k in range(2, spec.n + 2)]
-    rows = [f"{p.float_source(xs)} - {tail}" for p, tail in zip(spec.ps, tails)]
-    exec(f"def field(t, x):\n    {', '.join(['x1', *xs])}, = x\n    return ({', '.join(rows)},)", namespace := {})
-    return namespace["field"]
-
-
 # kept only while perfbench/spans.py TARGETS wraps it; the package calls heat_system_field
 def reduced_system_field(n: int, top: GradedPoly, state: Sequence[Numeric]) -> tuple:
     """The heat system of the reduced chain family with top polynomial P_n."""
@@ -185,13 +177,71 @@ def rk4_step_count(span: float, step: float) -> Union[int, float]:
     return 0 if span <= 0 else max(1, math.ceil(ratio)) if ratio < math.inf else ratio
 
 
-def rk4_integrate(field: Callable, start: DynState, t_end: float, step: float) -> list[DynState]:
-    """Classical fixed-step RK4 from ``start`` to ``t_end``.
+def _field_rows(spec: AnsatzSpec, names: Sequence[str]) -> list[str]:
+    """``heat_system_field`` of ``spec`` as one float source expression per row over the
+    state ``names``: the same float steps in the same order, so bit-identical on floats."""
+    x1 = names[0]
+    tails = [f"{x1} ** 2"] + [f"{2 * k} * {x1} * {names[k - 1]}" for k in range(2, spec.n + 2)]
+    return [f"{p.float_source(names[1:])} - {tail}" for p, tail in zip(spec.ps, tails)]
+
+
+@lru_cache(maxsize=None)
+def _rk4_loop(spec: AnsatzSpec) -> Callable:
+    """The step loop of ``rk4_integrate`` for ``spec`` as generated straight-line float code.
+
+    It appends one state per step to ``out``, and returns None, or the time and state of
+    the first step that leaves [-MAX_ABS, MAX_ABS] or turns non-finite.  (Equal specs
+    share a loop: ``AnsatzSpec.general`` stores every p in canonical term order.)
+    """
+    xs = [f"x{j}" for j in range(1, spec.n + 2)]
+    ys = [f"y{j}" for j in range(1, spec.n + 2)]
+    k1, k2, k3, k4 = ([f"k{s}_{j}" for j in range(1, spec.n + 2)] for s in range(1, 5))
+    body = [f"{kj} = {row}" for kj, row in zip(k1, _field_rows(spec, xs))]
+    for factor, k_last, k in (("half", k1, k2), ("half", k2, k3), ("h", k3, k4)):
+        body += [f"{y} = {x} + {factor} * {kj}" for y, x, kj in zip(ys, xs, k_last)]
+        body += [f"{kj} = {row}" for kj, row in zip(k, _field_rows(spec, ys))]
+    body += [f"{x} = {x} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+    names = ", ".join(xs)
+    bounded = " and ".join(f"abs({x}) <= {MAX_ABS!r}" for x in xs)
+    source = "\n".join([
+        "def loop(t, x, count, step, t_end, out):",
+        f"    {names}, = x",
+        "    t0, append = t, out.append",
+        "    for i in range(1, count + 1):",
+        "        t_next = t_end if i == count else t0 + i * step",
+        "        h = t_next - t",
+        "        half, sixth = h / 2, h / 6",
+        *(f"        {line}" for line in body),
+        "        t = t_next",
+        f"        if not ({bounded}):  # nan, inf or blow-up",
+        f"            return t, ({names},)",
+        f"        append(DynState(t, ({names},)))",
+    ])
+    exec(source, namespace := {"DynState": DynState})
+    return namespace["loop"]
+
+
+def _guard(t: float, x: tuple) -> None:
+    for v in x:
+        if not math.isfinite(v):
+            raise IntegrationError(f"non-finite state at t = {t}")
+        if abs(v) > MAX_ABS:
+            raise IntegrationError(f"state blow-up (|x| > {MAX_ABS:g}) at t = {t}")
+
+
+def rk4_integrate(spec: AnsatzSpec, start: DynState, t_end: float, step: float) -> list[DynState]:
+    """Classical fixed-step RK4 of the heat system of ``spec`` from ``start`` to ``t_end``.
 
     Step i ends at t0 + i*step, and the last one exactly on ``t_end``
     (shortened, or stretched by at most 1e-9 of a step).  Raises
     IntegrationError (with the offending time) if the state leaves
     [-MAX_ABS, MAX_ABS] or turns non-finite.
+
+    The steps run in one loop of straight-line float code generated once per spec,
+    with every stage value in a scalar local.  Its rows take the float steps of
+    ``heat_system_field`` and its stages those of the classical loop, in the same
+    order (x + h/2 k1, x + h/2 k2, x + h k3, x + h/6 (k1 + 2 k2 + 2 k3 + k4)), so the
+    states are bit-identical to a generic RK4 loop over ``heat_system_field``.
     """
     step, t_end = float(step), float(t_end)
     if not math.isfinite(step) or step <= 0:
@@ -200,33 +250,16 @@ def rk4_integrate(field: Callable, start: DynState, t_end: float, step: float) -
         raise ValueError("t_end must be finite")
     t = float(start.t)
     x = tuple(float(v) for v in start.x)
+    if len(x) != spec.n + 1:
+        raise ValueError(f"state must have {spec.n + 1} components")
     if t_end < t:
         raise ValueError("t_end must not precede the start time")
-
-    def guard(t_now: float, x_now: tuple) -> None:
-        for v in x_now:
-            if not math.isfinite(v):
-                raise IntegrationError(f"non-finite state at t = {t_now}")
-            if abs(v) > MAX_ABS:
-                raise IntegrationError(f"state blow-up (|x| > {MAX_ABS:g}) at t = {t_now}")
-
-    guard(t, x)
+    _guard(t, x)
     out = [DynState(t, x)]
-    t0, count = t, rk4_step_count(t_end - t, step)  # times from a step count, so they do not drift
-    for i in range(1, int(count) + 1):  # int(inf) raises OverflowError
-        t_next = t_end if i == count else t0 + i * step
-        h = t_next - t
-        half, sixth = h / 2, h / 6
-        k1 = field(t, x)
-        k2 = field(t + half, [a + half * b for a, b in zip(x, k1)])
-        k3 = field(t + half, [a + half * b for a, b in zip(x, k2)])
-        k4 = field(t_next, [a + h * b for a, b in zip(x, k3)])
-        x = tuple([a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-        t = t_next
-        for v in x:
-            if not abs(v) <= MAX_ABS:  # nan, inf or blow-up
-                guard(t, x)
-        out.append(DynState(t, x))
+    count = int(rk4_step_count(t_end - t, step))  # int(inf) raises OverflowError; times from a count do not drift
+    stop = _rk4_loop(spec)(t, x, count, step, t_end, out)
+    if stop is not None:
+        _guard(*stop)
     return out
 
 

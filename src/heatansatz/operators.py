@@ -72,13 +72,16 @@ def euler_operator(poly: GradedPoly) -> GradedPoly:
     return poly.derivation(graded, nvars)
 
 
-@lru_cache(maxsize=None)
-def _chain(k_max: int) -> tuple[GradedPoly, ...]:
-    """D_1..D_{k_max}, each built once per process from the one before it."""
-    if k_max == 1:
-        return (weighted_derivative(Fraction(1, 2), GradedPoly.variable(VariableFamily.Y, 1, 1)),)
-    lower = _chain(k_max - 1)
-    return (*lower, weighted_derivative(k_max, lower[-1]))
+_CHAIN: list[GradedPoly] = []  # D_1, D_2, ... as far as any caller has asked
+
+
+def _chain(k_max: int) -> list[GradedPoly]:
+    """A fresh list of D_1..D_{k_max}, each built once per process from the one before it."""
+    if not _CHAIN:
+        _CHAIN.append(weighted_derivative(Fraction(1, 2), GradedPoly.variable(VariableFamily.Y, 1, 1)))
+    while len(_CHAIN) < k_max:
+        _CHAIN.append(weighted_derivative(len(_CHAIN) + 1, _CHAIN[-1]))
+    return _CHAIN[:k_max]
 
 
 def derivative_chain(k_max: int) -> list[GradedPoly]:
@@ -90,7 +93,7 @@ def derivative_chain(k_max: int) -> list[GradedPoly]:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    return list(_chain(k_max))
+    return _chain(k_max)
 
 
 def basis_elements(m: int) -> list[GradedPoly]:

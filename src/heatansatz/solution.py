@@ -266,7 +266,10 @@ class SeriesSolution:
             value = exp_r(self.h_source, self.delta, self.r0, t)
         else:
             integral = self._interp.integral_x1(float(t))
-            value = math.exp(float(self.r0) - (self.delta + 0.5) * integral)
+            try:
+                value = math.exp(float(self.r0) - (self.delta + 0.5) * integral)
+            except OverflowError:
+                raise OverflowError(f"prefactor not finite at t = {t}") from None
         if self.gauge is not None:
             value *= math.exp(-float(self.gauge[1](t)))
         return value

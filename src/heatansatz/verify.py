@@ -20,7 +20,6 @@ from .dynsys import (
     MobiusParam,
     RationalH,
     chazy4_residual,
-    compiled_field,
     ode_residual,
     reduced_initial_state,
     rk4_integrate,
@@ -175,14 +174,14 @@ def profile_defects(times) -> int:
 def rk4_errors(step: float) -> tuple[float, float]:
     """RK4 along the two-pole profile from t = 2 to 3: the largest state error at ``step``,
     and the end-error gain from step 0.04 to 0.02 (16 for a fourth-order method)."""
-    field = compiled_field(AnsatzSpec.chain(1, 0))
+    spec = AnsatzSpec.chain(1, 0)
     start = DynState(2.0, tuple(float(v) for v in reduced_initial_state(H2, 1, 2)))
 
     def error(state: DynState, t) -> float:
         return max(abs(a - float(b)) for a, b in zip(state.x, reduced_initial_state(H2, 1, t)))
 
-    err = max(0.0, *(error(s, s.t) for s in rk4_integrate(field, start, 3.0, step)))
-    coarse, fine = (error(rk4_integrate(field, start, 3.0, h)[-1], 3) for h in (0.04, 0.02))  # at the exact time 3
+    err = max(0.0, *(error(s, s.t) for s in rk4_integrate(spec, start, 3.0, step)))
+    coarse, fine = (error(rk4_integrate(spec, start, 3.0, h)[-1], 3) for h in (0.04, 0.02))  # at the exact time 3
     return err, coarse / fine
 
 

@@ -53,6 +53,21 @@ def test_dk_json():
     assert all(b["family"] == "Y" for b in blobs)
 
 
+@pytest.mark.parametrize("k", ["31", "5000"])
+def test_dk_order_is_bounded(k, capsys):
+    # D_k grows like a partition count: --k 30 prints 1.5 MB, so a larger order is a usage error
+    began = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["dk", "--k", k])
+    assert exc.value.code == 2
+    assert time.perf_counter() - began < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "argument --k:" in line] == [
+        f"heatansatz dk: error: argument --k: must be at most 30, got {k}"
+    ]
+
+
 def test_phi_tables(capsys):
     code, out, _ = cli("phi", "--table", "phi", "--n", "1", "--delta", "0", "--qmax", "4")
     assert code == 0

@@ -8,13 +8,13 @@ import pytest
 
 from heatansatz.ansatz import AnsatzSpec
 from heatansatz.dynsys import (
+    MAX_ABS,
     DynState,
     IntegrationError,
     MobiusParam,
     PoleError,
     RationalH,
     chazy4_residual,
-    compiled_field,
     heat_system_field,
     ode_residual,
     rational_top,
@@ -22,6 +22,7 @@ from heatansatz.dynsys import (
     rk4_integrate,
     rk4_step_count,
 )
+from heatansatz.dynsys import _field_rows
 from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.verify import random_homogeneous
 
@@ -129,15 +130,79 @@ def _random_family(rng, n, delta):
     return AnsatzSpec.general(n, delta, ps)
 
 
+N0 = AnsatzSpec.chain(0, 0)  # x' = -x1^2, solved by x1(t) = x0 / (1 + x0 (t - t0))
+
+
+def _compiled_field(spec):
+    # the field rows that the RK4 loop is generated from, as one float function of the state
+    names = [f"x{j}" for j in range(1, spec.n + 2)]
+    exec(f"def field(x):\n    {', '.join(names)}, = x\n    return ({', '.join(_field_rows(spec, names))},)", ns := {})
+    return ns["field"]
+
+
+def _oracle_rk4(field, start, t_end, step):
+    """The generic RK4 loop over a field callable that ``rk4_integrate`` replaced, verbatim."""
+    step, t_end = float(step), float(t_end)
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError("step must be positive and finite")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
+    t = float(start.t)
+    x = tuple(float(v) for v in start.x)
+    if t_end < t:
+        raise ValueError("t_end must not precede the start time")
+
+    def guard(t_now: float, x_now: tuple) -> None:
+        for v in x_now:
+            if not math.isfinite(v):
+                raise IntegrationError(f"non-finite state at t = {t_now}")
+            if abs(v) > MAX_ABS:
+                raise IntegrationError(f"state blow-up (|x| > {MAX_ABS:g}) at t = {t_now}")
+
+    guard(t, x)
+    out = [DynState(t, x)]
+    t0, count = t, rk4_step_count(t_end - t, step)  # times from a step count, so they do not drift
+    for i in range(1, int(count) + 1):  # int(inf) raises OverflowError
+        t_next = t_end if i == count else t0 + i * step
+        h = t_next - t
+        half, sixth = h / 2, h / 6
+        k1 = field(t, x)
+        k2 = field(t + half, [a + half * b for a, b in zip(x, k1)])
+        k3 = field(t + half, [a + half * b for a, b in zip(x, k2)])
+        k4 = field(t_next, [a + h * b for a, b in zip(x, k3)])
+        x = tuple([a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+        t = t_next
+        for v in x:
+            if not abs(v) <= MAX_ABS:  # nan, inf or blow-up
+                guard(t, x)
+        out.append(DynState(t, x))
+    return out
+
+
+def _outcome(integrate, *args):
+    """The states bit for bit, or the error type and message."""
+    try:
+        return [(s.t.hex(), _bits(s.x)) for s in integrate(*args)]
+    except (IntegrationError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_oracle(spec, start, t_end, step):
+    field = lambda t, x: heat_system_field(spec, x)
+    ours = _outcome(rk4_integrate, spec, start, t_end, step)
+    assert ours == _outcome(_oracle_rk4, field, start, t_end, step), (spec, start, t_end, step)
+    return ours
+
+
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("delta", [0, 1])
 def test_compiled_field_matches_reduced_family_bitwise(n, delta):
     spec = AnsatzSpec.reduced(n, delta, rational_top(n))
-    field = compiled_field(spec)
+    field = _compiled_field(spec)
     rng = random.Random(100 * n + delta)
     for _ in range(200):
         x = _float_state(rng, n + 1)
-        assert _bits(field(0.0, x)) == _bits(heat_system_field(spec, x)), x
+        assert _bits(field(x)) == _bits(heat_system_field(spec, x)), x
 
 
 def test_compiled_field_matches_general_family_bitwise():
@@ -147,10 +212,10 @@ def test_compiled_field_matches_general_family_bitwise():
         for _ in range(4):
             spec = _random_family(rng, n, rng.randint(0, 1))
             inexact += sum(float(c) != c for p in spec.ps for _, c in p.terms())
-            field = compiled_field(spec)
+            field = _compiled_field(spec)
             for _ in range(50):
                 x = _float_state(rng, n + 1)
-                assert _bits(field(1.5, x)) == _bits(heat_system_field(spec, x)), (spec, x)
+                assert _bits(field(x)) == _bits(heat_system_field(spec, x)), (spec, x)
     # coefficients such as 1/3 round when turned into floats
     assert inexact
 
@@ -168,80 +233,106 @@ def test_compiled_field_property():
     def check(n, seed, values):
         spec = _random_family(random.Random(seed), n, seed % 2)
         x = tuple(values[: n + 1])
-        assert _bits(compiled_field(spec)(0.0, x)) == _bits(heat_system_field(spec, x))
+        assert _bits(_compiled_field(spec)(x)) == _bits(heat_system_field(spec, x))
 
     check()
 
 
 def test_compiled_field_errors():
     spec = AnsatzSpec.reduced(3, 0, rational_top(3))
-    field = compiled_field(spec)
     for bad in ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)):
-        with pytest.raises(ValueError):
-            field(0.0, bad)
+        with pytest.raises(ValueError, match="state must have 4 components"):
+            rk4_integrate(spec, DynState(0.0, bad), 1.0, 0.1)
     # x1 ** 2 overflows: an OverflowError, as from heat_system_field
     huge = (1e200, 1.0, 1.0, 1.0)
     with pytest.raises(OverflowError):
         heat_system_field(spec, huge)
     with pytest.raises(OverflowError):
-        field(0.0, huge)
+        _compiled_field(spec)(huge)
+    # and inside a step: x1 = 1e12 passes the guard, and the second stage squares -1e200
+    assert _same_as_oracle(spec, DynState(0.0, (1e12, 0.0, 0.0, 0.0)), 2e176, 2e176)[0] is OverflowError
+
+
+def test_rk4_matches_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+        st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+        st.floats(-3.0, 3.0),
+        st.sampled_from([1e-3, 0.01, 0.05, 0.1]),
+        st.integers(1, 60),
+        st.sampled_from([0.0, 0.25, 0.5, 0.999]),
+    )
+    @hypothesis.example(1, 7, [0.5, -0.25, 0.0, 0.0, 0.0], 2.0, 0.1, 3, 0.5)  # a shortened last step
+    @hypothesis.example(3, 7, [0.5, -0.25, 0.125, 0.0, 0.0], 2.0, 0.01, 100, 0.0)  # a whole-number span
+    def check(n, seed, values, t0, step, count, part):
+        spec = _random_family(random.Random(seed), n, seed % 2)
+        t_end = t0 + (count - part) * step
+        _same_as_oracle(spec, DynState(t0, tuple(values[: n + 1])), t_end, step)
+
+    check()
+
+
+def test_rk4_stops_where_the_oracle_stops():
+    # x1(t) = -1.5 / (1 - 1.5 t) blows up at t = 2/3
+    stop = (IntegrationError, "state blow-up (|x| > 1e+12) at t = 0.668")
+    assert _same_as_oracle(N0, DynState(0.0, (-1.5,)), 1.0, 1e-3) == stop
 
 
 def test_rk4_partial_final_step():
-    field = lambda t, x: (x[0],)
-    traj = rk4_integrate(field, DynState(0.0, (1.0,)), 0.25, 0.1)
+    traj = rk4_integrate(N0, DynState(0.0, (1.0,)), 0.25, 0.1)
     assert len(traj) == 4
     assert traj[-1].t == 0.25
-    assert abs(traj[-1].x[0] - math.exp(0.25)) < 1e-6
+    assert abs(traj[-1].x[0] - 1 / 1.25) < 1e-6
     # a whole number of steps: the clock does not drift into a sliver step
-    traj = rk4_integrate(field, DynState(2.0, (1.0,)), 3.0, 1e-2)
+    traj = rk4_integrate(N0, DynState(2.0, (1.0,)), 3.0, 1e-2)
     assert len(traj) == 101
     assert [s.t for s in traj] == [2.0 + i * 1e-2 for i in range(100)] + [3.0]
 
 
 def test_rk4_step_count_is_the_integrators():
-    field = lambda t, x: (x[0],)
     # 2.1 / 0.7 reads 3.0000000000000004: three steps, not a sliver fourth
     for span, step, count in ((0.25, 0.1, 3), (2.1, 0.7, 3), (1.0, 1e-2, 100), (0.0, 0.1, 0)):
         assert rk4_step_count(span, step) == count
-        assert len(rk4_integrate(field, DynState(0.0, (1.0,)), span, step)) == count + 1
+        assert len(rk4_integrate(N0, DynState(0.0, (1.0,)), span, step)) == count + 1
     # span / step overflows to an infinite count, which the integrator refuses
     assert rk4_step_count(1.0, 5e-324) == math.inf
     with pytest.raises(OverflowError):
-        rk4_integrate(field, DynState(0.0, (1.0,)), 1.0, 5e-324)
+        rk4_integrate(N0, DynState(0.0, (1.0,)), 1.0, 5e-324)
 
 
 def test_rk4_accuracy_exponential():
-    field = lambda t, x: (x[0],)
-    traj = rk4_integrate(field, DynState(0.0, (1.0,)), 1.0, 1e-3)
-    assert abs(traj[-1].x[0] - math.e) < 1e-12
+    # the closed form x0 / (1 + x0 t), as the exponential was before it
+    traj = rk4_integrate(N0, DynState(0.0, (1.0,)), 1.0, 1e-3)
+    assert abs(traj[-1].x[0] - 0.5) < 1e-12
 
 
 def test_rk4_blow_up_guard():
-    # dx = x^2 from x(0) = 1.5 blows up at t = 2/3
-    field = lambda t, x: (x[0] ** 2,)
+    # x' = -x^2 from x(0) = -1.5 blows up at t = 2/3
     with pytest.raises(IntegrationError):
-        rk4_integrate(field, DynState(0.0, (1.5,)), 1.0, 1e-3)
+        rk4_integrate(N0, DynState(0.0, (-1.5,)), 1.0, 1e-3)
 
 
 def test_rk4_rejects_bad_args():
-    field = lambda t, x: (0.0,)
     with pytest.raises(ValueError):
-        rk4_integrate(field, DynState(0.0, (1.0,)), 1.0, 0.0)
+        rk4_integrate(N0, DynState(0.0, (1.0,)), 1.0, 0.0)
     with pytest.raises(ValueError):
-        rk4_integrate(field, DynState(2.0, (1.0,)), 1.0, 0.1)
+        rk4_integrate(N0, DynState(2.0, (1.0,)), 1.0, 0.1)
     # non-finite ends and steps used to return the start state alone
     for t_end, step in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError):
-            rk4_integrate(field, DynState(0.0, (1.0,)), t_end, step)
+            rk4_integrate(N0, DynState(0.0, (1.0,)), t_end, step)
 
 
 def test_rk4_tracks_exact_trajectory():
     start_state = reduced_initial_state(H2, 1, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in start_state))
-    field = compiled_field(AnsatzSpec.chain(1, 0))
     err = 0.0
-    for s in rk4_integrate(field, start, 3.0, 1e-3):
+    for s in rk4_integrate(AnsatzSpec.chain(1, 0), start, 3.0, 1e-3):
         exact = reduced_initial_state(H2, 1, s.t)
         err = max(err, max(abs(a - float(b)) for a, b in zip(s.x, exact)))
     assert err <= 1e-8

@@ -1,6 +1,7 @@
 """Derivation operators, the chain polynomials, and basis decomposition."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,31 @@ def test_expand_basis_inverse():
     chain = derivative_chain(3)
     zpoly = GradedPoly(Y, 4, {(0, 1, 0, 0): Fraction(2), (0, 0, 0, 1): Fraction(-1)})
     assert expand_basis(zpoly) == 2 * chain[0] - chain[2]
+
+
+def test_derivative_chain_has_no_recursion_limit(monkeypatch):
+    # the chain is extended in a loop: an order past the recursion limit, built from a cheap stand-in
+    monkeypatch.setattr(operators, "_CHAIN", [])
+    monkeypatch.setattr(operators, "weighted_derivative", lambda k, poly: poly)
+    k_max = sys.getrecursionlimit() + 10
+    chain = derivative_chain(k_max)
+    assert len(chain) == k_max and len(operators._CHAIN) == k_max
+    assert derivative_chain(3) == chain[:3]
+
+
+def test_chain_is_built_once_in_order(monkeypatch):
+    # each D_k is built once per process, from D_{k-1}, whichever order is asked first
+    built = []
+
+    def recording(k, poly):
+        built.append(k)
+        return weighted_derivative(k, poly)
+
+    monkeypatch.setattr(operators, "_CHAIN", [])
+    monkeypatch.setattr(operators, "weighted_derivative", recording)
+    assert derivative_chain(3)[2] == derivative_chain(6)[2]
+    assert derivative_chain(5) == derivative_chain(6)[:5]
+    assert built == [Fraction(1, 2), 2, 3, 4, 5, 6]
 
 
 def test_expand_basis_builds_only_the_used_chain(monkeypatch):

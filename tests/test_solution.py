@@ -14,7 +14,6 @@ from heatansatz.dynsys import (
     MobiusParam,
     PoleError,
     RationalH,
-    compiled_field,
     rational_top,
     reduced_initial_state,
     rk4_integrate,
@@ -218,6 +217,11 @@ def test_float_overflow_names_where_it_happened():
         exp_r(H1, 1, 0.0, 1e-300)
     with pytest.raises(OverflowError, match=r"^prefactor not finite at t = 1e-300$"):
         exp_r(H1, 0, 709.0, 1e-300)
+    # a trajectory source's e^{r(t)} names t as well
+    states = [DynState(2.0, (0.5,)), DynState(2.5, (0.4,))]
+    traj = SeriesSolution(general_phi_table(AnsatzSpec.chain(0, 0), 4), states, 1000.0)
+    with pytest.raises(OverflowError, match=r"^prefactor not finite at t = 2\.2$"):
+        traj.psi(0.5, 2.2)
     for t in (1e-300, 1e200):
         with pytest.raises(OverflowError, match=re.escape(f"profile jets not finite at t = {t}")):
             H2.jets(t, 2)
@@ -280,7 +284,7 @@ def test_rescale_to_mu():
 def test_trajectory_source_tracks_exact():
     state = reduced_initial_state(H2, 1, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in state))
-    traj = rk4_integrate(compiled_field(AnsatzSpec.chain(1, 0)), start, 3.0, 1e-3)
+    traj = rk4_integrate(AnsatzSpec.chain(1, 0), start, 3.0, 1e-3)
     spec = AnsatzSpec.chain(1, 0)
     numeric = assemble_psi(spec, traj, 0.0, 8)
     exact = assemble_psi(spec, H2, 0.0, 8)
@@ -497,7 +501,7 @@ def test_cole_hopf_of_trajectory_source(delta):
     top = rational_top(2)
     state = reduced_initial_state(H3, 2, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in state))
-    traj = rk4_integrate(compiled_field(AnsatzSpec.reduced(2, 0, top)), start, 3.0, 1e-3)
+    traj = rk4_integrate(AnsatzSpec.reduced(2, 0, top), start, 3.0, 1e-3)
     spec = AnsatzSpec.reduced(2, delta, top)
     image = cole_hopf(assemble_psi(spec, traj, 0.0, 10))
     exact = cole_hopf(assemble_psi(spec, H3, 0.0, 10))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import heatansatz.verify as V
-from heatansatz.ansatz import PhiTable
+from heatansatz.ansatz import AnsatzSpec, PhiTable
 from heatansatz.cli import run
 from heatansatz.grpoly import GradedPoly
 from heatansatz.operators import BasisDecomposition
@@ -50,12 +50,12 @@ def _tampered_image(cole_hopf):
     return image
 
 
-def _scaled_field(compiled_field):
-    def field(spec):
-        real = compiled_field(spec)
-        return lambda t, x: tuple(1.001 * v for v in real(t, x))
+def _perturbed_spec(rk4_integrate):
+    def integrate(spec, start, t_end, step):
+        ps = [Fraction(1001, 1000) * p for p in spec.ps]
+        return rk4_integrate(AnsatzSpec.general(spec.n, spec.delta, ps), start, t_end, step)
 
-    return field
+    return integrate
 
 
 def _commutator_pairs():
@@ -109,7 +109,7 @@ CASES = {
     "profile_defects": (
         "dynsys", "chazy4_residual", lambda real: lambda jets: real(jets) + 1, lambda: V.profile_defects(V.SAMPLES),
     ),
-    "rk4_errors": ("dynsys", "compiled_field", _scaled_field, _rk4_defect),
+    "rk4_errors": ("dynsys", "rk4_integrate", _perturbed_spec, _rk4_defect),
     "exact_burgers_residual": (
         "solution", "cole_hopf", _tampered_image, lambda: V.exact_burgers_residual([(V.H2, 0)], 8, V.SAMPLES),
     ),
