@@ -58,7 +58,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-DK_MAX = 30  # dk --k 30 takes seconds and prints 1.5 MB; each further 4 orders cost about 3x more
+# dk --k 30 takes seconds and prints 1.5 MB, and each further 4 orders cost about 3x more;
+# the jet tables Y_k and tails Q_k of phi --table y|q grow like D_k and share the bound
+DK_MAX = 30
 
 
 def _chain_order(text: str) -> int:
@@ -110,6 +112,8 @@ def cmd_phi(args) -> int:
     least = {"phi": 2, "y": 1, "q": 2}[args.table]  # the shortest table each recursion builds
     if args.qmax < least:
         raise ValueError(f"--qmax must be at least {least} for --table {args.table}")
+    if args.table != "phi" and args.qmax > DK_MAX:
+        raise ValueError(f"--qmax must be at most {DK_MAX} for --table {args.table}")
     if args.table == "y":
         table = jet_phi_table(args.delta, args.qmax)
         _print_table([f"Y_{k}" for k in range(args.qmax + 1)], table.entries, args.json)

@@ -5,14 +5,26 @@ multivariate polynomial with ``fractions.Fraction`` coefficients over one
 of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
+
+Products, derivations and scalar multiples are computed in integers: each
+operand is read once as integer numerators over one common denominator, the
+inner loops multiply and add plain ints, and each surviving term of the
+result becomes one ``Fraction``.  Stored coefficients stay ``Fraction``:
+storing ints would halve the GC-tracked objects per term, and with them how
+often the cyclic collector runs, so a process that keeps dropping reference
+cycles (a benchmark re-importing the package) would hold more of them at its
+peak.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import lcm
+from operator import add
+from typing import Union
 
 Scalar = Union[int, Fraction]
 Numeric = Union[int, float, Fraction]
@@ -68,6 +80,33 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
+def _summed(items: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
+    """The one summing loop: terms are added one at a time in the order given,
+    a key whose sum cancels is dropped, and a later term that brings it back is
+    appended again.  Coefficients are all ``Fraction``s, or all integer
+    numerators over one common denominator, whose sums vanish exactly where
+    the ``Fraction`` sums would."""
+    out: dict = {}
+    for exps, c in items:
+        if exps in out:
+            c += out[exps]
+            if not c:
+                del out[exps]
+                continue
+        elif not c:
+            continue
+        out[exps] = c
+    return out
+
+
+def _numerators(poly: "GradedPoly", nvars: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """The terms of ``poly`` in insertion order as (exponents padded or cut to
+    ``nvars`` slots, integer numerator), over one common denominator."""
+    den = lcm(*[c.denominator for c in poly._terms.values()])
+    pad = (0,) * (nvars - poly.nvars)
+    return [((e + pad)[:nvars], c.numerator * (den // c.denominator)) for e, c in poly._terms.items()], den
+
+
 class GradedPoly:
     """Immutable sparse polynomial over one graded variable family.
 
@@ -81,7 +120,9 @@ class GradedPoly:
     that brings it back is appended again.  ``+``, :meth:`derivation` and
     :meth:`substitute` pass it their summands, so each keeps the term order
     of the sum built term by term, which is the order a float ``evaluate``
-    adds in.
+    adds in.  Results built inside the class are summed by the same loop
+    without the checks on outside input (:meth:`_trusted`, and
+    :meth:`_from_numerators` for the integer products).
     """
 
     __slots__ = ("family", "nvars", "_terms")
@@ -94,26 +135,43 @@ class GradedPoly:
     ) -> None:
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "nvars", nvars)
-        clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        self._set(family, nvars, _summed(self._checked(nvars, items)))
+
+    @staticmethod
+    def _checked(nvars: int, items) -> Iterable[tuple[tuple[int, ...], Fraction]]:
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = _as_fraction(coeff)
-            if exps in clean:
-                c += clean[exps]
-                if not c:
-                    del clean[exps]
-                    continue
-            elif not c:
-                continue
-            clean[exps] = c
-        object.__setattr__(self, "_terms", clean)
+            yield exps, _as_fraction(coeff)
+
+    def _set(self, family: VariableFamily, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def _trusted(
+        cls, family: VariableFamily, nvars: int, items: Iterable[tuple[tuple[int, ...], Fraction]]
+    ) -> "GradedPoly":
+        """Sum ``Fraction`` terms whose exponent tuples already have ``nvars``
+        nonnegative slots, without the constructor's checks."""
+        poly = object.__new__(cls)
+        poly._set(family, nvars, _summed(items))
+        return poly
+
+    @classmethod
+    def _from_numerators(
+        cls, family: VariableFamily, nvars: int, items: Iterable[tuple[tuple[int, ...], int]], den: int
+    ) -> "GradedPoly":
+        """Sum integer numerators over the common denominator ``den`` and
+        store each surviving term as one ``Fraction``."""
+        poly = object.__new__(cls)
+        poly._set(family, nvars, {e: Fraction(n, den) for e, n in _summed(items).items()})
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GradedPoly is immutable")
@@ -186,10 +244,10 @@ class GradedPoly:
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
         summands = [(self._pad(exps, nvars), c) for poly in (self, other) for exps, c in poly._terms.items()]
-        return GradedPoly(self.family, nvars, summands)
+        return GradedPoly._trusted(self.family, nvars, summands)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.family, self.nvars, {e: -c for e, c in self._terms.items()})
+        return GradedPoly._trusted(self.family, self.nvars, [(e, -c) for e, c in self._terms.items()])
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -199,19 +257,23 @@ class GradedPoly:
     def __mul__(self, other: Union["GradedPoly", Scalar]) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return GradedPoly(self.family, self.nvars, {e: k * c for e, k in self._terms.items()})
+            nums, den = _numerators(self, self.nvars)
+            p = c.numerator
+            scaled = [(e, n * p) for e, n in nums]
+            return GradedPoly._from_numerators(self.family, self.nvars, scaled, den * c.denominator)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            e1 = self._pad(e1, nvars)
-            for e2, c2 in other._terms.items():
-                e2 = self._pad(e2, nvars)
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
-        return GradedPoly(self.family, nvars, acc)
+        left, left_den = _numerators(self, nvars)
+        right, right_den = _numerators(other, nvars)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for e1, n1 in left:
+            for e2, n2 in right:
+                key = tuple(map(add, e1, e2))
+                acc[key] = get(key, 0) + n1 * n2
+        return GradedPoly._from_numerators(self.family, nvars, acc.items(), left_den * right_den)
 
     def __rmul__(self, other: Scalar) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -270,27 +332,33 @@ class GradedPoly:
 
         An image of None, or a position past the end of ``images``, is not
         differentiated.  One pass over the terms of P and of each image, and
-        one constructor call that sums the products image_i * dP/dv_i.
+        one summing of the products image_i * dP/dv_i, all in integers: P over
+        its common denominator and the images over the lcm of theirs.
         """
         if self.max_used_position() >= nvars:
             raise ValueError(f"polynomial does not fit in {nvars} variables")
-        terms = [(self._pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
-        summands: list[tuple[tuple[int, ...], Fraction]] = []
+        used = []
         for i, image in enumerate(images[:nvars]):
             if image is None:
                 continue
             self._check_family(image)
             if image.max_used_position() >= nvars:
                 raise ValueError(f"derivation image {image.to_text()} does not fit in {nvars} variables")
-            lowered = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], c * exps[i]) for exps, c in terms if exps[i]]
-            part: dict[tuple[int, ...], Fraction] = {}
-            for image_exps, image_c in image._terms.items():
-                image_exps = self._pad(image_exps, nvars)
-                for exps, c in lowered:
-                    key = tuple(a + b for a, b in zip(exps, image_exps))
-                    part[key] = part[key] + c * image_c if key in part else c * image_c
+            used.append((i, _numerators(image, nvars)))
+        image_den = lcm(*(den for _, (_, den) in used))
+        terms, den = _numerators(self, nvars)
+        summands: list[tuple[tuple[int, ...], int]] = []
+        for i, (image_terms, own_den) in used:
+            scale = image_den // own_den
+            lowered = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], n * exps[i] * scale) for exps, n in terms if exps[i]]
+            part: dict[tuple[int, ...], int] = {}
+            get = part.get
+            for image_exps, image_n in image_terms:
+                for exps, n in lowered:
+                    key = tuple(map(add, exps, image_exps))
+                    part[key] = get(key, 0) + n * image_n
             summands += part.items()
-        return GradedPoly(self.family, nvars, summands)
+        return GradedPoly._from_numerators(self.family, nvars, summands, den * image_den)
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.
@@ -359,7 +427,7 @@ class GradedPoly:
                     cache[key] = images[i].with_nvars(nvars) ** e
                 prod = prod * cache[key]
             summands += prod._terms.items()
-        return GradedPoly(family, nvars, summands)
+        return GradedPoly._trusted(family, nvars, summands)
 
     def with_nvars(self, nvars: int) -> "GradedPoly":
         """Re-declare the ring size, padding with (or dropping) unused slots."""
@@ -367,8 +435,8 @@ class GradedPoly:
             return self
         if nvars < self.max_used_position() + 1:
             raise ValueError("cannot drop a variable that is in use")
-        terms = {self._pad(exps, nvars)[:nvars]: c for exps, c in self._terms.items()}
-        return GradedPoly(self.family, nvars, terms)
+        terms = [(self._pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
+        return GradedPoly._trusted(self.family, nvars, terms)
 
     def trimmed(self) -> "GradedPoly":
         return self.with_nvars(self.max_used_position() + 1)

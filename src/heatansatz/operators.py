@@ -119,7 +119,7 @@ def params_as_basis(poly: GradedPoly) -> GradedPoly:
     keeping the term order that a later substitution sums in."""
     if poly.family is not VariableFamily.X:
         raise ValueError("only ansatz parameters read as basis symbols")
-    return GradedPoly(VariableFamily.Y, poly.nvars + 1, (((0, *e), c) for e, c in poly._terms.items()))
+    return GradedPoly._trusted(VariableFamily.Y, poly.nvars + 1, (((0, *e), c) for e, c in poly._terms.items()))
 
 
 def basis_as_params(zpoly: GradedPoly) -> GradedPoly:

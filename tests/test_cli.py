@@ -95,6 +95,15 @@ def test_phi_tables(capsys):
     assert capsys.readouterr().out == "Y_0 = 1\nY_1 = 0\n"
 
 
+@pytest.mark.parametrize("table", ["y", "q"])
+def test_jet_table_order_is_bounded(table, capsys):
+    # Y_k and Q_k grow like D_k: --qmax 30 prints over 1 MB, so a larger order ends at once
+    began = time.perf_counter()
+    assert run(["phi", "--table", table, "--qmax", "31"]) == 1
+    assert time.perf_counter() - began < 1.0
+    assert capsys.readouterr() == ("", f"error: --qmax must be at most 30 for --table {table}\n")
+
+
 def test_phi_rejects_removed_mode_option(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["phi", "--mode", "general", "--n", "2"])

@@ -176,3 +176,200 @@ def test_decomposition_inverts_expansion(weight, nvars, seed):
     assert expand_basis(dec.zpoly) == p
     assert dec.zpoly.nvars == max(p.trimmed().nvars, 1)
     assert dec.uses_y1() == (not is_annihilated(p))
+
+
+# -- the integer kernel against the Fraction loops it replaced ----------------
+#
+# The oracles below are the Fraction-coefficient loops of the kernel before its
+# products moved to integers, copied as they were (the constructor's summing loop
+# included), so each property pins the term order as well as the values.
+
+fractional = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+# a few values over several denominators, so that sums cancel and terms come back
+few = st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(1), Fraction(-1)])
+
+
+@st.composite
+def fractional_polys(draw, family, nvars):
+    # exponents up to 2 so that products collide
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    return GradedPoly(family, nvars, draw(st.lists(st.tuples(exps, fractional | few), max_size=6)))
+
+
+@st.composite
+def fractional_pairs(draw):
+    family = draw(st.sampled_from(list(VariableFamily)))
+    return tuple(draw(fractional_polys(family, draw(st.integers(0, 4)))) for _ in range(2))
+
+
+def _pad(exps, nvars):
+    return exps + (0,) * (nvars - len(exps))
+
+
+def sum_oracle(family, nvars, items):
+    clean = {}
+    for exps, coeff in items:
+        exps = tuple(exps)
+        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        if exps in clean:
+            c += clean[exps]
+            if not c:
+                del clean[exps]
+                continue
+        elif not c:
+            continue
+        clean[exps] = c
+    return GradedPoly(family, nvars, clean)
+
+
+def add_oracle(self, other):
+    nvars = max(self.nvars, other.nvars)
+    summands = [(_pad(exps, nvars), c) for poly in (self, other) for exps, c in poly._terms.items()]
+    return sum_oracle(self.family, nvars, summands)
+
+
+def mul_oracle(self, other):
+    if isinstance(other, (int, Fraction)):
+        c = Fraction(other)
+        return sum_oracle(self.family, self.nvars, {e: k * c for e, k in self._terms.items()}.items())
+    nvars = max(self.nvars, other.nvars)
+    acc = {}
+    for e1, c1 in self._terms.items():
+        e1 = _pad(e1, nvars)
+        for e2, c2 in other._terms.items():
+            e2 = _pad(e2, nvars)
+            key = tuple(a + b for a, b in zip(e1, e2))
+            acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+    return sum_oracle(self.family, nvars, acc.items())
+
+
+def pow_oracle(self, exponent):
+    result = GradedPoly.const(self.family, self.nvars, 1)
+    base = self
+    n = exponent
+    while n:
+        if n & 1:
+            result = mul_oracle(result, base)
+        base = mul_oracle(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def derivation_oracle(self, images, nvars):
+    terms = [(_pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
+    summands = []
+    for i, image in enumerate(images[:nvars]):
+        if image is None:
+            continue
+        lowered = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], c * exps[i]) for exps, c in terms if exps[i]]
+        part = {}
+        for image_exps, image_c in image._terms.items():
+            image_exps = _pad(image_exps, nvars)
+            for exps, c in lowered:
+                key = tuple(a + b for a, b in zip(exps, image_exps))
+                part[key] = part[key] + c * image_c if key in part else c * image_c
+        summands += part.items()
+    return sum_oracle(self.family, nvars, summands)
+
+
+def substitute_oracle(self, images, family, nvars):
+    cache = {}
+    summands = []
+    for exps, coeff in self._terms.items():
+        prod = GradedPoly.const(family, nvars, coeff)
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            key = (i, e)
+            if key not in cache:
+                image = images[i]
+                wide = {_pad(x, nvars)[:nvars]: c for x, c in image._terms.items()}
+                cache[key] = pow_oracle(GradedPoly(image.family, nvars, wide), e)
+            prod = mul_oracle(prod, cache[key])
+        summands += prod._terms.items()
+    return sum_oracle(family, nvars, summands)
+
+
+def assert_same_terms(out, oracle):
+    assert out.family is oracle.family and out.nvars == oracle.nvars
+    assert list(out._terms.items()) == list(oracle._terms.items())
+    assert all(type(c) is Fraction for c in out._terms.values())
+
+
+@PROPERTY
+@given(fractional_pairs())
+def test_fractional_product_matches_fraction_loop(pair):
+    p, q = pair
+    assert_same_terms(p * q, mul_oracle(p, q))
+    assert_same_terms(p * p, mul_oracle(p, p))
+
+
+@PROPERTY
+@given(fractional_pairs(), st.just(0) | st.integers(-9, -1) | fractional)
+def test_fractional_scalar_product_matches_fraction_loop(pair, scalar):
+    p, _ = pair
+    assert_same_terms(p * scalar, mul_oracle(p, scalar))
+    assert_same_terms(scalar * p, mul_oracle(p, scalar))
+
+
+@PROPERTY
+@given(fractional_pairs())
+def test_fractional_sum_matches_fraction_loop(pair):
+    p, q = pair
+    neg_q = GradedPoly(q.family, q.nvars, [(e, -c) for e, c in q._terms.items()])
+    assert_same_terms(p + q, add_oracle(p, q))
+    assert_same_terms(p - q, add_oracle(p, neg_q))
+    # every term of q that p lacks cancels
+    assert_same_terms((p + q) - q, add_oracle(p + q, neg_q))
+
+
+@st.composite
+def fractional_derivation_cases(draw):
+    """(P, images, nvars) with one image per variable, most of them polynomials,
+    so that images over different denominators meet in one sum."""
+    family = draw(st.sampled_from(list(VariableFamily)))
+    nvars = draw(st.integers(1, 4))
+    p = draw(fractional_polys(family, draw(st.integers(max(nvars - 1, 0), nvars))))
+    image = st.integers(0, nvars).flatmap(lambda m: fractional_polys(family, m))
+    return p, draw(st.lists(st.none() | image | image, min_size=nvars, max_size=nvars + 1)), nvars
+
+
+@st.composite
+def euler_derivation_cases(draw):
+    """(P, images, nvars) for a weighted Euler operator: image i is +-1/2 times
+    variable i, and every term of P uses every variable, so each part adds to
+    every term; a term's sum cancels in one part and comes back in a later one
+    whenever two parts' weights e_i * (+-1/2) are opposite."""
+    family = draw(st.sampled_from(list(VariableFamily)))
+    nvars = draw(st.integers(3, 4))
+    exps = st.tuples(*[st.integers(1, 2)] * nvars)
+    p = GradedPoly(family, nvars, draw(st.lists(st.tuples(exps, fractional | few), min_size=2, max_size=6)))
+    half = st.sampled_from([Fraction(1, 2), Fraction(-1, 2)])
+    own = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
+    return p, [GradedPoly(family, nvars, {own[i]: draw(half)}) for i in range(nvars)], nvars
+
+
+@PROPERTY
+@given(fractional_derivation_cases() | euler_derivation_cases())
+def test_fractional_derivation_matches_fraction_loop(case):
+    p, images, nvars = case
+    assert_same_terms(p.derivation(images, nvars), derivation_oracle(p, images, nvars))
+
+
+@st.composite
+def fractional_substitution_cases(draw):
+    # images from a pool of two, so that terms of the sum can cancel and come back
+    size = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * size)
+    terms = draw(st.lists(st.tuples(exps, fractional), max_size=8))
+    p = GradedPoly(draw(st.sampled_from(list(VariableFamily))), size, terms)
+    family, nvars = draw(st.sampled_from(list(VariableFamily))), draw(st.integers(0, 3))
+    pool = draw(st.lists(fractional_polys(family, nvars), min_size=1, max_size=2))
+    return p, [draw(st.sampled_from(pool)) for _ in range(size)], family, nvars
+
+
+@PROPERTY
+@given(fractional_substitution_cases())
+def test_fractional_substitute_matches_fraction_loop(case):
+    p, images, family, nvars = case
+    assert_same_terms(p.substitute(images, family, nvars), substitute_oracle(p, images, family, nvars))
