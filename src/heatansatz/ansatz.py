@@ -107,15 +107,17 @@ class AnsatzSpec:
 
     @staticmethod
     def _cap(poly: GradedPoly, n: int, q: int) -> GradedPoly:
+        """Check p_q and declare it over x2..x_{n+1}: p_q may use x2..x_{n+1} for
+        q <= n+1, and the top p_{n+2} also x_{n+2}, which is capped to zero."""
         if poly.family is not VariableFamily.X:
             raise ValueError("ansatz polynomials live over the X family")
+        last = n + 2 if q == n + 2 else n + 1
+        if poly.max_used_position() > last - 2:
+            raise ValueError(f"p_{q} may only use x2..x{last}")
         if not poly.is_homogeneous():
             raise ValueError(f"p_{q} must be homogeneous")
         if not poly.is_zero and poly.degree() != -2 * q:
             raise ValueError(f"p_{q} must have degree {-2 * q}, got {poly.degree()}")
-        # x_{n+2} (position n) is the capped top variable; anything beyond is illegal
-        if poly.max_used_position() > n:
-            raise ValueError(f"p_{q} uses variables beyond x{n + 2}")
         kept = {e: c for e, c in poly.terms() if len(e) <= n or e[n] == 0}
         return GradedPoly(VariableFamily.X, poly.nvars, kept).with_nvars(n)
 
@@ -126,23 +128,12 @@ class AnsatzSpec:
             raise ValueError("n must be nonnegative")
         if len(ps) != n + 1:
             raise ValueError(f"need the {n + 1} polynomials p_2..p_{n + 2}")
-        capped = []
-        for q, poly in enumerate(ps, start=2):
-            if q <= n + 1 and poly.max_used_position() >= n:
-                raise ValueError(f"p_{q} may only use x2..x{n + 1}")
-            capped.append(cls._cap(poly, n, q))
-        return cls(n=n, delta=delta, ps=tuple(capped))
+        return cls(n=n, delta=delta, ps=tuple(cls._cap(poly, n, q) for q, poly in enumerate(ps, start=2)))
 
     @classmethod
     def reduced(cls, n: int, delta: int, top: GradedPoly) -> "AnsatzSpec":
-        """The chain family p_q = x_q for q <= n+1 closed by p_{n+2} = P_n."""
-        _check_delta(delta)
-        if top.family is not VariableFamily.X:
-            raise ValueError("P_n lives over the X family")
-        if not top.is_homogeneous():
-            raise ValueError("P_n must be homogeneous")
-        if not top.is_zero and top.degree() != -2 * (n + 2):
-            raise ValueError(f"P_n must have degree {-2 * (n + 2)}")
+        """The chain family p_q = x_q for q <= n+1 closed by p_{n+2} = P_n, where P_n
+        may use only x2..x_n; ``general`` runs every other check."""
         if top.max_used_position() >= max(n - 1, 0):
             allowed = f"x2..x{n}" if n > 1 else f"constants: n = {n} has no parameters"
             raise ValueError(f"P_n may only use {allowed}")

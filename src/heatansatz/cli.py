@@ -58,9 +58,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# dk --k 30 takes seconds and prints 1.5 MB, and each further 4 orders cost about 3x more;
-# the jet tables Y_k and tails Q_k of phi --table y|q grow like D_k and share the bound
+# dk --k 30 takes seconds and prints 1.5 MB, and each further 4 orders cost about 3x more; the jet
+# tables Y_k and tails Q_k of phi --table y|q grow like D_k and share the bound, and so do the order
+# and ring size of phi --table phi (--n 30 --qmax 30 --json: 0.4 s, 0.84 MB; --n 40 --qmax 40: 3.2 s)
 DK_MAX = 30
+# rational_top(15), built for 16 poles, takes 0.64 s, and every 2 more poles cost 2.5x more
+POLES_MAX = 16
+# eval --t 2 --znum 1000000 takes 5-7 s and prints 42 MB
+GRID_MAX = 10**6
 
 
 def _chain_order(text: str) -> int:
@@ -97,7 +102,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _parse_poles(text: str) -> tuple[MobiusParam, ...]:
-    return tuple(MobiusParam.parse(part) for part in text.split(","))
+    parts = text.split(",")
+    if len(parts) > POLES_MAX:
+        raise ValueError(f"--poles lists {len(parts)} poles, at most {POLES_MAX} are allowed")
+    return tuple(MobiusParam.parse(part) for part in parts)
 
 
 def _print_table(labels, polys, as_json: bool, names=None) -> None:
@@ -112,7 +120,7 @@ def cmd_phi(args) -> int:
     least = {"phi": 2, "y": 1, "q": 2}[args.table]  # the shortest table each recursion builds
     if args.qmax < least:
         raise ValueError(f"--qmax must be at least {least} for --table {args.table}")
-    if args.table != "phi" and args.qmax > DK_MAX:
+    if args.qmax > DK_MAX:
         raise ValueError(f"--qmax must be at most {DK_MAX} for --table {args.table}")
     if args.table == "y":
         table = jet_phi_table(args.delta, args.qmax)
@@ -123,6 +131,8 @@ def cmd_phi(args) -> int:
         labels = [f"Q_{k}" for k in range(2, args.qmax + 1)]
         _print_table(labels, tails[2 : args.qmax + 1], args.json, names=basis_name)
         return 0
+    if args.n > DK_MAX:
+        raise ValueError(f"--n must be at most {DK_MAX} for --table phi")
     table = general_phi_table(AnsatzSpec.chain(args.n, args.delta), args.qmax)
     _print_table([f"Phi_{k}" for k in range(args.qmax + 1)], table.entries, args.json)
     return 0
@@ -167,7 +177,7 @@ def _family_spec(n: int, delta: int) -> AnsatzSpec:
 
 
 def _series(args, r0):
-    """The series solution of an eval or burgers family: the pole count, then --kmax, is checked."""
+    """The series solution of an eval or burgers family: the pole count, --kmax, then the grid size is checked."""
     default = "1:0,1:1" if args.family == "1ansatz" else "1:0"
     poles = _parse_poles(default if args.poles is None else args.poles)
     expected = {"0ansatz": 1, "1ansatz": 2}.get(args.family, len(poles))
@@ -175,6 +185,9 @@ def _series(args, r0):
         raise ValueError(f"{args.family} needs {expected} pole parameter(s)")
     if args.kmax < 2:
         raise ValueError("--kmax must be at least 2")
+    times = len(args.t) if args.t is not None else args.tnum or 0
+    if times * args.znum > GRID_MAX:
+        raise ValueError(f"{times} time(s) by --znum {args.znum} is more than 10^6 grid points")
     n = len(poles) - 1
     return assemble_psi(_family_spec(n, args.delta), RationalH(n, poles), r0, args.kmax)
 

@@ -116,12 +116,7 @@ class RationalH:
             raise ValueError("jet length must be nonnegative")
         scale = Fraction(1, self.n + 1)
         out = []
-        denoms = []
-        for p in self.poles:
-            d = p.alpha * t - p.beta
-            if d == 0:
-                raise PoleError(f"profile pole at t = {t}")
-            denoms.append(d)
+        denoms = self._denominators(t)
         for j in range(m):
             sign = -1 if j % 2 else 1
             total = Fraction(0)
@@ -133,6 +128,13 @@ class RationalH:
                         raise OverflowError(f"profile jets not finite at t = {t}") from None
             out.append(sign * math.factorial(j) * scale * total)
         return tuple(out)
+
+    def _denominators(self, t: Numeric) -> list:
+        """alpha_k t - beta_k for each pole, in order; PoleError if t is a pole."""
+        denoms = [p.alpha * t - p.beta for p in self.poles]
+        if 0 in denoms:
+            raise PoleError(f"profile pole at t = {t}")
+        return denoms
 
     def value(self, t: Numeric) -> Numeric:
         return self.jets(t, 1)[0]
@@ -306,23 +308,25 @@ def chazy4_residual(jets: JetPoint) -> Numeric:
 def rational_top(n: int) -> GradedPoly:
     """The top polynomial P_n satisfied by every (n+1)-pole profile.
 
-    An (n+1)-pole profile has jets proportional to the power sums s_j of
-    the n+1 summand values, and with that many summands s_{n+2} is a
-    universal polynomial in s_1..s_{n+1} (Newton's identities).  Pushing
-    that relation through D_{n+1} and re-expressing the result over the
-    multiplicative basis gives a pole-independent polynomial in x2..xn:
+    An (n+1)-pole profile has jets y_j = scale(j) s_j, with s_j the power
+    sums of the n+1 summand values, and with that many summands s_{n+2} is
+    a universal polynomial in s_1..s_{n+1} (Newton's identities).  Written
+    over the jets, that relation is substituted for y_{n+2} in D_{n+1}, and
+    re-expressing the result over the multiplicative basis gives a
+    pole-independent polynomial in x2..xn:
     P_0 = P_1 = 0, P_2 = -3 x2^2, P_3 = -16 x2 x3, and so on.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n < 2:
         return GradedPoly.zero(VariableFamily.X, max(n - 1, 0))
-    ring = n + 2
+    ring = n + 1
     yfam = VariableFamily.Y
-    s = [GradedPoly.variable(yfam, ring, j) for j in range(1, ring + 1)]
-    one = GradedPoly.const(yfam, ring, 1)
+    scale = lambda j: Fraction((-1) ** (j - 1) * math.factorial(j - 1), n + 1)
+    y = [GradedPoly.variable(yfam, ring, j) for j in range(1, ring + 1)]
+    s = [(1 / scale(j)) * y[j - 1] for j in range(1, ring + 1)]
     # elementary symmetric functions of the n+1 summands from s_1..s_{n+1}
-    elem = [one]
+    elem = [GradedPoly.const(yfam, ring, 1)]
     for j in range(1, n + 2):
         acc = GradedPoly.zero(yfam, ring)
         for i in range(1, j + 1):
@@ -331,10 +335,5 @@ def rational_top(n: int) -> GradedPoly:
     s_top = GradedPoly.zero(yfam, ring)
     for i in range(1, n + 2):
         s_top = s_top + Fraction((-1) ** (i - 1)) * (elem[i] * s[n + 1 - i])
-    # jet <-> power-sum dictionary: y_j = (-1)^(j-1) (j-1)!/(n+1) s_j
-    scale = lambda j: Fraction((-1) ** (j - 1) * math.factorial(j - 1), n + 1)
-    to_s = [scale(j) * s[j - 1] for j in range(1, n + 2)] + [scale(n + 2) * s_top]
-    from_s = [(1 / scale(j)) * GradedPoly.variable(yfam, n + 1, j) for j in range(1, n + 2)]
-    on_shell = derivative_chain(n + 1)[n].substitute(to_s, yfam, ring)
-    jet_poly = on_shell.substitute(from_s, yfam, n + 1)
+    jet_poly = derivative_chain(n + 1)[n].substitute([*y, scale(n + 2) * s_top], yfam, ring)
     return basis_as_params(decompose_basis(jet_poly).zpoly)

@@ -107,6 +107,19 @@ def _numerators(poly: "GradedPoly", nvars: int) -> tuple[list[tuple[tuple[int, .
     return [((e + pad)[:nvars], c.numerator * (den // c.denominator)) for e, c in poly._terms.items()], den
 
 
+def _product(left, right) -> dict[tuple[int, ...], int]:
+    """The integer product loop: n1 * n2 summed at e1 + e2 over the (exponents, numerator)
+    terms of ``left`` (outer) and ``right`` (inner), keys in first-seen order; a key whose
+    sum cancels stays, at 0."""
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for e1, n1 in left:
+        for e2, n2 in right:
+            key = tuple(map(add, e1, e2))
+            acc[key] = get(key, 0) + n1 * n2
+    return acc
+
+
 class GradedPoly:
     """Immutable sparse polynomial over one graded variable family.
 
@@ -267,13 +280,7 @@ class GradedPoly:
         nvars = max(self.nvars, other.nvars)
         left, left_den = _numerators(self, nvars)
         right, right_den = _numerators(other, nvars)
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for e1, n1 in left:
-            for e2, n2 in right:
-                key = tuple(map(add, e1, e2))
-                acc[key] = get(key, 0) + n1 * n2
-        return GradedPoly._from_numerators(self.family, nvars, acc.items(), left_den * right_den)
+        return GradedPoly._from_numerators(self.family, nvars, _product(left, right).items(), left_den * right_den)
 
     def __rmul__(self, other: Scalar) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -351,13 +358,7 @@ class GradedPoly:
         for i, (image_terms, own_den) in used:
             scale = image_den // own_den
             lowered = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], n * exps[i] * scale) for exps, n in terms if exps[i]]
-            part: dict[tuple[int, ...], int] = {}
-            get = part.get
-            for image_exps, image_n in image_terms:
-                for exps, n in lowered:
-                    key = tuple(map(add, exps, image_exps))
-                    part[key] = get(key, 0) + n * image_n
-            summands += part.items()
+            summands += _product(image_terms, lowered).items()
         return GradedPoly._from_numerators(self.family, nvars, summands, den * image_den)
 
     def degree(self) -> Union[int, None]:

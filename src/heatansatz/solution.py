@@ -156,11 +156,8 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
     """
     p = (delta + 0.5) / (h.n + 1)
     bases = []
-    for pole in h.poles:
+    for pole, den in zip(h.poles, h._denominators(t)):
         if pole.alpha:
-            den = pole.alpha * t - pole.beta
-            if den == 0:
-                raise PoleError(f"profile pole at t = {t}")
             bases.append(float(pole.alpha / den))  # Fraction / float divides in floats
             if bases[-1] <= 0:
                 raise ValueError(f"fractional power of non-positive base at t = {t}")
@@ -245,7 +242,6 @@ class SeriesSolution:
         self.scaled = tuple(
             entry * Fraction(1, math.factorial(2 * k + self.delta)) for k, entry in enumerate(phi.entries)
         )
-        self._bracket_cache: Union[list[GradedPoly], None] = None
         self._last: Union[tuple[Numeric, PsiSlice], None] = None
 
     # -- state access -------------------------------------------------------
@@ -287,12 +283,10 @@ class SeriesSolution:
     # kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
     def bracket_jets(self) -> list[GradedPoly]:
         """The b_k as jet polynomials (ansatz parameters substituted by
-        chain polynomials), cached."""
-        if self._bracket_cache is None:
-            base = -HALF * GradedPoly.variable(VariableFamily.Y, 1, 1)
-            hat = [ansatz_to_jet(a, max(self.n, 1)) for a in self.scaled]
-            self._bracket_cache = self._bracket(_gauss(base, len(hat)), hat)
-        return self._bracket_cache
+        chain polynomials)."""
+        base = -HALF * GradedPoly.variable(VariableFamily.Y, 1, 1)
+        hat = [ansatz_to_jet(a, max(self.n, 1)) for a in self.scaled]
+        return self._bracket(_gauss(base, len(hat)), hat)
 
     def _bracket(self, gauss: Sequence, a: Sequence) -> list:
         """(2k+delta)! * sum_{i+j=k} gauss_i a_j for k < len(a)."""

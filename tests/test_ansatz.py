@@ -210,6 +210,20 @@ def test_spec_validation():
         AnsatzSpec.reduced(-1, 0, GradedPoly.zero(X, 0))
 
 
+@pytest.mark.parametrize("build, message", [
+    # n = 2: p_2, p_3 may use x2..x3, the top p_4 also x4, which it caps to zero
+    (lambda: AnsatzSpec.general(2, 0, [x(4) * x(2), x(3), x(4) ** 2]), r"^p_2 may only use x2\.\.x3$"),
+    (lambda: AnsatzSpec.general(2, 0, [x(2), x(3), x(5) * x(2)]), r"^p_4 may only use x2\.\.x4$"),
+    # P_2 = p_4 of the reduced family may use only x2
+    (lambda: AnsatzSpec.reduced(2, 0, x(3) * x(2)), r"^P_n may only use x2\.\.x2$"),
+    (lambda: AnsatzSpec.reduced(2, 0, x(2)), r"^p_4 must have degree -8, got -4$"),
+    (lambda: AnsatzSpec.reduced(2, 0, x(2) ** 2 + x(2)), r"^p_4 must be homogeneous$"),
+])
+def test_spec_rejections_name_the_polynomial(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_coefficient_recursion_checker():
     # closed-form heat coefficients at t = 1 satisfy psi_k = 2 psi_{k-1}'
     for delta in (0, 1):

@@ -95,13 +95,47 @@ def test_phi_tables(capsys):
     assert capsys.readouterr().out == "Y_0 = 1\nY_1 = 0\n"
 
 
-@pytest.mark.parametrize("table", ["y", "q"])
+@pytest.mark.parametrize("table", ["y", "q", "phi"])
 def test_jet_table_order_is_bounded(table, capsys):
-    # Y_k and Q_k grow like D_k: --qmax 30 prints over 1 MB, so a larger order ends at once
+    # Y_k and Q_k grow like D_k: --qmax 30 prints over 1 MB, so a larger order ends at once;
+    # the Phi table shares the bound (phi --n 4 --qmax 100 ran 2 s and printed 7.3 MB)
     began = time.perf_counter()
     assert run(["phi", "--table", table, "--qmax", "31"]) == 1
     assert time.perf_counter() - began < 1.0
     assert capsys.readouterr() == ("", f"error: --qmax must be at most 30 for --table {table}\n")
+
+
+SIXTEEN_POLES = ",".join(f"1:{-k}" for k in range(16))
+
+
+@pytest.mark.parametrize("argv, message", [
+    # phi --n 1000 --qmax 8 ran 1.6 s for 312 bytes
+    (["phi", "--n", "31", "--qmax", "8"], "--n must be at most 30 for --table phi"),
+    # eval --t 2 --znum 1000000 ran 5 s and printed 42 MB
+    (["eval", "--t", "2", "--znum", "1000001"], "1 time(s) by --znum 1000001 is more than 10^6 grid points"),
+    (["eval", "--t", "1,2", "--znum", "500001"], "2 time(s) by --znum 500001 is more than 10^6 grid points"),
+    (["burgers", "--t1", "2", "--tnum", "1001", "--znum", "1000"],
+     "1001 time(s) by --znum 1000 is more than 10^6 grid points"),
+    # rational_top(16), built for 17 poles, alone takes 1.2 s, and 2.5x more for every 2 poles beyond
+    (["eval", "--family", "nansatz", "--poles", SIXTEEN_POLES + ",1:-16", "--t", "1"],
+     "--poles lists 17 poles, at most 16 are allowed"),
+    (["trajectory", "--n", "16", "--poles", SIXTEEN_POLES + ",1:-16", "--t0", "1", "--t1", "2"],
+     "--poles lists 17 poles, at most 16 are allowed"),
+])
+def test_work_bounds_end_at_once(argv, message, capsys):
+    began = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - began < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--n", "30", "--qmax", "30", "--json"],
+    ["eval", "--family", "nansatz", "--poles", SIXTEEN_POLES, "--t", "17", "--znum", "2"],
+])
+def test_work_bounds_admit_their_limit(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_phi_rejects_removed_mode_option(capsys):

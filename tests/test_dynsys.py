@@ -405,7 +405,7 @@ def test_rational_top_sums_in_canonical_order():
         assert top.float_source(names) == GradedPoly(X, top.nvars, top.terms()).float_source(names)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_rational_top_closes_the_family(n):
     poles = tuple(MobiusParam(k % 3 + 1, 2 * k - 3) for k in range(n + 1))
     h = RationalH(n, poles)

@@ -70,6 +70,15 @@ def test_exp_r_closed_form():
         exp_r(H2, 0, 0.0, 0.5)  # alpha t - beta < 0 under a fractional power
 
 
+@pytest.mark.parametrize("t", [Fraction(1), 1.0, Fraction(0), 0.0])
+def test_jets_and_prefactor_report_a_pole_alike(t):
+    with pytest.raises(PoleError) as jets:
+        H2.jets(t, 2)
+    with pytest.raises(PoleError) as prefactor:
+        exp_r(H2, 0, 0.0, t)
+    assert str(jets.value) == str(prefactor.value) == f"profile pole at t = {t}"
+
+
 @pytest.mark.parametrize("delta", [0, 1])
 @pytest.mark.parametrize("source,n", [(H1, 0), (H2, 1)])
 def test_exact_heat_residual_vanishes(delta, source, n):
