@@ -84,12 +84,6 @@ class MobiusParam:
             raise ValueError(f"pole {text!r} is not 'alpha:beta' with rational alpha and beta") from None
         return cls(alpha, beta)
 
-    def pole_time(self) -> Union[Fraction, None]:
-        """Where this summand of h blows up (None for the vanishing summand)."""
-        if not self.alpha:
-            return None
-        return self.beta / self.alpha
-
 
 @dataclass(frozen=True)
 class RationalH:
@@ -138,9 +132,6 @@ class RationalH:
 
     def value(self, t: Numeric) -> Numeric:
         return self.jets(t, 1)[0]
-
-    def pole_times(self) -> list[Fraction]:
-        return sorted({p.pole_time() for p in self.poles if p.alpha})
 
 
 # -- vector fields ----------------------------------------------------------

@@ -217,9 +217,7 @@ class SeriesSolution:
     read ``r0`` differently: an exact source takes it as the constant in
     e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see
     :func:`exp_r`), a trajectory source as the value r(t0) at the first
-    state.  The same r0 therefore gives different psi for the two.  The
-    optional gauge is a pair (f, F) with F' = f; it multiplies psi by
-    e^{-F(t)} and turns the target equation into psi_t = psi_zz/2 - f psi.
+    state.  The same r0 therefore gives different psi for the two.
     """
 
     def __init__(
@@ -227,7 +225,6 @@ class SeriesSolution:
         phi: PhiTable,
         h_source: Union[RationalH, Sequence[DynState]],
         r0: Union[Fraction, float],
-        gauge: Union[tuple[Callable, Callable], None] = None,
     ) -> None:
         self.phi = phi
         self.delta = phi.delta
@@ -235,7 +232,6 @@ class SeriesSolution:
         self.truncation = len(phi.entries) - 1
         self.h_source = h_source
         self.r0 = r0
-        self.gauge = gauge
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source)
         # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!,
         # divided exactly: every series and slice of psi and of v reads it
@@ -257,18 +253,14 @@ class SeriesSolution:
         return self._interp.state(float(t))
 
     def r_exponential(self, t: Numeric) -> float:
-        """e^{r(t)} including the gauge factor, as a float."""
+        """e^{r(t)} as a float."""
         if self.exact:
-            value = exp_r(self.h_source, self.delta, self.r0, t)
-        else:
-            integral = self._interp.integral_x1(float(t))
-            try:
-                value = math.exp(float(self.r0) - (self.delta + 0.5) * integral)
-            except OverflowError:
-                raise OverflowError(f"prefactor not finite at t = {t}") from None
-        if self.gauge is not None:
-            value *= math.exp(-float(self.gauge[1](t)))
-        return value
+            return exp_r(self.h_source, self.delta, self.r0, t)
+        integral = self._interp.integral_x1(float(t))
+        try:
+            return math.exp(float(self.r0) - (self.delta + 0.5) * integral)
+        except OverflowError:
+            raise OverflowError(f"prefactor not finite at t = {t}") from None
 
     # -- series data --------------------------------------------------------
 
@@ -295,8 +287,8 @@ class SeriesSolution:
     # -- evaluation ----------------------------------------------------------
 
     def at(self, t: Numeric) -> PsiSlice:
-        """The float data of psi at time t: h(t), e^{r(t)} with the gauge
-        factor, and a_k = Phi_k(x(t)) / (2k+delta)! for k = 0..K.
+        """The float data of psi at time t: h(t), e^{r(t)} and
+        a_k = Phi_k(x(t)) / (2k+delta)! for k = 0..K.
 
         The scaled table is divided by (2k+delta)! in exact arithmetic, so
         every truncation order evaluates (the factorial alone overflows a
@@ -316,21 +308,6 @@ class SeriesSolution:
 
     def psi(self, z: float, t: Numeric) -> float:
         return self.at(t).psi(z)
-
-    __call__ = psi
-
-    def with_gauge(self, f: Callable, antiderivative: Callable) -> "SeriesSolution":
-        """Multiply by e^{-F(t)} (F' = f): solves psi_t = psi_zz/2 - f psi.
-
-        Only r(t) changes; the coefficient table and the Burgers image are
-        untouched (the f-terms cancel in the bracket recursion).
-        """
-        if self.gauge is None:
-            gauge = (f, antiderivative)
-        else:
-            old_f, old_g = self.gauge
-            gauge = (lambda t: old_f(t) + f(t), lambda t: old_g(t) + antiderivative(t))
-        return SeriesSolution(self.phi, self.h_source, self.r0, gauge)
 
 
 def assemble_psi(
@@ -413,9 +390,9 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
     solves the family equation there.
 
     This is psi_k - 2 psi_{k-1}' with the positive prefactor e^{r(t)}
-    factored out, so it stays in rational arithmetic; the same check is
-    valid for gauged solutions.  b_k and b_k' are exact numbers at each
-    sample: the chain rule over the parameters, with their exact rates.
+    factored out, so it stays in rational arithmetic.  b_k and b_k' are
+    exact numbers at each sample: the chain rule over the parameters, with
+    their exact rates.
     """
     K, d = sol.truncation, sol.delta
 
@@ -432,7 +409,7 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
 
 
 def _grid_residual(u: Callable, grid: GridSpec, pointwise: Callable) -> float:
-    """Max |pointwise(t, u, u_t, u_z, u_zz)| over the grid, by central differences.
+    """Max |pointwise(u, u_t, u_z, u_zz)| over the grid, by central differences.
 
     u is read one time row at a time (t + dt, t - dt, then t), so a u that
     memoises its last time slice builds three slices per grid time; each
@@ -446,23 +423,21 @@ def _grid_residual(u: Callable, grid: GridSpec, pointwise: Callable) -> float:
         for z, ahead, behind in zip(zs, later, earlier):
             right, here, left = u(z + grid.dz, t), u(z, t), u(z - grid.dz, t)
             u_t, u_z = (ahead - behind) / (2 * grid.dt), (right - left) / (2 * grid.dz)
-            value = pointwise(t, here, u_t, u_z, (right - 2 * here + left) / (grid.dz * grid.dz))
+            value = pointwise(here, u_t, u_z, (right - 2 * here + left) / (grid.dz * grid.dz))
             if not math.isfinite(value):
                 raise ValueError(f"non-finite residual at (z, t) = ({z}, {t})")
             worst = max(worst, abs(value))
     return worst
 
 
-def diffusion_residual_numeric(psi: Callable, grid: GridSpec, mu: float = 0.5, loss: Union[Callable, None] = None) -> float:
-    """Max |D_t psi - mu D_zz psi (+ f(t) psi)| by central differences."""
-    if loss is None:
-        return _grid_residual(psi, grid, lambda t, u, u_t, u_z, u_zz: u_t - mu * u_zz)
-    return _grid_residual(psi, grid, lambda t, u, u_t, u_z, u_zz: u_t - mu * u_zz + loss(t) * u)
+def diffusion_residual_numeric(psi: Callable, grid: GridSpec, mu: float = 0.5) -> float:
+    """Max |D_t psi - mu D_zz psi| by central differences."""
+    return _grid_residual(psi, grid, lambda u, u_t, u_z, u_zz: u_t - mu * u_zz)
 
 
 # diffusion_residual_numeric at mu = 1/2, kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
-def heat_residual_numeric(psi: Callable, grid: GridSpec, loss: Union[Callable, None] = None) -> float:
-    return diffusion_residual_numeric(psi, grid, 0.5, loss)
+def heat_residual_numeric(psi: Callable, grid: GridSpec) -> float:
+    return diffusion_residual_numeric(psi, grid, 0.5)
 
 
 # -- Cole-Hopf ----------------------------------------------------------------
@@ -529,8 +504,6 @@ class BurgersSolution:
     def v(self, z: float, t: Numeric) -> float:
         return self.at(t).v(z)
 
-    __call__ = v
-
 
 def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
     """Exact Cole-Hopf image of a series solution (diffusion mu = 1/2).
@@ -589,7 +562,7 @@ def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Se
 
 
 def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) -> float:
-    return _grid_residual(image.v, grid, lambda t, v, v_t, v_z, v_zz: v_t + v * v_z - mu * v_zz)
+    return _grid_residual(image.v, grid, lambda v, v_t, v_z, v_zz: v_t + v * v_z - mu * v_zz)
 
 
 def residual_report(

@@ -24,13 +24,17 @@ def cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_emit_csv_contract():
-    assert emit_csv([], ["a", "b"]) == "a,b\n"
-    assert emit_csv([(1, 2.5)], ["a", "b"]) == "a,b\n1,2.5\n"
-    assert emit_csv([(0.5, 3)], ["a", "b"]) == "a,b\n0.5,3\n"
+def test_emit_csv_contract(capsys):
+    def csv(rows, header):
+        emit_csv(rows, header)
+        return capsys.readouterr().out
+
+    assert csv([], ["a", "b"]) == "a,b\n"
+    assert csv([(1, 2.5)], ["a", "b"]) == "a,b\n1,2.5\n"
+    assert csv([(0.5, 3)], ["a", "b"]) == "a,b\n0.5,3\n"
     # 17 significant digits round-trip every float
     values = (1 / 3, 1e-17, 123456.789, -0.1)
-    cells = emit_csv([values], ["a", "b", "c", "d"]).splitlines()[1].split(",")
+    cells = csv([values], ["a", "b", "c", "d"]).splitlines()[1].split(",")
     assert tuple(map(float, cells)) == values
     with pytest.raises(TypeError):
         emit_csv([(1,)], ["a", "b"])
@@ -106,6 +110,7 @@ def test_jet_table_order_is_bounded(table, capsys):
 
 
 SIXTEEN_POLES = ",".join(f"1:{-k}" for k in range(16))
+P4 = "1:0,1:1,2:-1,1:-2"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -121,6 +126,17 @@ SIXTEEN_POLES = ",".join(f"1:{-k}" for k in range(16))
      "--poles lists 17 poles, at most 16 are allowed"),
     (["trajectory", "--n", "16", "--poles", SIXTEEN_POLES + ",1:-16", "--t0", "1", "--t1", "2"],
      "--poles lists 17 poles, at most 16 are allowed"),
+    # the table grows like K^(n-1) and its Cole-Hopf image faster: eval at 4 poles and K = 200 ran
+    # 2.8 s, burgers at 4 poles and K = 150 98 s
+    (["eval", "--family", "nansatz", "--poles", "1:0,1:1,2:-1", "--kmax", "201", "--t", "3"],
+     "--kmax must be at most 200 for 3 pole(s)"),
+    (["eval", "--family", "nansatz", "--poles", P4, "--kmax", "151", "--t", "3"],
+     "--kmax must be at most 150 for 4 pole(s)"),
+    (["eval", "--family", "nansatz", "--poles", SIXTEEN_POLES, "--kmax", "41", "--t", "17"],
+     "--kmax must be at most 40 for 16 pole(s)"),
+    (["burgers", "--kmax", "201", "--t", "3"], "--kmax must be at most 200 for 1 pole(s)"),
+    (["burgers", "--family", "nansatz", "--poles", P4, "--kmax", "61", "--t", "3"],
+     "--kmax must be at most 60 for 4 pole(s)"),
 ])
 def test_work_bounds_end_at_once(argv, message, capsys):
     began = time.perf_counter()
@@ -132,6 +148,8 @@ def test_work_bounds_end_at_once(argv, message, capsys):
 @pytest.mark.parametrize("argv", [
     ["phi", "--n", "30", "--qmax", "30", "--json"],
     ["eval", "--family", "nansatz", "--poles", SIXTEEN_POLES, "--t", "17", "--znum", "2"],
+    ["eval", "--family", "nansatz", "--poles", "1:0,1:1,2:-1", "--kmax", "200", "--t", "3", "--znum", "2"],
+    ["burgers", "--family", "nansatz", "--poles", "1:0,1:1", "--kmax", "200", "--t", "3", "--znum", "2"],
 ])
 def test_work_bounds_admit_their_limit(argv, capsys):
     assert run(argv) == 0
@@ -193,9 +211,6 @@ def test_trajectory_one_pole_tracks_inverse_time(capsys):
     assert lines[:2] == ["t,x1", "1,1"]
     t, x1 = (float(cell) for cell in lines[-1].split(","))
     assert t == 2.0 and abs(x1 - 0.5) < 1e-12
-
-
-P4 = "1:0,1:1,2:-1,1:-2"
 
 
 @pytest.mark.parametrize(
@@ -458,6 +473,9 @@ OVERFLOWS = [
      "floating-point overflow (profile jets not finite at t = 1e-300)"),
     (["eval", "--family", "1ansatz", "--znum", "1", "--t", "1e200"],
      "floating-point overflow (profile jets not finite at t = 1e+200)"),
+    # the first rows are finite: no row is written before every value is known
+    (["eval", "--z0", "0", "--z1", "1e308", "--znum", "3", "--t", "2"],
+     "floating-point overflow (series not finite at z = 5e+307)"),
 ]
 
 

@@ -35,12 +35,10 @@ H2 = RationalH(1, (MobiusParam(1, 0), MobiusParam(1, 1)))
 def test_mobius_param():
     p = MobiusParam.parse("2:3")
     assert p.alpha == 2 and p.beta == 3
-    assert p.pole_time() == Fraction(3, 2)
     assert MobiusParam.parse("1/2:-3") == MobiusParam(Fraction(1, 2), -3)
     # projective: (2:4) and (1:2) are the same parameter
     assert MobiusParam(2, 4) == MobiusParam(1, 2)
     assert len({MobiusParam(2, 4), MobiusParam(1, 2)}) == 1
-    assert MobiusParam(0, 1).pole_time() is None
     with pytest.raises(ValueError):
         MobiusParam(0, 0)
 
@@ -79,7 +77,6 @@ def test_pole_raises():
         H1.jets(Fraction(0), 1)
     with pytest.raises(PoleError):
         H2.jets(1.0, 1)
-    assert H2.pole_times() == [Fraction(0), Fraction(1)]
 
 
 def test_heat_system_field_example():

@@ -195,11 +195,6 @@ def test_slice_memo_keys_on_time():
         fresh = assemble_psi(spec, H2, 0, 10)
         assert sol.psi(1.1, t) == fresh.psi(1.1, t)
         assert image.v(0.7, t) == cole_hopf(fresh).v(0.7, t)
-    # a gauged copy builds its own slice, with the gauge factor in it
-    gauged = sol.with_gauge(lambda t: 0.25, lambda t: 0.25 * t)
-    plain = sol.psi(0.7, 2.2)
-    assert gauged.psi(0.7, 2.2) == pytest.approx(plain * math.exp(-0.55), rel=1e-14)
-    assert sol.psi(0.7, 2.2) == plain
 
 
 def test_closed_form_1ansatz_degenerate_pole():
@@ -256,28 +251,6 @@ def test_assembled_numeric_residual():
     sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 12)
     g = GridSpec(-1.0, 1.0, 9, 2.0, 3.0, 5, 1e-3, 1e-3)
     assert diffusion_residual_numeric(sol.psi, g) <= 1e-5
-
-
-def test_gauge_identity_and_loss():
-    sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 10)
-    trivial = sol.with_gauge(lambda t: 0.0, lambda t: 0.0)
-    assert trivial.psi(0.4, 2.2) == sol.psi(0.4, 2.2)
-    c = 0.25
-    lossy = sol.with_gauge(lambda t: c, lambda t: c * t)
-    # the multiplier is e^{-c t}
-    assert lossy.psi(0.4, 2.2) == pytest.approx(sol.psi(0.4, 2.2) * math.exp(-c * 2.2), rel=1e-14)
-    g = GridSpec(-1.0, 1.0, 9, 2.0, 3.0, 5, 1e-3, 1e-3)
-    res = diffusion_residual_numeric(lossy.psi, g, mu=0.5, loss=lambda t: c)
-    assert res <= 1e-5
-    # without the loss term the gauged function no longer solves plain heat
-    assert diffusion_residual_numeric(lossy.psi, g, mu=0.5) > 1e-3
-
-
-def test_gauge_composition():
-    sol = assemble_psi(AnsatzSpec.chain(0, 0), H1, 0, 6)
-    a = sol.with_gauge(lambda t: 1.0, lambda t: t)
-    b = a.with_gauge(lambda t: 2.0, lambda t: 2.0 * t)
-    assert b.psi(0.5, 2.0) == pytest.approx(sol.psi(0.5, 2.0) * math.exp(-3 * 2.0), rel=1e-13)
 
 
 def test_rescale_to_mu():
