@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import truediv
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .grpoly import GradedPoly, JetPoint, Numeric, VariableFamily
+from .grpoly import GradedPoly, JetPoint, Numeric, VariableFamily, float_rows
 from .ansatz import AnsatzSpec
 from .operators import basis_as_params, decompose_basis, derivative_chain
 
@@ -105,27 +106,29 @@ class RationalH:
         d^j/dt^j of each summand alpha/(alpha t - beta) is
         (-1)^j j! alpha^(j+1) / (alpha t - beta)^(j+1).  At a float t whose
         powers (alpha t - beta)^(j+1) leave the float range, OverflowError names t.
+        At a float t the sums take the float steps of the exact ones without ``Fraction``
+        dispatch (int / int rounds as float(Fraction)); h = 0 (all poles (0 : beta)) stays exact.
         """
         if m < 0:
             raise ValueError("jet length must be nonnegative")
-        scale = Fraction(1, self.n + 1)
         out = []
         denoms = self._denominators(t)
+        # Fraction / float divides in floats: at a float t each sum is float(alpha^(j+1)) / d^(j+1) from 0.0
+        ratio = truediv if type(t) is float and any(p.alpha for p in self.poles) else Fraction
         for j in range(m):
-            sign = -1 if j % 2 else 1
-            total = Fraction(0)
+            total = ratio(0, 1)
             for p, d in zip(self.poles, denoms):
                 if p.alpha:
                     try:
-                        total = total + p.alpha ** (j + 1) / d ** (j + 1)
-                    except (ZeroDivisionError, OverflowError):  # a float power of d underflowed to 0 or overflowed
+                        total += ratio(p.alpha.numerator ** (j + 1), p.alpha.denominator ** (j + 1)) / d ** (j + 1)
+                    except (ZeroDivisionError, OverflowError):  # a power overflowed, or one of d underflowed to 0
                         raise OverflowError(f"profile jets not finite at t = {t}") from None
-            out.append(sign * math.factorial(j) * scale * total)
+            out.append(ratio((-1) ** j * math.factorial(j), self.n + 1) * total)
         return tuple(out)
 
     def _denominators(self, t: Numeric) -> list:
-        """alpha_k t - beta_k for each pole, in order; PoleError if t is a pole."""
-        denoms = [p.alpha * t - p.beta for p in self.poles]
+        """alpha_k t - beta_k for each pole in order, in float steps at a float t; PoleError if t is a pole."""
+        denoms = [float(p.alpha) * t - float(p.beta) if type(t) is float else p.alpha * t - p.beta for p in self.poles]
         if 0 in denoms:
             raise PoleError(f"profile pole at t = {t}")
         return denoms
@@ -259,14 +262,16 @@ def rk4_integrate(spec: AnsatzSpec, start: DynState, t_end: float, step: float) 
 # -- exact states and residuals ----------------------------------------------
 
 
+_chain_rows = lru_cache(maxsize=8)(lambda n: float_rows(derivative_chain(n)))
+
+
 def reduced_initial_state(h: RationalH, n: int, t: Numeric) -> tuple:
-    """Exact reduced-system state at time t: x1 = h, x_{k+1} = D_k(jets)."""
+    """Reduced-system state at time t: x1 = h, x_{k+1} = D_k(jets), exact at an exact t
+    and by ``float_rows`` (bit-identical to ``evaluate``) at float jets."""
     jets = h.jets(t, n + 1)
-    state = [jets[0]]
-    if n:
-        for d in derivative_chain(n):
-            state.append(d.evaluate(jets))
-    return tuple(state)
+    if n and all(type(v) is float for v in jets):
+        return (jets[0], *_chain_rows(n)(jets))
+    return (jets[0], *(d.evaluate(jets) for d in derivative_chain(n))) if n else jets[:1]
 
 
 def ode_residual(n: int, top: Union[GradedPoly, None], jets: JetPoint) -> Numeric:

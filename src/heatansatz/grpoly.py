@@ -14,12 +14,16 @@ storing ints would halve the GC-tracked objects per term, and with them how
 often the cyclic collector runs, so a process that keeps dropping reference
 cycles (a benchmark re-importing the package) would hold more of them at its
 peak.
+
+Floats enter only at evaluation: ``float_rows`` evaluates polynomials at an
+all-float point with the float steps of ``evaluate``, bit for bit, without
+``Fraction`` dispatch per term.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -505,3 +509,34 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.family.value}[{self.nvars}]: {self.to_text()})"
+
+
+def float_rows(polys: Sequence[GradedPoly]) -> Callable[[Sequence[float]], list[float]]:
+    """A callable that evaluates every polynomial of ``polys`` at one all-float point,
+    bit-identical to ``[float(p.evaluate(point)) for p in polys]``: each coefficient is read
+    once as ``float(c)`` and each exponent tuple as indices into one shared power list; at a
+    point each power ``x_i ** e`` is computed once, each term is ``float(c) * pw[j] * ...``
+    left to right, and the terms are summed from 0.0 in insertion order (a constant first
+    term starts the sum, as its exact value does in ``evaluate``)."""
+    powers: dict[tuple[int, int], int] = {}
+    rows = []
+    for poly in polys:
+        terms = [(float(c), tuple(powers.setdefault((i, e), len(powers)) for i, e in enumerate(exps) if e))
+                 for exps, c in poly._terms.items()]
+        rows.append((terms.pop(0)[0] if terms and not terms[0][1] else 0.0, terms))
+    needed = max((i + 1 for i, _ in powers), default=0)
+
+    def at(point: Sequence[float]) -> list[float]:
+        if len(point) < needed:
+            raise ValueError(f"point of length {len(point)} too short, need {needed}")
+        pw = [point[i] ** e for i, e in powers]
+        out = []
+        for total, terms in rows:
+            for term, factors in terms:
+                for j in factors:
+                    term *= pw[j]
+                total += term
+            out.append(total)
+        return out
+
+    return at

@@ -18,6 +18,8 @@ one vector field, ``dynsys.heat_system_field``.
 Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
 time and converted to float, and each point is then a Horner pass in z^2.
+At a float time the jets, chain values and coefficients take no ``Fraction``
+arithmetic (``grpoly.float_rows``), bit-identical to ``evaluate`` on floats.
 Both finite-difference residuals run on one driver, ``_grid_residual``.
 """
 
@@ -27,11 +29,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
-from .grpoly import GradedPoly, Numeric, VariableFamily
+from .grpoly import GradedPoly, Numeric, VariableFamily, float_rows
 
 HALF = Fraction(1, 2)
 
@@ -107,6 +110,13 @@ class BurgersSlice(NamedTuple):
         # cancel, and their difference is then exact
         lead = self.h * z - self.delta / z if self.delta else self.h * z
         return _finite(lead - z * zz * _horner(self.coeffs, zz), "v", z)
+
+
+def _slice_values(owner, polys: Sequence[GradedPoly], point: Sequence[Numeric]) -> tuple[float, ...]:
+    """The polynomials at point as floats: by ``owner._float_rows`` at an all-float point, else exactly."""
+    if all(type(v) is float for v in point):
+        return tuple(owner._float_rows(point))
+    return tuple(float(p.evaluate(point)) for p in polys)
 
 
 def _same_time(memo, t: Numeric) -> bool:
@@ -298,10 +308,12 @@ class SeriesSolution:
         if _same_time(self._last, t):
             return self._last[1]
         xs = self.parameter_values(t)
-        coeffs = tuple(float(a.evaluate(xs[1:])) for a in self.scaled)
+        coeffs = _slice_values(self, self.scaled, xs[1:])  # first: its overflow is the error reported
         data = PsiSlice(self.delta, float(xs[0]), self.r_exponential(t), coeffs)
         self._last = (t, data)
         return data
+
+    _float_rows = cached_property(lambda self: float_rows(self.scaled))  # built at the first float slice
 
     def bracket(self, z: float, t: Numeric) -> float:
         return self.at(t).bracket(z)
@@ -346,10 +358,16 @@ def rescale_to_mu(psi: Callable, mu: float) -> Callable:
 
 def _cauchy(a: Sequence, b: Sequence, k: int):
     """sum_{i+j=k} a_i b_j for numbers or polynomials, the sum starting at
-    0 * b[k]; a may stop short of k (a recursion passes what it has)."""
+    0 * b[k]; a may stop short of k (a recursion passes what it has).  Polynomial
+    products are summed in one pass, the terms and order of one ``+`` per product."""
+    products = [a[i] * b[k - i] for i in range(min(k + 1, len(a)))]
+    if isinstance(b[k], GradedPoly):
+        nvars = max(p.nvars for p in [b[k], *products])
+        terms = [(GradedPoly._pad(e, nvars), c) for p in products for e, c in p._terms.items()]
+        return GradedPoly._trusted(b[k].family, nvars, terms)
     total = 0 * b[k]
-    for i in range(min(k + 1, len(a))):
-        total = total + a[i] * b[k - i]
+    for product in products:
+        total = total + product
     return total
 
 
@@ -496,10 +514,11 @@ class BurgersSolution:
         if _same_time(self._last, t):
             return self._last[1]
         xs = self.source.parameter_values(t)
-        coeffs = tuple(0.0 if c.is_zero else float(c.evaluate(xs[1:])) for c in self.series_jets[2:])
-        data = BurgersSlice(self.delta, float(xs[0]), coeffs)
+        data = BurgersSlice(self.delta, float(xs[0]), _slice_values(self, self.series_jets[2:], xs[1:]))
         self._last[:] = (t, data)
         return data
+
+    _float_rows = cached_property(lambda self: float_rows(self.series_jets[2:]))  # not a field: no init, eq or repr
 
     def v(self, z: float, t: Numeric) -> float:
         return self.at(t).v(z)

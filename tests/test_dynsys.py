@@ -24,6 +24,7 @@ from heatansatz.dynsys import (
 )
 from heatansatz.dynsys import _field_rows
 from heatansatz.grpoly import GradedPoly, VariableFamily
+from heatansatz.operators import derivative_chain
 from heatansatz.verify import random_homogeneous
 
 X = VariableFamily.X
@@ -70,6 +71,59 @@ def test_rational_h_float_time():
     jets = H2.jets(2.0, 3)
     assert jets == (0.75, -0.625, 1.125)
     assert all(isinstance(v, float) for v in jets)
+
+
+def _jets_by_fractions(h, t, m):
+    # the exact loop at a float t: each Fraction alpha^(j+1) divided by a float power of
+    # alpha t - beta, summed from Fraction(0), times the Fraction (-1)^j j! / (n+1)
+    denoms = [p.alpha * t - p.beta for p in h.poles]
+    out = []
+    for j in range(m):
+        total = Fraction(0)
+        for p, d in zip(h.poles, denoms):
+            if p.alpha:
+                total = total + p.alpha ** (j + 1) / d ** (j + 1)
+        out.append((-1) ** j * math.factorial(j) * Fraction(1, h.n + 1) * total)
+    return tuple(out)
+
+
+def _chain_by_evaluate(h, n, t):
+    jets = _jets_by_fractions(h, t, n + 1)
+    return (jets[0], *(d.evaluate(jets) for d in derivative_chain(n))) if n else jets
+
+
+@pytest.mark.parametrize("poles", [
+    "1:0,1:1", "2:0,1:1", "3:0,1:1", "1:0,0:1,2:-1", "0:1,1/3:-2/7", "1:0,1:1,2:-1,1:-2,3:-1", "7:5,1/3:1/7,0:2,2:-1",
+])
+@pytest.mark.parametrize("t", [0.7, 2.0, 2.2, 3.1, -2.5, 1e-3, 1e4])
+def test_float_jets_and_chain_match_the_fraction_route(poles, t):
+    # bit for bit, with (0:beta) poles and the projectively equal 1:0, 2:0 and 3:0 each against
+    # its own route: 3:0 rounds differently from 1:0, so no float work may be shared by equality
+    h = RationalH(poles.count(","), tuple(MobiusParam.parse(p) for p in poles.split(",")))
+    assert _bits(h.jets(t, 6)) == _bits(_jets_by_fractions(h, t, 6))
+    for n in range(5):
+        assert _bits(reduced_initial_state(h, n, t)) == _bits(_chain_by_evaluate(h, n, t))
+
+
+def test_projectively_equal_poles_round_apart():
+    one, three = (RationalH(1, (MobiusParam(a, 0), MobiusParam(1, 1))) for a in (1, 3))
+    assert one == three and one.jets(0.7, 4) != three.jets(0.7, 4)
+
+
+def test_vanishing_profile_stays_exact():
+    # every pole (0 : beta): h = 0, and its jets and chain values are exact zeros at a float t too
+    h = RationalH(1, (MobiusParam(0, 1), MobiusParam(0, 2)))
+    for state in (h.jets(2.5, 4), reduced_initial_state(h, 3, 2.5)):
+        assert state == (0, 0, 0, 0) and all(type(v) is Fraction for v in state)
+
+
+def test_float_jets_overflow_in_the_exact_power():
+    # alpha^2 = 1e400 has no float: both routes raise, and the jets name t
+    h = RationalH(0, (MobiusParam.parse("1e200:1"),))
+    with pytest.raises(OverflowError, match=r"^profile jets not finite at t = 2\.0$"):
+        h.jets(2.0, 2)
+    with pytest.raises(OverflowError):
+        _jets_by_fractions(h, 2.0, 2)
 
 
 def test_pole_raises():

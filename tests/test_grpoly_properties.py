@@ -1,7 +1,8 @@
 """Property tests for GradedPoly: ring axioms, JSON, padding, derivations,
-substitutions, and the basis change that is two substitutions."""
+substitutions, the basis change that is two substitutions, and the float rows."""
 
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from heatansatz.grpoly import GradedPoly, VariableFamily  # noqa: E402
+from heatansatz.grpoly import GradedPoly, VariableFamily, float_rows  # noqa: E402
 from heatansatz.operators import decompose_basis, expand_basis, is_annihilated  # noqa: E402
 from heatansatz.verify import random_homogeneous  # noqa: E402
 
@@ -373,3 +374,67 @@ def fractional_substitution_cases(draw):
 def test_fractional_substitute_matches_fraction_loop(case):
     p, images, family, nvars = case
     assert_same_terms(p.substitute(images, family, nvars), substitute_oracle(p, images, family, nvars))
+
+
+# -- float rows: the float steps of evaluate, bit for bit ------------------------------
+
+# zeros of both signs, subnormals, values whose squares or cubes overflow, and any float
+float_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e-160, 1e155, -1e155, 1e300, -0.5, 3.0])
+float_values |= st.floats()
+
+
+def bits(values):
+    """The IEEE bytes of each float: -0.0 and 0.0 differ, and a nan equals itself."""
+    return [struct.pack("d", v) for v in values]
+
+
+@st.composite
+def float_row_cases(draw):
+    """(polys, point): X- or Y-family polynomials whose exponent tuples come from a pool of
+    at most four, so that terms cancel and the polynomials share powers, and a float point
+    one slot longer than the ring or exactly as long."""
+    family = draw(st.sampled_from(list(VariableFamily)))
+    nvars = draw(st.integers(0, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=4))
+    terms = st.lists(st.tuples(st.sampled_from(pool), fractional | few), max_size=6)
+    polys = [GradedPoly(family, nvars, draw(terms)) for _ in range(draw(st.integers(0, 4)))]
+    return polys, draw(st.lists(float_values, min_size=nvars, max_size=nvars + 1))
+
+
+@PROPERTY
+@given(float_row_cases())
+def test_float_rows_match_evaluate_bit_for_bit(case):
+    polys, point = case
+    rows = float_rows(polys)
+    try:
+        expected = [float(p.evaluate(point)) for p in polys]
+    except OverflowError:  # a power left the float range: both routes raise
+        with pytest.raises(OverflowError):
+            rows(point)
+        return
+    assert bits(rows(point)) == bits(expected)
+
+
+def test_float_rows_raise_like_evaluate():
+    x2, x3 = (GradedPoly.variable(VariableFamily.X, 2, i) for i in (2, 3))
+    polys = [x2 + x3, x3 * x3 * x3 + GradedPoly.const(VariableFamily.X, 2, 1)]
+    rows = float_rows(polys)
+    with pytest.raises(ValueError, match="too short"):
+        rows([1.0])
+    with pytest.raises(ValueError, match="too short"):
+        polys[0].evaluate([1.0])
+    for route in (rows, lambda point: [float(p.evaluate(point)) for p in polys]):
+        with pytest.raises(OverflowError):
+            route([1.0, 1e150])
+    # the sum starts from 0.0, so x2 + x3 at two negative zeros is 0.0, as in evaluate
+    assert bits(rows([-0.0, -0.0])) == bits([float(p.evaluate([-0.0, -0.0])) for p in polys]) == bits([0.0, 1.0])
+
+
+def test_float_rows_start_from_a_leading_constant():
+    # evaluate adds a leading constant term as an exact Fraction, so a negative one that
+    # rounds to -0.0 starts the sum, and -0.0 + -0.0 stays -0.0 (0.0 + -0.0 would not)
+    poly = GradedPoly(VariableFamily.Y, 1, [((0,), Fraction(-1, 10**400)), ((1,), 1)])
+    for point in ([-0.0], [2.0]):
+        assert bits(float_rows([poly])(point)) == bits([float(poly.evaluate(point))])
+    assert bits(float_rows([poly])([-0.0])) == bits([-0.0])
+    assert float_rows([])([]) == []

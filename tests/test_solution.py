@@ -1,5 +1,6 @@
 """Series assembly, exact and numeric residuals, Cole-Hopf images."""
 
+import hashlib
 import json
 import math
 import re
@@ -195,6 +196,69 @@ def test_slice_memo_keys_on_time():
         fresh = assemble_psi(spec, H2, 0, 10)
         assert sol.psi(1.1, t) == fresh.psi(1.1, t)
         assert image.v(0.7, t) == cole_hopf(fresh).v(0.7, t)
+
+
+POLES5 = ("1:0", "1:1", "2:-1", "1:-2", "3:-1")
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _solutions(n, delta, K):
+    """The n-pole family's series on the first n + 1 of POLES5, from the rational profile
+    and from its trajectory integrated over [3, 3.5]."""
+    h = RationalH(n, tuple(MobiusParam.parse(p) for p in POLES5[: n + 1]))
+    start = DynState(3.0, tuple(float(v) for v in reduced_initial_state(h, n, Fraction(3))))
+    trajectory = rk4_integrate(AnsatzSpec.reduced(n, 0, rational_top(n)), start, 3.5, 0.01)
+    table = general_phi_table(AnsatzSpec.reduced(n, delta, rational_top(n)), K)
+    return SeriesSolution(table, h, 0.0), SeriesSolution(table, trajectory, 0.0)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("n, K", [(0, 115), (1, 115), (2, 30), (3, 20), (4, 12)])
+def test_float_slices_match_evaluate(n, K, delta):
+    # every coefficient of a slice at a float time, bit for bit, against each entry evaluated
+    # at the same parameters and rounded once
+    for sol in _solutions(n, delta, K):
+        image = cole_hopf(sol)
+        for t in (3.0, 3.2, 3.45):
+            point = sol.parameter_values(t)[1:]
+            assert all(type(v) is float for v in point)
+            assert _bits(sol.at(t).coeffs) == _bits([float(a.evaluate(point)) for a in sol.scaled])
+            assert _bits(image.at(t).coeffs) == _bits([float(c.evaluate(point)) for c in image.series_jets[2:]])
+
+
+def _slice_digest(sol, times):
+    image = cole_hopf(sol)
+    out = hashlib.sha256()
+    for t in times:
+        data = sol.at(t)
+        out.update(repr((data.h, data.coeffs, image.at(t).coeffs)).encode())
+    return out.hexdigest()
+
+
+@pytest.mark.parametrize("n, delta, K, source, times, digest", [
+    (3, 0, 20, 0, (3.0, 3.25, 3.5, 3.75, 4.0), "a78a1e25487a15c911956225873658a1fcec2d927085f4f89d798b0c75b7b0e6"),
+    (3, 1, 20, 0, (3.0, 3.25, 3.5, 3.75, 4.0), "7ac24b1f8ac56d7d775263069d706dac0e95a5a1fd0a36fd6f5d4d1ae63eb641"),
+    (1, 1, 115, 0, (2.0, 2.5, 3.0), "4ee8cabca58eb6c2a4498bb429de1f55500b167af1b5bb191d2f8d7df607d90e"),
+    (2, 0, 16, 1, (3.0, 3.125, 3.333, 3.5), "6196bfcfc2737aeb8f2434432420dc36d7137f363f1791a7165918658545d5c4"),
+])
+def test_float_slices_golden_digest(n, delta, K, source, times, digest):
+    # h and the coefficients of psi's and v's slices at float times; no exp reaches them, as in
+    # the burgers digest of test_cli.py: the P = 1:0,1:1,2:-1,1:-2 family at K = 20, the
+    # two-pole family at K = 115 and a series on a three-pole trajectory
+    assert _slice_digest(_solutions(n, delta, K)[source], times) == digest
+
+
+def test_slice_overflow_comes_before_the_prefactor():
+    # at t = 1e-100 powers of the parameters leave the float range and a prefactor base is
+    # negative: the coefficients are evaluated first, so the overflow is what is reported
+    sol = assemble_psi(AnsatzSpec.reduced(2, 0, rational_top(2)), H3, 0.0, 40)
+    with pytest.raises(OverflowError):
+        sol.at(1e-100)
+    with pytest.raises(ValueError, match="non-positive base"):
+        sol.r_exponential(1e-100)
 
 
 def test_closed_form_1ansatz_degenerate_pole():
