@@ -20,6 +20,8 @@ alone (h, the prefactor, the series coefficients) is computed once per
 time and converted to float, and each point is then a Horner pass in z^2.
 At a float time the jets, chain values and coefficients take no ``Fraction``
 arithmetic (``grpoly.float_rows``), bit-identical to ``evaluate`` on floats.
+psi and v share this one slice path, ``_TimeSliced.at``, with its memo of
+the last slice; an overflow while it evaluates the coefficients names t.
 Both finite-difference residuals run on one driver, ``_grid_residual``.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence, Union
@@ -110,19 +112,6 @@ class BurgersSlice(NamedTuple):
         # cancel, and their difference is then exact
         lead = self.h * z - self.delta / z if self.delta else self.h * z
         return _finite(lead - z * zz * _horner(self.coeffs, zz), "v", z)
-
-
-def _slice_values(owner, polys: Sequence[GradedPoly], point: Sequence[Numeric]) -> tuple[float, ...]:
-    """The polynomials at point as floats: by ``owner._float_rows`` at an all-float point, else exactly."""
-    if all(type(v) is float for v in point):
-        return tuple(owner._float_rows(point))
-    return tuple(float(p.evaluate(point)) for p in polys)
-
-
-def _same_time(memo, t: Numeric) -> bool:
-    """Whether a memo (t, slice) holds this time: 2 == 2.0 == Fraction(2),
-    but exact and float times give different slices."""
-    return bool(memo) and type(memo[0]) is type(t) and memo[0] == t
 
 
 @dataclass(frozen=True)
@@ -216,7 +205,39 @@ class _TrajectoryInterp:
         return self.x1_integral[i] + w * (x1a + x1b) / 2
 
 
-class SeriesSolution:
+class _TimeSliced:
+    """A table over x2..x_{n+1} read at x(t) one time slice at a time: a subclass sets
+    ``_table`` and has ``parameter_values(t)`` and ``_slice(t, h, values)``, which packs the slice."""
+
+    _last = None  # the last (t, slice) built by at()
+
+    def at(self, t: Numeric):
+        """The float data at time t: h(t) and the table at x(t), by ``grpoly.float_rows`` at an
+        all-float point (bit-identical to ``evaluate``), else evaluated exactly and rounded once.
+
+        The table comes first, and its overflow names t.  The last slice is memoised by the value
+        and the type of t (2 == 2.0 == Fraction(2), but exact and float times give different
+        slices): a grid that loops over t outside z builds one slice per time.
+        """
+        if self._last is not None and type(self._last[0]) is type(t) and self._last[0] == t:
+            return self._last[1]
+        xs = self.parameter_values(t)
+        point = xs[1:]
+        try:
+            if all(type(v) is float for v in point):
+                values = tuple(self._rows(point))
+            else:
+                values = tuple(float(p.evaluate(point)) for p in self._table)
+        except OverflowError:
+            raise OverflowError(f"series coefficients not finite at t = {t}") from None
+        data = self._slice(t, float(xs[0]), values)
+        self._last = (t, data)
+        return data
+
+    _rows = cached_property(lambda self: float_rows(self._table))  # built at the first float slice
+
+
+class SeriesSolution(_TimeSliced):
     """A truncated ansatz solution with an attached profile source.
 
     The coefficient table fixes the solution's shape: the parity delta is
@@ -243,12 +264,11 @@ class SeriesSolution:
         self.h_source = h_source
         self.r0 = r0
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source)
-        # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!,
-        # divided exactly: every series and slice of psi and of v reads it
-        self.scaled = tuple(
+        # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!, divided exactly
+        # (the float factorial overflows from K = 86 on): every series and slice of psi and v reads it
+        self.scaled = self._table = tuple(
             entry * Fraction(1, math.factorial(2 * k + self.delta)) for k, entry in enumerate(phi.entries)
         )
-        self._last: Union[tuple[Numeric, PsiSlice], None] = None
 
     # -- state access -------------------------------------------------------
 
@@ -296,24 +316,9 @@ class SeriesSolution:
 
     # -- evaluation ----------------------------------------------------------
 
-    def at(self, t: Numeric) -> PsiSlice:
-        """The float data of psi at time t: h(t), e^{r(t)} and
-        a_k = Phi_k(x(t)) / (2k+delta)! for k = 0..K.
-
-        The scaled table is divided by (2k+delta)! in exact arithmetic, so
-        every truncation order evaluates (the factorial alone overflows a
-        float from K = 86 on).  The last slice is memoised: a grid that
-        loops over t outside z builds one slice per time.
-        """
-        if _same_time(self._last, t):
-            return self._last[1]
-        xs = self.parameter_values(t)
-        coeffs = _slice_values(self, self.scaled, xs[1:])  # first: its overflow is the error reported
-        data = PsiSlice(self.delta, float(xs[0]), self.r_exponential(t), coeffs)
-        self._last = (t, data)
-        return data
-
-    _float_rows = cached_property(lambda self: float_rows(self.scaled))  # built at the first float slice
+    def _slice(self, t: Numeric, h: float, coeffs: tuple[float, ...]) -> PsiSlice:
+        """psi at time t: h(t), e^{r(t)} and a_k = Phi_k(x(t)) / (2k+delta)! for k = 0..K."""
+        return PsiSlice(self.delta, h, self.r_exponential(t), coeffs)
 
     def bracket(self, z: float, t: Numeric) -> float:
         return self.at(t).bracket(z)
@@ -461,8 +466,7 @@ def heat_residual_numeric(psi: Callable, grid: GridSpec) -> float:
 # -- Cole-Hopf ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BurgersSolution:
+class BurgersSolution(_TimeSliced):
     """The Cole-Hopf image v = -d/dz log psi of a series solution.
 
     v(z, t) = -delta/z + h(t) z - sum_{k>=2} c_k(t) z^(2k-1) where c_k is
@@ -474,10 +478,10 @@ class BurgersSolution:
     Psi_k = (2 delta k + 1) (2k-1)! c_k.
     """
 
-    source: SeriesSolution
-    series_jets: tuple[GradedPoly, ...]
-    # one-entry memo (t, BurgersSlice) of the last slice built by at()
-    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, source: SeriesSolution, series_jets: Sequence[GradedPoly]) -> None:
+        self.source = source
+        self.series_jets = series_jets
+        self._table = series_jets[2:]
 
     @property
     def delta(self) -> int:
@@ -492,8 +496,12 @@ class BurgersSolution:
         """Coefficient of 1/z: 0 for even parity, -1 for odd."""
         return -self.delta
 
+    def parameter_values(self, t: Numeric) -> tuple:
+        """The source's (x1, ..., x_{n+1}) at time t."""
+        return self.source.parameter_values(t)
+
     def series_values(self, t: Numeric) -> list:
-        xs = self.source.parameter_values(t)
+        xs = self.parameter_values(t)
         return [p.evaluate(xs[1:]) for p in self.series_jets]
 
     def normalized_coefficients(self, t: Numeric) -> list:
@@ -504,21 +512,9 @@ class BurgersSolution:
             out.append(scale * value)
         return out
 
-    def at(self, t: Numeric) -> BurgersSlice:
-        """The float data of v at time t: h(t) and c_2(t), ..., c_K(t).
-
-        Each c_k is evaluated at the parameters before it becomes a float.
-        The last slice is memoised: a grid that loops over t outside z
-        builds one slice per time.
-        """
-        if _same_time(self._last, t):
-            return self._last[1]
-        xs = self.source.parameter_values(t)
-        data = BurgersSlice(self.delta, float(xs[0]), _slice_values(self, self.series_jets[2:], xs[1:]))
-        self._last[:] = (t, data)
-        return data
-
-    _float_rows = cached_property(lambda self: float_rows(self.series_jets[2:]))  # not a field: no init, eq or repr
+    def _slice(self, t: Numeric, h: float, coeffs: tuple[float, ...]) -> BurgersSlice:
+        """v at time t: h(t) and c_2(t), ..., c_K(t)."""
+        return BurgersSlice(self.delta, h, coeffs)
 
     def v(self, z: float, t: Numeric) -> float:
         return self.at(t).v(z)
@@ -584,29 +580,21 @@ def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) ->
     return _grid_residual(image.v, grid, lambda v, v_t, v_z, v_zz: v_t + v * v_z - mu * v_zz)
 
 
-def residual_report(
-    max_residual: Union[Fraction, float],
-    mode: str,
-    grid: Union[GridSpec, None] = None,
-) -> str:
+def residual_report(max_residual: Union[Fraction, float], grid: Union[GridSpec, None] = None) -> str:
     """One-line JSON report of a residual check: {max_residual, grid, mode}.
 
     Floats are rendered with 17 significant digits so the report is
-    byte-deterministic and round-trips exactly; ``grid`` is null for
-    series-mode checks.
+    byte-deterministic and round-trips exactly; a check on a grid reports
+    mode ``grid``, one without (``grid`` null) mode ``series``.
     """
-    if mode not in ("series", "grid"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if (grid is None) == (mode == "grid"):
-        raise ValueError("grid mode needs a GridSpec and series mode forbids one")
 
     def f(v) -> str:
         return format(float(v), ".17g")
 
     if grid is None:
-        grid_text = "null"
+        mode, grid_text = "series", "null"
     else:
-        grid_text = (
+        mode, grid_text = "grid", (
             f'{{"z0": {f(grid.z0)}, "z1": {f(grid.z1)}, "znum": {grid.znum}, '
             f'"t0": {f(grid.t0)}, "t1": {f(grid.t1)}, "tnum": {grid.tnum}, '
             f'"dz": {f(grid.dz)}, "dt": {f(grid.dt)}}}'

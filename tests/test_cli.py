@@ -476,6 +476,9 @@ OVERFLOWS = [
     # the first rows are finite: no row is written before every value is known
     (["eval", "--z0", "0", "--z1", "1e308", "--znum", "3", "--t", "2"],
      "floating-point overflow (series not finite at z = 5e+307)"),
+    # powers of the parameters leave the float range while a slice evaluates its coefficients
+    *[([cmd, "--family", "nansatz", "--poles", "1:0,1:1,2:-1", "--t", "1e-100", "--znum", "3", "--kmax", "40"],
+       "floating-point overflow (series coefficients not finite at t = 1e-100)") for cmd in ("eval", "burgers")],
 ]
 
 

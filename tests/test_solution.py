@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 from types import SimpleNamespace
 from fractions import Fraction
@@ -15,6 +16,7 @@ from heatansatz.dynsys import (
     MobiusParam,
     PoleError,
     RationalH,
+    heat_system_field,
     rational_top,
     reduced_initial_state,
     rk4_integrate,
@@ -22,6 +24,7 @@ from heatansatz.dynsys import (
 from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.operators import derivative_chain
 from heatansatz.solution import (
+    BurgersSolution,
     GridSpec,
     SeriesSolution,
     _axis,
@@ -196,6 +199,23 @@ def test_slice_memo_keys_on_time():
         fresh = assemble_psi(spec, H2, 0, 10)
         assert sol.psi(1.1, t) == fresh.psi(1.1, t)
         assert image.v(0.7, t) == cole_hopf(fresh).v(0.7, t)
+    # each object keeps its own memo: two solutions, and two images of one source (the second
+    # built positionally on a shorter table), called interleaved at exact and float times; a
+    # shared memo would hand a fresh object the same wrong slice, so the coefficients are also
+    # checked against the table evaluated without a slice
+    def made():
+        sols = [assemble_psi(spec, H2, 0, 10), assemble_psi(AnsatzSpec.chain(1, 1), H2, 0, 10)]
+        return [*sols, cole_hopf(sols[1]), BurgersSolution(sols[1], cole_hopf(sols[1]).series_jets[:6])]
+
+    kept = made()
+    short = kept[3]
+    assert (short.delta, short.truncation, short.pole_coefficient) == (kept[1].delta, kept[1].truncation, -1)
+    for t in (Fraction(5, 2), 2.5, Fraction(13, 4), 3.25, Fraction(5, 2), 3.25):
+        for obj, fresh in zip(kept, made()):
+            table = obj.scaled if isinstance(obj, SeriesSolution) else obj.series_jets[2:]
+            point = obj.parameter_values(t)[1:]
+            assert repr(obj.at(t)) == repr(fresh.at(t))
+            assert _bits(obj.at(t).coeffs) == _bits([float(p.evaluate(point)) for p in table])
 
 
 POLES5 = ("1:0", "1:1", "2:-1", "1:-2", "3:-1")
@@ -255,10 +275,19 @@ def test_slice_overflow_comes_before_the_prefactor():
     # at t = 1e-100 powers of the parameters leave the float range and a prefactor base is
     # negative: the coefficients are evaluated first, so the overflow is what is reported
     sol = assemble_psi(AnsatzSpec.reduced(2, 0, rational_top(2)), H3, 0.0, 40)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^series coefficients not finite at t = 1e-100$"):
         sol.at(1e-100)
     with pytest.raises(ValueError, match="non-positive base"):
         sol.r_exponential(1e-100)
+    # psi's and v's slices name t on both routes: exactly evaluated coefficients too large
+    # for a float, and float powers of a trajectory's parameters that leave the float range
+    tiny = Fraction(1, 10**100)
+    states = [DynState(0.0, (0.0, 1e200)), DynState(1.0, (0.0, 1e200))]
+    traj = SeriesSolution(general_phi_table(AnsatzSpec.chain(1, 0), 40), states, 0.0)
+    for source, t in ((sol, 1e-100), (sol, tiny), (traj, 0.5)):
+        for sliced in (source, cole_hopf(source)):
+            with pytest.raises(OverflowError, match=f"^series coefficients not finite at t = {re.escape(str(t))}$"):
+                sliced.at(t)
 
 
 def test_closed_form_1ansatz_degenerate_pole():
@@ -457,8 +486,8 @@ def test_parity(delta):
 def test_residual_report_grid():
     grid = GridSpec(-1.0, 1.0, 9, 1.5, 2.5, 5, 1e-3, 1e-3)
     worst = diffusion_residual_numeric(closed_form_0ansatz(0, MobiusParam(1, 0)), grid)
-    text = residual_report(worst, "grid", grid)
-    assert residual_report(worst, "grid", grid) == text  # deterministic
+    text = residual_report(worst, grid)
+    assert residual_report(worst, grid) == text  # deterministic
     blob = json.loads(text)
     assert set(blob) == {"max_residual", "grid", "mode"}
     assert blob["mode"] == "grid"
@@ -469,15 +498,8 @@ def test_residual_report_grid():
 def test_residual_report_series_and_validation():
     sol = assemble_psi(AnsatzSpec.chain(0, 0), H1, 0, 6)
     worst = heat_residual_series(sol, [Fraction(2)])
-    blob = json.loads(residual_report(worst, "series"))
+    blob = json.loads(residual_report(worst))
     assert blob == {"max_residual": 0.0, "grid": None, "mode": "series"}
-    grid = GridSpec(-1.0, 1.0, 3, 1.5, 2.5, 2, 1e-3, 1e-3)
-    with pytest.raises(ValueError):
-        residual_report(0.0, "fd", grid)
-    with pytest.raises(ValueError):
-        residual_report(0.0, "grid")
-    with pytest.raises(ValueError):
-        residual_report(0.0, "series", grid)
 
 
 def test_gaussian_normalization():
@@ -540,6 +562,56 @@ def test_image_matches_sympy_log_derivative(n, delta):
     got = cole_hopf(sol).series_values(t)
     for k in range(1, K + 1):
         assert got[k] == Fraction(str(series.coeff(z, 2 * k - 1))), f"k={k}"
+
+
+def _weighted_monomials(q, n):
+    """Exponent tuples over x2..x_{n+1} of weight q: sum_k k e_k = q."""
+    if n == 0:
+        return [()] if q == 0 else []
+    return [(*rest, e) for e in range(q // (n + 1) + 1) for rest in _weighted_monomials(q - e * (n + 1), n - 1)]
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_theorem_is_a_polynomial_identity(n, delta):
+    # the paper's theorem over x1..x_{n+1} for a random general family: with the table's
+    # bracket W, F = -x1 z^2 / 2 + r, r' = -(delta + 1/2) x1 and d/dt along the spec's own field
+    # (x1' = p_2 - x1^2, x_k' = p_{k+1} - 2k x1 x_k), e^{-F} (psi_t - psi_zz / 2) vanishes
+    # through z^(2K-2+delta); so does v_t + v v_z - v_zz / 2 of the Cole-Hopf image through z^(2K-3)
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(100 * n + delta)
+    coeff = lambda: Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))  # never zero
+    ps = [GradedPoly(X, n, {e: coeff() for e in _weighted_monomials(q, n)}) for q in range(2, n + 3)]
+    spec = AnsatzSpec.general(n, delta, ps)
+    K = 8
+    sol = SeriesSolution(general_phi_table(spec, K), H1, 0)  # the profile is not read
+    z, *x = sp.symbols(f"z x1:{n + 2}")
+    half = sp.Rational(1, 2)
+
+    def poly(p):
+        """A GradedPoly over x2..x_{n+1}, or a sympy expression, as a polynomial in z and x1..x_{n+1}."""
+        if isinstance(p, GradedPoly):
+            p = sum(sp.Rational(c.numerator, c.denominator) * sp.prod([x[i + 1] ** e for i, e in enumerate(exps)])
+                    for exps, c in p.terms())
+        return sp.Poly(p, z, *x, domain="QQ")
+
+    rates = [poly(rate) for rate in heat_system_field(spec, x)]
+    dt = lambda f: sum((f.diff(xk) * rate for xk, rate in zip(x, rates)), poly(0))
+    low = lambda p, top: [m for m, coeff in p.terms() if coeff and m[0] <= top]  # monomials of z-degree <= top
+
+    W = sum((poly(p) * z ** (2 * k + delta) / sp.factorial(2 * k + delta) for k, p in enumerate(sol.phi)), poly(0))
+    F = poly(-x[0] * z**2 / 2)
+    F_t, F_z = dt(F) - (delta + half) * x[0], F.diff(z)
+    heat = F_t * W + dt(W) - half * (W.diff((z, 2)) + 2 * F_z * W.diff(z) + (F_z.diff(z) + F_z**2) * W)
+    assert low(heat, 2 * K - 2 + delta) == []
+
+    # u = z v = -delta + x1 z^2 - sum_k c_k z^(2k), so that z^3 (v_t + v v_z - v_zz / 2) is
+    # z^2 u_t + u (z u_z - u) - (z^2 u_zz - 2 z u_z + 2 u) / 2
+    c = cole_hopf(sol).series_jets
+    u = poly(-delta + x[0] * z**2) - sum((poly(c[k]) * z ** (2 * k) for k in range(2, K + 1)), poly(0))
+    u_z = u.diff(z)
+    burgers = z**2 * dt(u) + u * (z * u_z - u) - half * (z**2 * u_z.diff(z) - 2 * z * u_z + 2 * u)
+    assert low(burgers, 2 * K) == []
 
 
 @pytest.mark.parametrize("delta", [0, 1])
