@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .grpoly import GradedPoly, Numeric, VariableFamily
+from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _derived, _numerators, _times
 from .operators import expand_basis, params_as_basis, weighted_derivative
 
 
@@ -157,6 +157,8 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
 
         Phi_q = 2 sum_{k=2}^{n+1} p_{k+1} dPhi_{q-1}/dx_k
                 + (2q+delta-3)(2q+delta-2) / (2(1+2 delta)) * Phi_2 Phi_{q-2}.
+
+    It runs in the integer working form of ``grpoly``, reading p_3..p_{n+2} and storing each entry once.
     """
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
@@ -164,11 +166,14 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
     entries = [
         GradedPoly.const(VariableFamily.X, n, 1),
         GradedPoly.zero(VariableFamily.X, n),
-        (-2 * (1 + 2 * delta)) * spec.ps[0].with_nvars(n),
+        GradedPoly.const(VariableFamily.X, n, -2 * (1 + 2 * delta)) * spec.ps[0].with_nvars(n),
     ]
+    work = [_numerators(entry, n) for entry in entries]
+    images = entries[0]._derivation_images(spec.ps[1:], n)
     for q in range(3, q_max + 1):
-        adv = entries[q - 1].derivation(spec.ps[1:], n)
-        entries.append(2 * adv + _quadratic_factor(q, delta) * (entries[2] * entries[q - 2]))
+        quadratic = _times(work[2], work[q - 2])
+        work.append(_combination([(2, _derived(work[q - 1], images)), (_quadratic_factor(q, delta), quadratic)]))
+        entries.append(GradedPoly._from_numerators(VariableFamily.X, n, work[q]))
     return PhiTable(delta, tuple(entries))
 
 

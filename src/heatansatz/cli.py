@@ -34,7 +34,7 @@ from .dynsys import (
     rk4_step_count,
 )
 from .operators import basis_name, derivative_chain
-from .solution import _axis, assemble_psi, cole_hopf, rescale_to_mu
+from .solution import _axis, _finite, assemble_psi, cole_hopf, rescale_to_mu
 from .verify import run_suite
 
 
@@ -72,9 +72,9 @@ POLES_MAX = 16
 # eval --t 2 --znum 1000000 takes 5-7 s and prints 42 MB
 GRID_MAX = 10**6
 # the largest --kmax for 1, 2, ..., 6 and 7 or more poles: the table grows like K^(n-1) and its
-# Cole-Hopf image faster (eval at 4 poles and K = 200 took 2.8 s, burgers at 4 poles and K = 150
-# 98 s); the costliest admitted runs are eval at 16 poles and K = 40 (2.4 s) and burgers at 3 poles
-# and K = 200 (12 s)
+# Cole-Hopf image faster (eval at 4 poles and K = 200 takes 1.4 s, burgers at 4 poles and K = 150
+# 42 s); the costliest admitted runs are eval at 16 poles and K = 40 (1.4 s) and burgers at 3 poles
+# and K = 200 (3.6 s)
 KMAX = {"eval": (200, 200, 200, 150, 90, 60, 40), "burgers": (200, 200, 200, 60, 50, 40, 30)}
 
 
@@ -227,7 +227,7 @@ def cmd_eval(args) -> int:
 def cmd_burgers(args) -> int:
     # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
     v = rescale_to_mu(cole_hopf(_series(args, 0.0)).v, args.mu)
-    return _write_grid(args, lambda z, t: 2 * args.mu * v(z, t))
+    return _write_grid(args, lambda z, t: _finite(2 * args.mu * v(z, t), "v", z))
 
 
 def build_parser() -> argparse.ArgumentParser:

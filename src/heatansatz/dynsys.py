@@ -127,7 +127,9 @@ class RationalH:
         return tuple(out)
 
     def _denominators(self, t: Numeric) -> list:
-        """alpha_k t - beta_k for each pole in order, in float steps at a float t; PoleError if t is a pole."""
+        """alpha_k t - beta_k for each pole, float at a float t; PoleError at a pole, ValueError at an inf or nan t."""
+        if type(t) is float and not math.isfinite(t):
+            raise ValueError(f"profile time not finite: t = {t}")
         denoms = [float(p.alpha) * t - float(p.beta) if type(t) is float else p.alpha * t - p.beta for p in self.poles]
         if 0 in denoms:
             raise PoleError(f"profile pole at t = {t}")

@@ -6,14 +6,14 @@ of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
 
-Products, derivations and scalar multiples are computed in integers: each
-operand is read once as integer numerators over one common denominator, the
-inner loops multiply and add plain ints, and each surviving term of the
-result becomes one ``Fraction``.  Stored coefficients stay ``Fraction``:
-storing ints would halve the GC-tracked objects per term, and with them how
-often the cyclic collector runs, so a process that keeps dropping reference
-cycles (a benchmark re-importing the package) would hold more of them at its
-peak.
+Products, derivations and linear combinations run in one integer working form
+(terms, den): exponent tuples mapped to nonzero int numerators, in term order,
+over one positive common denominator.  Each operand is read into it once, and
+a recursion (the Phi table, the Cole-Hopf image) keeps its entries in it, so
+each stored entry becomes ``Fraction``s once.  Storage stays ``Fraction``: ints
+would halve the GC-tracked objects per term, and with them how often the
+cyclic collector runs, so a process that keeps dropping reference cycles (a
+benchmark re-importing the package) would hold more of them at its peak.
 
 Floats enter only at evaluation: ``float_rows`` evaluates polynomials at an
 all-float point with the float steps of ``evaluate``, bit for bit, without
@@ -26,7 +26,7 @@ import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Union
 
@@ -103,12 +103,12 @@ def _summed(items: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
     return out
 
 
-def _numerators(poly: "GradedPoly", nvars: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """The terms of ``poly`` in insertion order as (exponents padded or cut to
-    ``nvars`` slots, integer numerator), over one common denominator."""
+def _numerators(poly: "GradedPoly", nvars: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """The working form of ``poly``, its terms in insertion order with the exponents padded or
+    cut to ``nvars`` slots, over the lcm of its denominators."""
     den = lcm(*[c.denominator for c in poly._terms.values()])
     pad = (0,) * (nvars - poly.nvars)
-    return [((e + pad)[:nvars], c.numerator * (den // c.denominator)) for e, c in poly._terms.items()], den
+    return {(e + pad)[:nvars]: c.numerator * (den // c.denominator) for e, c in poly._terms.items()}, den
 
 
 def _product(left, right) -> dict[tuple[int, ...], int]:
@@ -122,6 +122,36 @@ def _product(left, right) -> dict[tuple[int, ...], int]:
             key = tuple(map(add, e1, e2))
             acc[key] = get(key, 0) + n1 * n2
     return acc
+
+
+def _times(left, right):
+    """The working form of the product of two working forms, ``left`` in the outer loop."""
+    acc = _product(left[0].items(), right[0].items())
+    return {e: n for e, n in acc.items() if n}, left[1] * right[1]
+
+
+def _combination(pairs: Iterable[tuple[Scalar, tuple]]):
+    """The working form of sum s * w over the (scalar s, working form w) ``pairs``: one ``_summed`` pass
+    over the lcm of the denominators, in the order given, then one ``gcd`` pass to lowest terms."""
+    pairs = [(s.numerator, s.denominator * den, terms) for s, (terms, den) in pairs]
+    den = lcm(*(d for _, d, _ in pairs))
+    scaled = [(p * (den // d), part) for p, d, part in pairs]
+    terms = _summed((e, n * m) for m, part in scaled for e, n in part.items())
+    g = gcd(den, *terms.values())
+    return ({e: n // g for e, n in terms.items()}, den // g) if g > 1 else (terms, den)
+
+
+def _derived(work, images):
+    """The working form of sum_i images_i * dP/dv_i over the (i, working form of images_i) pairs: one
+    ``_product`` per image (image outer), P's terms lowered at i over the lcm of the images' denominators."""
+    terms, den = work
+    image_den = lcm(*(d for _, (_, d) in images))
+    summands: list[tuple[tuple[int, ...], int]] = []
+    for i, (image_terms, own_den) in images:
+        scale = image_den // own_den
+        lowered = [(e[:i] + (e[i] - 1,) + e[i + 1 :], n * e[i] * scale) for e, n in terms.items() if e[i]]
+        summands += _product(image_terms.items(), lowered).items()
+    return _summed(summands), den * image_den
 
 
 class GradedPoly:
@@ -139,7 +169,7 @@ class GradedPoly:
     of the sum built term by term, which is the order a float ``evaluate``
     adds in.  Results built inside the class are summed by the same loop
     without the checks on outside input (:meth:`_trusted`, and
-    :meth:`_from_numerators` for the integer products).
+    :meth:`_from_numerators` for the integer working form).
     """
 
     __slots__ = ("family", "nvars", "_terms")
@@ -181,13 +211,11 @@ class GradedPoly:
         return poly
 
     @classmethod
-    def _from_numerators(
-        cls, family: VariableFamily, nvars: int, items: Iterable[tuple[tuple[int, ...], int]], den: int
-    ) -> "GradedPoly":
-        """Sum integer numerators over the common denominator ``den`` and
-        store each surviving term as one ``Fraction``."""
+    def _from_numerators(cls, family: VariableFamily, nvars: int, work: tuple) -> "GradedPoly":
+        """Store a working form over ``nvars`` slots, each term as one ``Fraction``."""
+        terms, den = work
         poly = object.__new__(cls)
-        poly._set(family, nvars, {e: Fraction(n, den) for e, n in _summed(items).items()})
+        poly._set(family, nvars, {e: Fraction(n, den) for e, n in terms.items()})
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -256,35 +284,33 @@ class GradedPoly:
         return exps + (0,) * (nvars - len(exps))
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
+        return self._sum(other, other._terms.items()) if isinstance(other, GradedPoly) else NotImplemented
+
+    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         if not isinstance(other, GradedPoly):
             return NotImplemented
+        return self._sum(other, [(exps, -c) for exps, c in other._terms.items()])
+
+    def _sum(self, other: "GradedPoly", other_terms) -> "GradedPoly":
+        """The terms of self, then ``other_terms`` (of ``other``), summed in one pass."""
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        summands = [(self._pad(exps, nvars), c) for poly in (self, other) for exps, c in poly._terms.items()]
+        summands = [(self._pad(exps, nvars), c) for terms in (self._terms.items(), other_terms) for exps, c in terms]
         return GradedPoly._trusted(self.family, nvars, summands)
 
     def __neg__(self) -> "GradedPoly":
         return GradedPoly._trusted(self.family, self.nvars, [(e, -c) for e, c in self._terms.items()])
 
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: Union["GradedPoly", Scalar]) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            nums, den = _numerators(self, self.nvars)
-            p = c.numerator
-            scaled = [(e, n * p) for e, n in nums]
-            return GradedPoly._from_numerators(self.family, self.nvars, scaled, den * c.denominator)
+            work = _combination([(other, _numerators(self, self.nvars))])
+            return GradedPoly._from_numerators(self.family, self.nvars, work)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        left, left_den = _numerators(self, nvars)
-        right, right_den = _numerators(other, nvars)
-        return GradedPoly._from_numerators(self.family, nvars, _product(left, right).items(), left_den * right_den)
+        work = _times(_numerators(self, nvars), _numerators(other, nvars))
+        return GradedPoly._from_numerators(self.family, nvars, work)
 
     def __rmul__(self, other: Scalar) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -348,6 +374,12 @@ class GradedPoly:
         """
         if self.max_used_position() >= nvars:
             raise ValueError(f"polynomial does not fit in {nvars} variables")
+        work = _derived(_numerators(self, nvars), self._derivation_images(images, nvars))
+        return GradedPoly._from_numerators(self.family, nvars, work)
+
+    def _derivation_images(self, images: Sequence[Union["GradedPoly", None]], nvars: int) -> list:
+        """The (position, working form) pairs of the images that are not None among the first
+        ``nvars``, each checked to be of this family and to fit in ``nvars`` variables."""
         used = []
         for i, image in enumerate(images[:nvars]):
             if image is None:
@@ -356,14 +388,7 @@ class GradedPoly:
             if image.max_used_position() >= nvars:
                 raise ValueError(f"derivation image {image.to_text()} does not fit in {nvars} variables")
             used.append((i, _numerators(image, nvars)))
-        image_den = lcm(*(den for _, (_, den) in used))
-        terms, den = _numerators(self, nvars)
-        summands: list[tuple[tuple[int, ...], int]] = []
-        for i, (image_terms, own_den) in used:
-            scale = image_den // own_den
-            lowered = [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], n * exps[i] * scale) for exps, n in terms if exps[i]]
-            summands += _product(image_terms, lowered).items()
-        return GradedPoly._from_numerators(self.family, nvars, summands, den * image_den)
+        return used
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.

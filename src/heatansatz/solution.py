@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
-from .grpoly import GradedPoly, Numeric, VariableFamily, float_rows
+from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _numerators, _times, float_rows
 
 HALF = Fraction(1, 2)
 
@@ -215,7 +215,7 @@ class _TimeSliced:
         """The float data at time t: h(t) and the table at x(t), by ``grpoly.float_rows`` at an
         all-float point (bit-identical to ``evaluate``), else evaluated exactly and rounded once.
 
-        The table comes first, and its overflow names t.  The last slice is memoised by the value
+        The table comes first, then h; an overflow of either names t.  The last slice is memoised by the value
         and the type of t (2 == 2.0 == Fraction(2), but exact and float times give different
         slices): a grid that loops over t outside z builds one slice per time.
         """
@@ -228,9 +228,10 @@ class _TimeSliced:
                 values = tuple(self._rows(point))
             else:
                 values = tuple(float(p.evaluate(point)) for p in self._table)
+            h = float(xs[0])
         except OverflowError:
             raise OverflowError(f"series coefficients not finite at t = {t}") from None
-        data = self._slice(t, float(xs[0]), values)
+        data = self._slice(t, h, values)
         self._last = (t, data)
         return data
 
@@ -362,17 +363,10 @@ def rescale_to_mu(psi: Callable, mu: float) -> Callable:
 
 
 def _cauchy(a: Sequence, b: Sequence, k: int):
-    """sum_{i+j=k} a_i b_j for numbers or polynomials, the sum starting at
-    0 * b[k]; a may stop short of k (a recursion passes what it has).  Polynomial
-    products are summed in one pass, the terms and order of one ``+`` per product."""
-    products = [a[i] * b[k - i] for i in range(min(k + 1, len(a)))]
-    if isinstance(b[k], GradedPoly):
-        nvars = max(p.nvars for p in [b[k], *products])
-        terms = [(GradedPoly._pad(e, nvars), c) for p in products for e, c in p._terms.items()]
-        return GradedPoly._trusted(b[k].family, nvars, terms)
+    """sum_{i+j=k} a_i b_j, the sum starting at 0 * b[k]; a may stop short of k."""
     total = 0 * b[k]
-    for product in products:
-        total = total + product
+    for i in range(min(k + 1, len(a))):
+        total = total + a[i] * b[k - i]
     return total
 
 
@@ -527,14 +521,17 @@ def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
     v = -delta/z + h z - W'/W and W'/W = sum_k c_k z^(2k-1).  Matching
     coefficients in W (W'/W) = W' gives c_0 = 0 and the recursion
     c_k = 2k a_k - sum_{j=1}^{k-1} a_j c_{k-j}, one truncated convolution
-    over the parameters x2..x_{n+1}.  Any source evaluates, an integrated
-    trajectory too.
+    over the parameters x2..x_{n+1}, in the integer working form of ``grpoly``:
+    each a_k is read once, and each c_k is stored as a ``GradedPoly`` once.
+    Any source evaluates, an integrated trajectory too.
     """
-    a = sol.scaled
-    c = [0 * a[0]]
+    family, nvars = sol.scaled[0].family, max(entry.nvars for entry in sol.scaled)
+    a = [_numerators(entry, nvars) for entry in sol.scaled]
+    c = [({}, 1)]
     for k in range(1, sol.truncation + 1):
-        c.append(2 * k * a[k] - _cauchy(c, a, k))
-    return BurgersSolution(sol, tuple(c))
+        convolution = _combination((1, _times(c[i], a[k - i])) for i in range(k))
+        c.append(_combination([(2 * k, a[k]), (-1, convolution)]))
+    return BurgersSolution(sol, tuple(GradedPoly._from_numerators(family, nvars, w) for w in c))
 
 
 def burgers_residual(

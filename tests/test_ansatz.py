@@ -224,6 +224,12 @@ def test_spec_rejections_name_the_polynomial(build, message):
         build()
 
 
+def test_direct_spec_images_must_fit():
+    # AnsatzSpec built without general skips _cap: the recursion still checks its images
+    with pytest.raises(ValueError, match=r"^derivation image x3 does not fit in 1 variables$"):
+        general_phi_table(AnsatzSpec(1, 0, (x(2, 1), x(3, 2))), 5)
+
+
 def test_coefficient_recursion_checker():
     # closed-form heat coefficients at t = 1 satisfy psi_k = 2 psi_{k-1}'
     for delta in (0, 1):

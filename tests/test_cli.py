@@ -289,6 +289,9 @@ def test_trajectory_times_are_rationals(option, value, capsys):
     (["eval", "--poles", "1:1/0", "--t", "1"], "pole '1:1/0' is not 'alpha:beta' with rational alpha and beta"),
     (["eval", "--family", "0ansatz", "--kmax", "1", "--t", "2"], "--kmax must be at least 2"),
     (["trajectory", "--n", "1", "--poles", "1:0", "--t0", "1", "--t1", "2"], "need 2 pole parameters, got 1"),
+    # 2 mu t is not finite: the rescaled time is a domain error, not zero jets and nan rows
+    (["burgers", "--family", "1ansatz", "--t", "2", "--znum", "3", "--mu", "1e308"], "profile time not finite: t = inf"),
+    (["burgers", "--family", "1ansatz", "--t", "2", "--znum", "3", "--mu=-1e308"], "profile time not finite: t = -inf"),
 ])
 def test_option_bounds_name_the_option(argv, message, capsys):
     assert run(argv) == 1
@@ -479,6 +482,9 @@ OVERFLOWS = [
     # powers of the parameters leave the float range while a slice evaluates its coefficients
     *[([cmd, "--family", "nansatz", "--poles", "1:0,1:1,2:-1", "--t", "1e-100", "--znum", "3", "--kmax", "40"],
        "floating-point overflow (series coefficients not finite at t = 1e-100)") for cmd in ("eval", "burgers")],
+    # a finite v whose rescaling 2 mu v leaves the float range
+    (["burgers", "--family", "1ansatz", "--mu", "1e307", "--z0", "100", "--z1", "100", "--znum", "1", "--t", "1e-307"],
+     "floating-point overflow (v not finite at z = 100.0)"),
 ]
 
 

@@ -741,3 +741,103 @@ def test_burgers_series_residual_matches_order_dict_property():
         assert got == _burgers_residual_by_orders(image, mu, samples)
 
     check()
+
+
+# the Phi table and the Cole-Hopf image over general families, rebuilt in public GradedPoly arithmetic
+def _monomials(weight, nvars):
+    """Exponent tuples over x2..x_{nvars+1} of weight ``weight`` (x_k weighs k)."""
+    if nvars == 0:
+        return [()] if weight == 0 else []
+    top = nvars + 1
+    return [e + (m,) for m in range(weight // top + 1) for e in _monomials(weight - m * top, nvars - 1)]
+
+
+def _general_specs():
+    """General families p_2..p_{n+2} with random rational coefficients, n = 0..4, both parities."""
+    st = pytest.importorskip("hypothesis").strategies
+    coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+    @st.composite
+    def specs(draw):
+        n, delta = draw(st.integers(0, 4)), draw(st.sampled_from([0, 1]))
+        ps = []
+        for q in range(2, n + 3):
+            nvars = n + 1 if q == n + 2 else n  # the top p_{n+2} may use x_{n+2}, which the spec caps
+            ps.append(GradedPoly(X, nvars, [(e, draw(coefficient)) for e in _monomials(q, nvars)]))
+        return AnsatzSpec.general(n, delta, ps)
+
+    return specs()
+
+
+def _image_by_burgers_equation(spec, K):
+    """c_0..c_K from the Burgers equation for v = x1 z - delta/z - sum_m c_m z^(2m-1), with the
+    time derivative of the parameters read as the derivation D = p.derivation(ps[1:], n):
+    c_1 = 0, c_2 = -p_2/(3+2 delta) and, for M >= 3,
+    c_M = (D c_{M-1} / (M-1) - sum_{i=2}^{M-2} c_i c_{M-i}) / (2M-1+2 delta)."""
+    n, delta = spec.n, spec.delta
+    zero = GradedPoly.zero(X, n)
+    c = [zero, zero, spec.ps[0] * Fraction(-1, 3 + 2 * delta)]
+    for M in range(3, K + 1):
+        quadratic = sum((c[i] * c[M - i] for i in range(2, M - 1)), zero)
+        advected = c[M - 1].derivation(spec.ps[1:], n) * Fraction(1, M - 1)
+        c.append((advected - quadratic) * Fraction(1, 2 * M - 1 + 2 * delta))
+    return c
+
+
+def _same_terms(got, expected):
+    return all(
+        list(p._terms.items()) == list(q._terms.items()) and all(type(v) is Fraction for v in p._terms.values())
+        for p, q in zip(got, expected, strict=True)
+    )
+
+
+def _image(spec, K):
+    return cole_hopf(SeriesSolution(general_phi_table(spec, K), H1, 0)).series_jets  # the profile is not read
+
+
+def test_image_satisfies_the_burgers_equation_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_general_specs())
+    def check(spec):
+        assert _same_terms(_image(spec, 25), _image_by_burgers_equation(spec, 25))
+
+    check()
+
+
+def test_chain_image_satisfies_the_burgers_equation():
+    spec = AnsatzSpec.chain(2, 1)
+    assert _same_terms(_image(spec, 60), _image_by_burgers_equation(spec, 60))
+
+
+def test_tables_match_the_plain_recursions_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=15, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_general_specs(), hypothesis.strategies.integers(2, 25))
+    def check(spec, K):
+        n, ps = spec.n, spec.ps
+        e = [GradedPoly.const(X, n, 1), GradedPoly.zero(X, n), (-2 * (1 + 2 * spec.delta)) * ps[0]]
+        for q in range(3, K + 1):
+            factor = Fraction((2 * q + spec.delta - 3) * (2 * q + spec.delta - 2), 2 * (1 + 2 * spec.delta))
+            e.append(2 * e[q - 1].derivation(ps[1:], n) + factor * (e[2] * e[q - 2]))
+        table = general_phi_table(spec, K)
+        assert _same_terms(table.entries, e)
+        sol = SeriesSolution(table, H1, 0)
+        a = sol.scaled
+        c = [0 * a[0]]
+        for k in range(1, K + 1):
+            c.append(2 * k * a[k] - sum((c[i] * a[k - i] for i in range(k)), 0 * a[k]))
+        assert _same_terms(cole_hopf(sol).series_jets, c)
+
+    check()
+
+
+@pytest.mark.parametrize("sliced", [lambda sol: sol, cole_hopf], ids=["psi", "v"])
+def test_slice_overflow_of_h_names_t(sliced):
+    # h(t) = 1/t is too large for a float at t = 10^-400, while the n = 0 table has no parameters
+    tiny = Fraction(1, 10**400)
+    source = sliced(assemble_psi(AnsatzSpec.chain(0, 0), H1, 0, 4))
+    with pytest.raises(OverflowError, match=f"^series coefficients not finite at t = {re.escape(str(tiny))}$"):
+        source.at(tiny)
