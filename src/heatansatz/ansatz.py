@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _derived, _numerators, _times
-from .operators import expand_basis, params_as_basis, weighted_derivative
+from .operators import _monomial, _weighted_parts, expand_basis, params_as_basis
 
 
 def _check_delta(delta: int) -> int:
@@ -58,20 +58,19 @@ def jet_phi_table(delta: int, k_max: int) -> PhiTable:
         Phi_k = 2 (D + 2(k-1) y1) Phi_{k-1}
                 - (2k+delta-2)(2k+delta-3) (y2 + y1^2) Phi_{k-2},
 
-    each entry homogeneous of degree -2k over y1..y_{k_max}.
+    each entry homogeneous of degree -2k over y1..y_{k_max}.  It runs in the integer working form
+    of ``grpoly``, sharing the (D + 2k*y1) loop with ``weighted_derivative``, and stores each entry once.
     """
     _check_delta(delta)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     ring = max(k_max, 2)
-    y = VariableFamily.Y
-    z2 = GradedPoly.variable(y, ring, 2) + GradedPoly.variable(y, ring, 1) ** 2
-    entries = [GradedPoly.const(y, ring, 1), GradedPoly.zero(y, ring)]
+    z2 = _combination([(1, _monomial(ring, 1)), (1, _times(_monomial(ring, 0), _monomial(ring, 0)))])  # y2 + y1^2
+    work = [_monomial(ring, -1), ({}, 1)]
     for k in range(2, k_max + 1):
-        lead = 2 * weighted_derivative(k - 1, entries[k - 1])
-        tail = (2 * k + delta - 2) * (2 * k + delta - 3) * (z2 * entries[k - 2])
-        entries.append((lead.with_nvars(ring) - tail).with_nvars(ring))
-    return PhiTable(delta, tuple(entries))
+        lead = [(2 * s, part) for s, part in _weighted_parts(k - 1, work[k - 1], ring)]
+        work.append(_combination([*lead, (-(2 * k + delta - 2) * (2 * k + delta - 3), _times(z2, work[k - 2]))]))
+    return PhiTable(delta, tuple(GradedPoly._from_numerators(VariableFamily.Y, ring, w) for w in work))
 
 
 def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:

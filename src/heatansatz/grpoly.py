@@ -6,14 +6,14 @@ of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
 
-Products, derivations and linear combinations run in one integer working form
-(terms, den): exponent tuples mapped to nonzero int numerators, in term order,
-over one positive common denominator.  Each operand is read into it once, and
-a recursion (the Phi table, the Cole-Hopf image) keeps its entries in it, so
-each stored entry becomes ``Fraction``s once.  Storage stays ``Fraction``: ints
-would halve the GC-tracked objects per term, and with them how often the
-cyclic collector runs, so a process that keeps dropping reference cycles (a
-benchmark re-importing the package) would hold more of them at its peak.
+Products, derivations, substitutions and linear combinations run in one integer
+working form (terms, den): exponent tuples mapped to nonzero int numerators, in
+term order, over one positive common denominator.  Each operand is read into it
+once, and a recursion (the Phi and jet tables, the Cole-Hopf image) keeps its
+entries in it, so each stored entry becomes ``Fraction``s once.  Storage stays
+``Fraction``: ints would halve the GC-tracked objects per term, and with them
+how often the cyclic collector runs, so a process that keeps dropping reference
+cycles (a benchmark re-importing the package) would hold more of them at its peak.
 
 Floats enter only at evaluation: ``float_rows`` evaluates polynomials at an
 all-float point with the float steps of ``evaluate``, bit for bit, without
@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -162,13 +162,13 @@ class GradedPoly:
     differing variable counts are reconciled by zero padding, and
     equality/hashing ignore trailing unused variables.
 
-    The constructor is the one place where terms are summed, one at a time
-    in the order given: a key whose sum cancels is dropped, and a later term
-    that brings it back is appended again.  ``+``, :meth:`derivation` and
-    :meth:`substitute` pass it their summands, so each keeps the term order
+    Terms are summed by one loop, ``_summed``, one at a time in the order
+    given: a key whose sum cancels is dropped, and a later term that brings
+    it back is appended again.  The constructor, ``+``, :meth:`derivation`
+    and :meth:`substitute` all sum through it, so each keeps the term order
     of the sum built term by term, which is the order a float ``evaluate``
-    adds in.  Results built inside the class are summed by the same loop
-    without the checks on outside input (:meth:`_trusted`, and
+    adds in.  Results built inside the class skip the checks on outside
+    input (:meth:`_trusted` for ``Fraction`` terms, and
     :meth:`_from_numerators` for the integer working form).
     """
 
@@ -242,13 +242,10 @@ class GradedPoly:
 
     # -- term access -------------------------------------------------------
 
-    def _key(self, exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        w = sum(self.family.weight(i) * e for i, e in enumerate(exps))
-        return (w, tuple(reversed(exps)))
-
     def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical graded-lexicographic order (ascending)."""
-        return sorted(self._terms.items(), key=lambda item: self._key(item[0]))
+        """Terms in canonical graded-lexicographic order (ascending): by weight, then by the reversed exponents."""
+        weights = [self.family.weight(i) for i in range(self.nvars)]
+        return sorted(self._terms.items(), key=lambda item: (sum(map(mul, weights, item[0])), item[0][::-1]))
 
     @property
     def is_zero(self) -> bool:
@@ -440,13 +437,13 @@ class GradedPoly:
 
         The target ring is given explicitly; every image is re-declared to
         it, so an image that uses a position outside it raises ValueError.
-        A position with image None must not occur in any term.  One
-        constructor call sums the products of the terms.
+        A position with image None must not occur in any term.  Each image
+        power is read once; the products and their one sum run in integers.
         """
-        cache: dict[tuple[int, int], GradedPoly] = {}
-        summands: list[tuple[tuple[int, ...], Fraction]] = []
+        cache: dict[tuple[int, int], tuple] = {}
+        products = []
         for exps, coeff in self._terms.items():
-            prod = GradedPoly.const(family, nvars, coeff)
+            prod = ({(0,) * nvars: coeff.numerator}, coeff.denominator)
             for i, e in enumerate(exps):
                 if not e:
                     continue
@@ -454,10 +451,12 @@ class GradedPoly:
                     raise ValueError(f"no substitution image for position {i}")
                 key = (i, e)
                 if key not in cache:
-                    cache[key] = images[i].with_nvars(nvars) ** e
-                prod = prod * cache[key]
-            summands += prod._terms.items()
-        return GradedPoly._trusted(family, nvars, summands)
+                    if images[i].family is not family:
+                        raise FamilyMismatchError(f"cannot combine {family.value} with {images[i].family.value}")
+                    cache[key] = _numerators(images[i].with_nvars(nvars) ** e, nvars)
+                prod = _times(prod, cache[key])
+            products.append((1, prod))
+        return GradedPoly._from_numerators(family, nvars, _combination(products))
 
     def with_nvars(self, nvars: int) -> "GradedPoly":
         """Re-declare the ring size, padding with (or dropping) unused slots."""
@@ -511,14 +510,15 @@ class GradedPoly:
         if not self._terms:
             return "0"
         name = names if names is not None else self.family.var_name
+        labels = [name(i) for i in range(self.nvars)]
         pieces: list[str] = []
-        for exps, coeff in sorted(self._terms.items(), key=lambda kv: self._key(kv[0]), reverse=True):
+        for exps, coeff in reversed(self.terms()):  # the keys are distinct, so this is the descending sort
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
-                    factors.append(name(i))
+                    factors.append(labels[i])
                 elif e > 1:
-                    factors.append(f"{name(i)}^{e}")
+                    factors.append(f"{labels[i]}^{e}")
             mag = abs(coeff)
             if not factors:
                 body = str(mag)

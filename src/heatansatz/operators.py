@@ -16,7 +16,8 @@ multiplicative basis in which membership of the annihilator's kernel is
 visible monomial by monomial; the basis change and its inverse are two
 substitutions (see :func:`decompose_basis`).  The basis symbol Z_k = D_{k-1}
 is the chain value of the ansatz parameter x_k, and one relabelling reads one
-as the other.
+as the other.  The operators build their images as int monomials and run in
+the integer working form of ``grpoly``, each result stored once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .grpoly import GradedPoly, NonHomogeneousError, Scalar, VariableFamily
+from .grpoly import GradedPoly, NonHomogeneousError, Scalar, VariableFamily, _combination, _derived, _numerators, _times
 
 
 def _require_y(poly: GradedPoly) -> None:
@@ -34,11 +35,31 @@ def _require_y(poly: GradedPoly) -> None:
         raise ValueError("jet-space operator applied outside the Y family")
 
 
+def _monomial(nvars: int, position: int, coeff: int = 1) -> tuple:
+    """The working form of coeff times the variable at ``position`` over ``nvars`` slots; at -1, the constant coeff."""
+    return {tuple(int(i == position) for i in range(nvars)): coeff}, 1
+
+
+def _derivation(poly: GradedPoly, nvars: int, images: list) -> GradedPoly:
+    """``poly`` over ``nvars`` slots under the derivation with the (position, working form) ``images``."""
+    return GradedPoly._from_numerators(VariableFamily.Y, nvars, _derived(_numerators(poly, nvars), images))
+
+
+def _jet_images(nvars: int) -> list:
+    """The images of D over ``nvars`` slots: y_{i+2} for y_{i+1}, the last slot left alone."""
+    return [(i, _monomial(nvars, i + 1)) for i in range(nvars - 1)]
+
+
+def _weighted_parts(k: Fraction, work: tuple, nvars: int) -> list:
+    """The (scalar, working form) pairs D P and 2k * y1 P, whose combination is (D + 2k*y1) P,
+    for P in the working form over ``nvars`` slots whose last one P leaves unused."""
+    return [(1, _derived(work, _jet_images(nvars))), (2 * k, _times(_monomial(nvars, 0), work))]
+
+
 def jet_derivative(poly: GradedPoly) -> GradedPoly:
     """Total time derivative along jets: sum_s y_{s+1} dP/dy_s."""
     _require_y(poly)
-    nvars = poly.nvars + 1
-    return poly.derivation([GradedPoly.variable(VariableFamily.Y, nvars, s + 1) for s in range(1, nvars)], nvars)
+    return _derivation(poly, poly.nvars + 1, _jet_images(poly.nvars + 1))
 
 
 def weighted_derivative(k: Union[Scalar, float], poly: GradedPoly) -> GradedPoly:
@@ -51,25 +72,23 @@ def weighted_derivative(k: Union[Scalar, float], poly: GradedPoly) -> GradedPoly
     k = Fraction(k)
     _require_y(poly)
     nvars = poly.nvars + 1
-    y1 = GradedPoly.variable(VariableFamily.Y, nvars, 1)
-    return jet_derivative(poly) + (2 * k) * (y1 * poly.with_nvars(nvars))
+    work = _combination(_weighted_parts(k, _numerators(poly, nvars), nvars))
+    return GradedPoly._from_numerators(VariableFamily.Y, nvars, work)
 
 
 def annihilator(poly: GradedPoly) -> GradedPoly:
     """Apply d/dy1 - sum_s (s+1)s * ys * d/dy_{s+1}."""
     _require_y(poly)
     nvars = poly.nvars
-    one = GradedPoly.const(VariableFamily.Y, nvars, 1)
-    lowered = [-(s + 1) * s * GradedPoly.variable(VariableFamily.Y, nvars, s) for s in range(1, nvars)]
-    return poly.derivation([one, *lowered], nvars)
+    # y_{s+1} goes to 1 for s = 0, else to -(s+1)s * y_s
+    return _derivation(poly, nvars, [(s, _monomial(nvars, s - 1, -(s + 1) * s if s else 1)) for s in range(nvars)])
 
 
 def euler_operator(poly: GradedPoly) -> GradedPoly:
     """Apply the grading operator -2 sum_s s * ys * d/dys."""
     _require_y(poly)
     nvars = poly.nvars
-    graded = [-2 * s * GradedPoly.variable(VariableFamily.Y, nvars, s) for s in range(1, nvars + 1)]
-    return poly.derivation(graded, nvars)
+    return _derivation(poly, nvars, [(s - 1, _monomial(nvars, s - 1, -2 * s)) for s in range(1, nvars + 1)])
 
 
 _CHAIN: list[GradedPoly] = []  # D_1, D_2, ... as far as any caller has asked

@@ -313,7 +313,7 @@ class SeriesSolution(_TimeSliced):
 
     def _bracket(self, gauss: Sequence, a: Sequence) -> list:
         """(2k+delta)! * sum_{i+j=k} gauss_i a_j for k < len(a)."""
-        return [math.factorial(2 * k + self.delta) * _cauchy(gauss, a, k) for k in range(len(a))]
+        return [math.factorial(2 * k + self.delta) * total for k, total in enumerate(_convolution(gauss, a))]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -362,12 +362,23 @@ def rescale_to_mu(psi: Callable, mu: float) -> Callable:
 # -- residuals ----------------------------------------------------------------
 
 
-def _cauchy(a: Sequence, b: Sequence, k: int):
-    """sum_{i+j=k} a_i b_j, the sum starting at 0 * b[k]; a may stop short of k."""
-    total = 0 * b[k]
-    for i in range(min(k + 1, len(a))):
-        total = total + a[i] * b[k - i]
-    return total
+def _convolution(a: Sequence, b: Sequence) -> list:
+    """sum_{i+j=k} a_i b_j for each k < len(b); a may be shorter.  Exact entries are summed as int numerators
+    over one denominator, each sum made one ``Fraction``; others (floats, polynomials) take the plain loop,
+    each sum from 0 * b[k] in the order of i."""
+    if all(type(v) is Fraction or type(v) is int for v in (*a, *b)):
+        den_a, den_b = math.lcm(*(v.denominator for v in a)), math.lcm(*(v.denominator for v in b))
+        na = [v.numerator * (den_a // v.denominator) for v in a]
+        nb = [v.numerator * (den_b // v.denominator) for v in b]
+        return [Fraction(sum(na[i] * nb[k - i] for i in range(min(k + 1, len(a)))), den_a * den_b)
+                for k in range(len(b))]
+    out = []
+    for k in range(len(b)):
+        total = 0 * b[k]
+        for i in range(min(k + 1, len(a))):
+            total = total + a[i] * b[k - i]
+        out.append(total)
+    return out
 
 
 def _gauss(base, count: int) -> list:
@@ -568,7 +579,8 @@ def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Se
     def defects(x, rates, values, slopes):
         f = [Fraction(-image.delta), x[0], *(-c for c in values[2:])]
         df = [0, Fraction(0), rates[0], *(-dc for dc in slopes[2:])]  # f'_{M-1} at index M
-        return (df[M] + (M - 1) * _cauchy(f, f, M) - mu * (2 * M - 1) * (2 * M - 2) * f[M] for M in range(K + 1))
+        ff = _convolution(f, f)
+        return (df[M] + (M - 1) * ff[M] - mu * (2 * M - 1) * (2 * M - 2) * f[M] for M in range(K + 1))
 
     return _series_residual(image.source, image.series_jets, t_samples, defects)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from heatansatz import operators
+from heatansatz.ansatz import jet_phi_table
 from heatansatz.grpoly import GradedPoly, NonHomogeneousError, VariableFamily
 from heatansatz.operators import (
     annihilator,
@@ -19,6 +20,7 @@ from heatansatz.operators import (
     jet_derivative,
     weighted_derivative,
 )
+from heatansatz.verify import random_homogeneous as homogeneous
 
 Y = VariableFamily.Y
 
@@ -233,3 +235,84 @@ def test_expand_basis_builds_only_the_used_chain(monkeypatch):
     assert asked and max(asked) <= 2
     assert out == y(1, 19) * derivative_chain(1)[0].with_nvars(19)
     assert out.nvars == 19
+
+
+# -- the working form against plain public arithmetic ---------------------------
+#
+# The operators, the jet table and substitute build their results in grpoly's integer
+# working form; each oracle below is written in derivation, * and + on GradedPoly, and
+# must give the same terms in the same order, every coefficient a Fraction.
+
+
+def assert_same_terms(got, expected):
+    assert got.family is expected.family and got.nvars == expected.nvars
+    assert list(got._terms.items()) == list(expected._terms.items())
+    assert all(type(c) is Fraction for c in got._terms.values())
+
+
+def jet_images(nvars):
+    """D's images y_{s+1} of y_s over nvars variables, the last one left alone."""
+    return [y(s + 1, nvars) for s in range(1, nvars)]
+
+
+def weighted_by_arithmetic(k, p, nvars):
+    """(D + 2k y1) P over nvars variables, for P that leaves the last one unused."""
+    wide = p.with_nvars(nvars)
+    return wide.derivation(jet_images(nvars), nvars) + (2 * Fraction(k)) * (y(1, nvars) * wide)
+
+
+def substitute_by_arithmetic(p, images, family, nvars):
+    """sum over the terms c * e of P of const(c) * prod_i images[i]^e_i, added one term at a time."""
+    total = GradedPoly.zero(family, nvars)
+    for exps, c in p._terms.items():
+        prod = GradedPoly.const(family, nvars, c)
+        for i, e in enumerate(exps):
+            if e:
+                prod = prod * images[i].with_nvars(nvars) ** e
+        total = total + prod
+    return total
+
+
+def jet_phi_by_arithmetic(delta, k_max):
+    ring = max(k_max, 2)
+    z2 = y(2, ring) + y(1, ring) ** 2
+    entries = [GradedPoly.const(Y, ring, 1), GradedPoly.zero(Y, ring)]
+    for k in range(2, k_max + 1):
+        lead = 2 * weighted_by_arithmetic(k - 1, entries[k - 1], ring + 1)
+        tail = (2 * k + delta - 2) * (2 * k + delta - 3) * (z2 * entries[k - 2])
+        entries.append(lead.with_nvars(ring) - tail)
+    return entries
+
+
+def test_working_form_matches_public_arithmetic_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(1, 9), st.integers(1, 7), st.integers(0, 2**32),
+        st.fractions(min_value=-7, max_value=7, max_denominator=6), st.integers(1, 4),
+    )
+    def check(weight, nvars, seed, k, width):
+        rng = random.Random(seed)
+        p = homogeneous(rng, weight, nvars)
+        wide, n = p.nvars + 1, p.nvars
+        assert_same_terms(jet_derivative(p), p.with_nvars(wide).derivation(jet_images(wide), wide))
+        assert_same_terms(weighted_derivative(k, p), weighted_by_arithmetic(k, p, wide))
+        lowered = [-(s + 1) * s * y(s, n) for s in range(1, n)]
+        assert_same_terms(annihilator(p), p.derivation([GradedPoly.const(Y, n, 1), *lowered], n))
+        assert_same_terms(euler_operator(p), p.derivation([-2 * s * y(s, n) for s in range(1, n + 1)], n))
+        # one homogeneous image with rational coefficients per variable of P, over `width` variables
+        images = [homogeneous(rng, rng.randint(1, 3), width) for _ in range(n)]
+        assert_same_terms(p.substitute(images, Y, width), substitute_by_arithmetic(p, images, Y, width))
+
+    check()
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_jet_phi_table_matches_public_arithmetic(delta):
+    for k_max in (1, 2, 7, 16):
+        entries = jet_phi_table(delta, k_max).entries
+        assert len(entries) == k_max + 1
+        for got, expected in zip(entries, jet_phi_by_arithmetic(delta, k_max)):
+            assert_same_terms(got, expected)

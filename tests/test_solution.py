@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import struct
 from types import SimpleNamespace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from heatansatz.solution import (
     GridSpec,
     SeriesSolution,
     _axis,
+    _convolution,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
@@ -544,6 +546,38 @@ def test_tampered_residual_values():
     bad = SeriesSolution(PhiTable(0, tuple(entries)), H2, 0)
     assert heat_residual_series(bad, [Fraction(2)]) == Fraction(2205, 256)
     assert burgers_residual(cole_hopf(bad), mode="series", t_samples=[Fraction(2)]) == Fraction(1, 32)
+
+
+def _plain_convolution(a, b):
+    """sum_{i+j=k} a_i b_j for k < len(b), each sum started at 0 * b[k] and added in the order of i."""
+    out = []
+    for k in range(len(b)):
+        total = 0 * b[k]
+        for i in range(min(k + 1, len(a))):
+            total = total + a[i] * b[k - i]
+        out.append(total)
+    return out
+
+
+def test_convolution_matches_the_plain_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exact = st.integers(-9, 9) | st.just(0) | st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    floats = st.sampled_from([0.0, -0.0, 5e-324, -1.5, 1e300, -1e300, 0.1]) | st.floats(allow_nan=False)
+    both = exact | floats
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.lists(exact, max_size=8), st.lists(exact, max_size=8),
+                      st.lists(both, max_size=8), st.lists(both, max_size=8))
+    def check(a, b, fa, fb):
+        got = _convolution(a, b)
+        assert got == _plain_convolution(a, b) and all(type(v) is Fraction for v in got)
+        assert _convolution(a[:2], b) == _plain_convolution(a[:2], b)  # a shorter than b
+        # any float entry takes the plain loop: the same floats, bit for bit (-0.0 too)
+        assert [struct.pack("d", v) if type(v) is float else v for v in _convolution(fa, fb)] == [
+            struct.pack("d", v) if type(v) is float else v for v in _plain_convolution(fa, fb)]
+
+    check()
 
 
 @pytest.mark.parametrize("delta", [0, 1])
