@@ -171,16 +171,20 @@ def cmd_trajectory(args) -> int:
     if args.t1 < args.t0:
         raise ValueError("--t1 must not precede --t0")
     state = reduced_initial_state(h, args.n, args.t0)
-    start = DynState(float(args.t0), tuple(float(v) for v in state))
-    t_end = float(args.t1)
-    if rk4_step_count(t_end - start.t, args.step) > 10**6:
+    t0, t_end = float(args.t0), float(args.t1)
+    try:
+        start = DynState(t0, tuple(float(v) for v in state))
+    except OverflowError:  # an exact component too large for a float
+        raise OverflowError(f"start state not finite at t = {t0}") from None
+    if rk4_step_count(t_end - t0, args.step) > 10**6:
         raise ValueError(f"--step {args.step:g} needs more than 10^6 steps from --t0 to --t1")
     trajectory = rk4_integrate(_family_spec(args.n, 0), start, t_end, args.step)
     header = ["t"] + [f"x{i + 1}" for i in range(args.n + 1)]
-    emit_csv(((s.t, *s.x) for s in trajectory), header)
+    emit_csv(((t, *x) for t, x in trajectory), header)
     return 0
 
 
+@functools.cache  # a pure function of two ints: each spec (about 0.1 ms to build) is built once per process
 def _family_spec(n: int, delta: int) -> AnsatzSpec:
     return AnsatzSpec.reduced(n, delta, rational_top(n))
 

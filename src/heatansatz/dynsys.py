@@ -41,7 +41,10 @@ class IntegrationError(RuntimeError):
 
 
 class DynState(NamedTuple):
-    """One trajectory point: time and the state (x1, ..., x_{n+1})."""
+    """One trajectory point: time and the state (x1, ..., x_{n+1}).
+
+    A named ``(t, x)`` pair for start states and trajectory sources; ``rk4_integrate``
+    returns plain ``(t, x)`` tuples, and every reader unpacks either alike."""
 
     t: float
     x: tuple
@@ -179,7 +182,7 @@ def _field_rows(spec: AnsatzSpec, names: Sequence[str]) -> list[str]:
     """``heat_system_field`` of ``spec`` as one float source expression per row over the
     state ``names``: the same float steps in the same order, so bit-identical on floats."""
     x1 = names[0]
-    tails = [f"{x1} ** 2"] + [f"{2 * k} * {x1} * {names[k - 1]}" for k in range(2, spec.n + 2)]
+    tails = [f"{x1} ** 2"] + [f"{2.0 * k!r} * {x1} * {names[k - 1]}" for k in range(2, spec.n + 2)]
     return [f"{p.float_source(names[1:])} - {tail}" for p, tail in zip(spec.ps, tails)]
 
 
@@ -187,35 +190,39 @@ def _field_rows(spec: AnsatzSpec, names: Sequence[str]) -> list[str]:
 def _rk4_loop(spec: AnsatzSpec) -> Callable:
     """The step loop of ``rk4_integrate`` for ``spec`` as generated straight-line float code.
 
-    It appends one state per step to ``out``, and returns None, or the time and state of
-    the first step that leaves [-MAX_ABS, MAX_ABS] or turns non-finite.  (Equal specs
-    share a loop: ``AnsatzSpec.general`` stores every p in canonical term order.)
+    It appends one plain ``(t, x)`` tuple per step to ``out``, and returns None, or the time
+    and state of the first step that leaves [-MAX_ABS, MAX_ABS] or turns non-finite (the
+    chained bound ``lo <= x <= hi`` is false for nan and +-inf).  Integer factors
+    are written as float literals, which take the same float steps as the ints: float-with-float
+    operations are the ones the interpreter specialises.  (Equal specs share a loop:
+    ``AnsatzSpec.general`` stores every p in canonical term order.)
     """
     xs = [f"x{j}" for j in range(1, spec.n + 2)]
     ys = [f"y{j}" for j in range(1, spec.n + 2)]
-    k1, k2, k3, k4 = ([f"k{s}_{j}" for j in range(1, spec.n + 2)] for s in range(1, 5))
+    # the stage slopes k1..k4 of x_j are a_j..d_j: short names keep the source to compile small
+    k1, k2, k3, k4 = ([f"{s}{j}" for j in range(1, spec.n + 2)] for s in "abcd")
     body = [f"{kj} = {row}" for kj, row in zip(k1, _field_rows(spec, xs))]
     for factor, k_last, k in (("half", k1, k2), ("half", k2, k3), ("h", k3, k4)):
         body += [f"{y} = {x} + {factor} * {kj}" for y, x, kj in zip(ys, xs, k_last)]
         body += [f"{kj} = {row}" for kj, row in zip(k, _field_rows(spec, ys))]
-    body += [f"{x} = {x} + sixth * ({a} + 2 * {b} + 2 * {c} + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+    body += [f"{x} = {x} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
     names = ", ".join(xs)
-    bounded = " and ".join(f"abs({x}) <= {MAX_ABS!r}" for x in xs)
+    bounded = " and ".join(f"lo <= {x} <= hi" for x in xs)
     source = "\n".join([
         "def loop(t, x, count, step, t_end, out):",
         f"    {names}, = x",
-        "    t0, append = t, out.append",
+        f"    t0, append, lo, hi = t, out.append, {-MAX_ABS!r}, {MAX_ABS!r}",
         "    for i in range(1, count + 1):",
         "        t_next = t_end if i == count else t0 + i * step",
         "        h = t_next - t",
-        "        half, sixth = h / 2, h / 6",
+        "        half, sixth = h / 2.0, h / 6.0",
         *(f"        {line}" for line in body),
         "        t = t_next",
-        f"        if not ({bounded}):  # nan, inf or blow-up",
+        f"        if not ({bounded}):",
         f"            return t, ({names},)",
-        f"        append(DynState(t, ({names},)))",
+        f"        append((t, ({names},)))",
     ])
-    exec(source, namespace := {"DynState": DynState})
+    exec(source, namespace := {})
     return namespace["loop"]
 
 
@@ -227,8 +234,9 @@ def _guard(t: float, x: tuple) -> None:
             raise IntegrationError(f"state blow-up (|x| > {MAX_ABS:g}) at t = {t}")
 
 
-def rk4_integrate(spec: AnsatzSpec, start: DynState, t_end: float, step: float) -> list[DynState]:
-    """Classical fixed-step RK4 of the heat system of ``spec`` from ``start`` to ``t_end``.
+def rk4_integrate(spec: AnsatzSpec, start: DynState, t_end: float, step: float) -> list[tuple[float, tuple]]:
+    """Classical fixed-step RK4 of the heat system of ``spec`` from the ``(t, x)`` pair ``start``
+    to ``t_end``, as a list of plain ``(t, (x1, ..., x_{n+1}))`` tuples, the start first.
 
     Step i ends at t0 + i*step, and the last one exactly on ``t_end``
     (shortened, or stretched by at most 1e-9 of a step).  Raises
@@ -246,14 +254,14 @@ def rk4_integrate(spec: AnsatzSpec, start: DynState, t_end: float, step: float) 
         raise ValueError("step must be positive and finite")
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
-    t = float(start.t)
-    x = tuple(float(v) for v in start.x)
+    t, x = start
+    t, x = float(t), tuple(float(v) for v in x)
     if len(x) != spec.n + 1:
         raise ValueError(f"state must have {spec.n + 1} components")
     if t_end < t:
         raise ValueError("t_end must not precede the start time")
     _guard(t, x)
-    out = [DynState(t, x)]
+    out = [(t, x)]
     count = int(rk4_step_count(t_end - t, step))  # int(inf) raises OverflowError; times from a count do not drift
     stop = _rk4_loop(spec)(t, x, count, step, t_end, out)
     if stop is not None:

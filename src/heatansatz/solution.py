@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import lt
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
@@ -173,18 +174,36 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
 
 class _TrajectoryInterp:
     """Linear interpolation over an integrated trajectory, plus the
-    running trapezoid integral of x1 (for the r(t) exponent)."""
+    running trapezoid integral of x1 (for the r(t) exponent).
 
-    def __init__(self, states: Sequence[DynState]) -> None:
+    ``states`` are (t, x) pairs: ``DynState``s or the plain tuples of ``rk4_integrate``.  Their
+    times must be finite and strictly increasing and each x must have ``width`` components,
+    checked in that order; the first state that fails raises ValueError naming its index.  The
+    checks run as C-level passes over the columns (times that strictly increase hold no nan,
+    so they are finite when the first and the last are).  The integral takes the float steps
+    acc_i = acc_{i-1} + (t_i - t_{i-1}) * (x1_i + x1_{i-1}) / 2 from 0.0.
+    """
+
+    def __init__(self, states: Sequence[DynState], width: int) -> None:
         if len(states) < 2:
             raise ValueError("trajectory must contain at least two states")
-        self.ts = [s.t for s in states]
-        self.xs = [s.x for s in states]
-        acc = [0.0]
-        for i in range(1, len(states)):
-            dt = self.ts[i] - self.ts[i - 1]
-            acc.append(acc[-1] + dt * (self.xs[i][0] + self.xs[i - 1][0]) / 2)
-        self.x1_integral = acc
+        ts, xs = zip(*states)
+        ordered = all(map(lt, ts, ts[1:])) and math.isfinite(ts[0]) and math.isfinite(ts[-1])
+        if not ordered or [*map(len, xs)].count(width) != len(xs):
+            for what, offset, flags in (
+                ("time is not finite", 0, map(math.isfinite, ts)),
+                ("time does not increase", 1, map(lt, ts, ts[1:])),
+                (f"x must have {width} components", 0, map(width.__eq__, map(len, xs))),
+            ):
+                if False in (flags := [*flags]):
+                    raise ValueError(f"trajectory state {flags.index(False) + offset}: {what}")
+        self.ts, self.xs = ts, xs
+        # on CPython 3.11 a loop over zip is faster than a chain of maps of operator functions into accumulate
+        acc, self.x1_integral = 0.0, [0.0]
+        append = self.x1_integral.append
+        for t, t_last, x, x_last in zip(ts[1:], ts, xs[1:], xs):
+            acc = acc + (t - t_last) * (x[0] + x_last[0]) / 2
+            append(acc)
 
     def _locate(self, t: float) -> int:
         if t < self.ts[0] - 1e-12 or t > self.ts[-1] + 1e-12:
@@ -245,7 +264,8 @@ class SeriesSolution(_TimeSliced):
     ``phi.delta``, n is the size of the ring x2..x_{n+1} that the entries
     are declared over, and the truncation order K is the last entry's index.
     ``h_source`` is either a :class:`RationalH` (exact jets, closed-form
-    prefactor) or an integrated trajectory (floats, interpolated).  The two
+    prefactor) or an integrated trajectory of (t, x) pairs (floats,
+    interpolated).  The two
     read ``r0`` differently: an exact source takes it as the constant in
     e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see
     :func:`exp_r`), a trajectory source as the value r(t0) at the first
@@ -264,7 +284,7 @@ class SeriesSolution(_TimeSliced):
         self.truncation = len(phi.entries) - 1
         self.h_source = h_source
         self.r0 = r0
-        self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source)
+        self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source, self.n + 1)
         # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!, divided exactly
         # (the float factorial overflows from K = 86 on): every series and slice of psi and v reads it
         self.scaled = self._table = tuple(

@@ -177,11 +177,11 @@ def rk4_errors(step: float) -> tuple[float, float]:
     spec = AnsatzSpec.chain(1, 0)
     start = DynState(2.0, tuple(float(v) for v in reduced_initial_state(H2, 1, 2)))
 
-    def error(state: DynState, t) -> float:
-        return max(abs(a - float(b)) for a, b in zip(state.x, reduced_initial_state(H2, 1, t)))
+    def error(x: tuple, t) -> float:
+        return max(abs(a - float(b)) for a, b in zip(x, reduced_initial_state(H2, 1, t)))
 
-    err = max(0.0, *(error(s, s.t) for s in rk4_integrate(spec, start, 3.0, step)))
-    coarse, fine = (error(rk4_integrate(spec, start, 3.0, h)[-1], 3) for h in (0.04, 0.02))  # at the exact time 3
+    err = max(0.0, *(error(x, t) for t, x in rk4_integrate(spec, start, 3.0, step)))
+    coarse, fine = (error(rk4_integrate(spec, start, 3.0, h)[-1][1], 3) for h in (0.04, 0.02))  # at the exact time 3
     return err, coarse / fine
 
 

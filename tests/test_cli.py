@@ -485,6 +485,9 @@ OVERFLOWS = [
     # a finite v whose rescaling 2 mu v leaves the float range
     (["burgers", "--family", "1ansatz", "--mu", "1e307", "--z0", "100", "--z1", "100", "--znum", "1", "--t", "1e-307"],
      "floating-point overflow (v not finite at z = 100.0)"),
+    # the exact start state of a trajectory, too large for a float, names t0
+    (["trajectory", "--n", "1", "--poles", "1:0,1:1", "--t0", "1e-300", "--t1", "1", "--step", "0.5"],
+     "floating-point overflow (start state not finite at t = 1e-300)"),
 ]
 
 

@@ -22,7 +22,7 @@ from heatansatz.dynsys import (
     rk4_integrate,
     rk4_step_count,
 )
-from heatansatz.dynsys import _field_rows
+from heatansatz.dynsys import _field_rows, _rk4_loop
 from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.operators import derivative_chain
 from heatansatz.verify import random_homogeneous
@@ -233,7 +233,7 @@ def _oracle_rk4(field, start, t_end, step):
 def _outcome(integrate, *args):
     """The states bit for bit, or the error type and message."""
     try:
-        return [(s.t.hex(), _bits(s.x)) for s in integrate(*args)]
+        return [(t.hex(), _bits(x)) for t, x in integrate(*args)]
     except (IntegrationError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -320,12 +320,35 @@ def test_rk4_matches_oracle_property():
     )
     @hypothesis.example(1, 7, [0.5, -0.25, 0.0, 0.0, 0.0], 2.0, 0.1, 3, 0.5)  # a shortened last step
     @hypothesis.example(3, 7, [0.5, -0.25, 0.125, 0.0, 0.0], 2.0, 0.01, 100, 0.0)  # a whole-number span
+    # guard edges, for x' = -x1^2 (every n = 0 family): steps that land exactly on -1e12 and on
+    # 1e12 (the run continues), one that ends a float past -1e12 (the run stops), signed zeros,
+    # and a step whose state turns nan (the run stops); test_rk4_guard_edges checks each outcome
+    @hypothesis.example(0, 7, [-1e12, 0.0, 0.0, 0.0, 0.0], 0.0, 1e-30, 1, 0.0)
+    @hypothesis.example(0, 7, [1e12, 0.0, 0.0, 0.0, 0.0], 0.0, 1e-30, 2, 0.0)
+    @hypothesis.example(0, 7, [-1e12, 0.0, 0.0, 0.0, 0.0], 0.0, 1e-27, 2, 0.0)
+    @hypothesis.example(4, 11, [-0.0, 0.5, -0.0, 0.0, -0.0], 0.0, 0.1, 3, 0.0)
+    @hypothesis.example(1, 0, [-1e12, 1e12, 0.0, 0.0, 0.0], 0.0, 1e300, 1, 0.0)
     def check(n, seed, values, t0, step, count, part):
         spec = _random_family(random.Random(seed), n, seed % 2)
         t_end = t0 + (count - part) * step
         _same_as_oracle(spec, DynState(t0, tuple(values[: n + 1])), t_end, step)
 
     check()
+
+
+def test_rk4_guard_edges():
+    # a component exactly on +-1e12 passes the guard, one a float past it stops the run
+    for x1 in (-1e12, 1e12):
+        assert [x for _, x in rk4_integrate(N0, DynState(0.0, (x1,)), 2e-30, 1e-30)] == [(x1,)] * 3
+    past = (IntegrationError, "state blow-up (|x| > 1e+12) at t = 1e-27")
+    assert _same_as_oracle(N0, DynState(0.0, (-1e12,)), 2e-27, 1e-27) == past
+    # signed zeros keep their bits; a state that turns nan stops with the oracle's message
+    spec = _random_family(random.Random(11), 4, 1)
+    assert len(_same_as_oracle(spec, DynState(0.0, (-0.0, 0.5, -0.0, 0.0, -0.0)), 0.3, 0.1)) == 4
+    spec = _random_family(random.Random(0), 1, 0)
+    assert math.isnan(_rk4_loop(spec)(0.0, (-1e12, 1e12), 1, 1e300, 1e300, [])[1][0])
+    assert _same_as_oracle(spec, DynState(0.0, (-1e12, 1e12)), 1e300, 1e300) == (
+        IntegrationError, "non-finite state at t = 1e+300")
 
 
 def test_rk4_stops_where_the_oracle_stops():
@@ -337,12 +360,13 @@ def test_rk4_stops_where_the_oracle_stops():
 def test_rk4_partial_final_step():
     traj = rk4_integrate(N0, DynState(0.0, (1.0,)), 0.25, 0.1)
     assert len(traj) == 4
-    assert traj[-1].t == 0.25
-    assert abs(traj[-1].x[0] - 1 / 1.25) < 1e-6
+    t, x = traj[-1]
+    assert t == 0.25
+    assert abs(x[0] - 1 / 1.25) < 1e-6
     # a whole number of steps: the clock does not drift into a sliver step
     traj = rk4_integrate(N0, DynState(2.0, (1.0,)), 3.0, 1e-2)
     assert len(traj) == 101
-    assert [s.t for s in traj] == [2.0 + i * 1e-2 for i in range(100)] + [3.0]
+    assert [t for t, _ in traj] == [2.0 + i * 1e-2 for i in range(100)] + [3.0]
 
 
 def test_rk4_step_count_is_the_integrators():
@@ -358,8 +382,8 @@ def test_rk4_step_count_is_the_integrators():
 
 def test_rk4_accuracy_exponential():
     # the closed form x0 / (1 + x0 t), as the exponential was before it
-    traj = rk4_integrate(N0, DynState(0.0, (1.0,)), 1.0, 1e-3)
-    assert abs(traj[-1].x[0] - 0.5) < 1e-12
+    _, x = rk4_integrate(N0, DynState(0.0, (1.0,)), 1.0, 1e-3)[-1]
+    assert abs(x[0] - 0.5) < 1e-12
 
 
 def test_rk4_blow_up_guard():
@@ -383,9 +407,9 @@ def test_rk4_tracks_exact_trajectory():
     start_state = reduced_initial_state(H2, 1, Fraction(2))
     start = DynState(2.0, tuple(float(v) for v in start_state))
     err = 0.0
-    for s in rk4_integrate(AnsatzSpec.chain(1, 0), start, 3.0, 1e-3):
-        exact = reduced_initial_state(H2, 1, s.t)
-        err = max(err, max(abs(a - float(b)) for a, b in zip(s.x, exact)))
+    for t, x in rk4_integrate(AnsatzSpec.chain(1, 0), start, 3.0, 1e-3):
+        exact = reduced_initial_state(H2, 1, t)
+        err = max(err, max(abs(a - float(b)) for a, b in zip(x, exact)))
     assert err <= 1e-8
 
 

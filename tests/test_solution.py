@@ -1,5 +1,6 @@
 """Series assembly, exact and numeric residuals, Cole-Hopf images."""
 
+import bisect
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from heatansatz.solution import (
     BurgersSolution,
     GridSpec,
     SeriesSolution,
+    _TrajectoryInterp,
     _axis,
     _convolution,
     assemble_psi,
@@ -356,6 +358,72 @@ def test_rescale_to_mu():
     g = GridSpec(-1.0, 1.0, 9, 1.0, 1.5, 5, 1e-3, 1e-3)
     assert diffusion_residual_numeric(faster, g, mu=2.0) <= 1e-5
     assert diffusion_residual_numeric(faster, g, mu=0.5) > 1e-3
+
+
+class _OracleInterp:
+    """The Python trapezoid loop that ``_TrajectoryInterp`` replaced, verbatim but for reading
+    each state as a (t, x) pair."""
+
+    def __init__(self, states):
+        self.ts = [t for t, _ in states]
+        self.xs = [x for _, x in states]
+        acc = [0.0]
+        for i in range(1, len(states)):
+            dt = self.ts[i] - self.ts[i - 1]
+            acc.append(acc[-1] + dt * (self.xs[i][0] + self.xs[i - 1][0]) / 2)
+        self.x1_integral = acc
+
+    def state(self, t):
+        i = min(max(bisect.bisect_right(self.ts, t) - 1, 0), len(self.ts) - 2)
+        w = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
+        return tuple(a + w * (b - a) for a, b in zip(self.xs[i], self.xs[i + 1]))
+
+    def integral_x1(self, t):
+        i = min(max(bisect.bisect_right(self.ts, t) - 1, 0), len(self.ts) - 2)
+        return self.x1_integral[i] + (t - self.ts[i]) * (self.xs[i][0] + self.state(t)[0]) / 2
+
+
+def test_trajectory_interp_matches_the_loop_bitwise():
+    # non-uniform steps, signed and large x1 values and a shortened last step, and an RK4
+    # trajectory with a shortened last step, as DynStates and as plain (t, x) pairs
+    rng = random.Random(20261019)
+    ts = [2.0]
+    for _ in range(300):
+        ts.append(ts[-1] + rng.choice([1e-3, 0.0123, rng.uniform(1e-4, 0.3)]))
+    ts.append(ts[-1] + 1e-7)
+    pick = lambda: rng.choice([-0.0, 0.0, rng.uniform(-1e6, 1e6), rng.uniform(-3.0, 3.0)])
+    made = [(t, (pick(), pick())) for t in ts]
+    start = DynState(2.0, tuple(float(v) for v in reduced_initial_state(H2, 1, 2)))
+    integrated = rk4_integrate(AnsatzSpec.chain(1, 0), start, 2.537, 0.01)
+    for pairs in (made, integrated):
+        oracle = _OracleInterp(pairs)
+        probes = [pairs[0][0], pairs[-1][0], *(rng.uniform(pairs[0][0], pairs[-1][0]) for _ in range(200))]
+        for states in ([DynState(t, x) for t, x in pairs], [(t, tuple(x)) for t, x in pairs]):
+            interp = _TrajectoryInterp(states, 2)
+            assert [v.hex() for v in interp.x1_integral] == [v.hex() for v in oracle.x1_integral]
+            for t in probes:
+                assert _bits(interp.state(t)) == _bits(oracle.state(t)), t
+                assert interp.integral_x1(t).hex() == oracle.integral_x1(t).hex(), t
+
+
+def test_trajectory_source_checks_its_states():
+    # psi(0.5, t) of the n = 0 family on four states, in time order; any other order, a repeated
+    # or non-finite time or a state of the wrong length is refused with the first bad index
+    table = general_phi_table(AnsatzSpec.chain(0, 0), 4)
+    states = [DynState(float(t), (x1,)) for t, x1 in enumerate((0.5, 0.3, 0.9, 0.2))]
+    sol = SeriesSolution(table, states, 0.0)
+    assert [sol.psi(0.5, t) for t in (0.5, 1.5, 2.5)] == pytest.approx([0.850016, 0.678752, 0.472367], abs=1e-6)
+    bad = [
+        ([states[i] for i in (0, 2, 1, 3)], "trajectory state 2: time does not increase"),
+        ([states[0], states[1], states[1], states[3]], "trajectory state 2: time does not increase"),
+        ([(0.0, (0.5,)), (1.0, (0.3,)), (math.nan, (0.9,))], "trajectory state 2: time is not finite"),
+        ([(-math.inf, (0.5,)), (1.0, (0.3,))], "trajectory state 0: time is not finite"),
+        ([(0.0, (0.5,)), (1.0, (0.3,)), (math.inf, (0.9,))], "trajectory state 2: time is not finite"),
+        ([(0.0, (0.5,)), (1.0, (0.3, 0.1)), (2.0, ())], "trajectory state 1: x must have 1 components"),
+    ]
+    for source, message in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SeriesSolution(table, source, 0.0)
 
 
 def test_trajectory_source_tracks_exact():
