@@ -94,10 +94,10 @@ def jet_phi_remainders(delta: int, k_max: int) -> list[GradedPoly]:
 class AnsatzSpec:
     """Polynomial data driving an n-parameter ansatz.
 
-    Stores the family p_2, ..., p_{n+2} (deg p_q = -2q) with the top chain
-    variable x_{n+2} already substituted by zero, all over the ring
-    x2..x_{n+1}.  The reduced chain family with top polynomial P_n is the
-    family (x2, ..., x_{n+1}, P_n).
+    The family p_2, ..., p_{n+2} (deg p_q = -2q) is checked when the spec is
+    built, by any constructor, and stored over x2..x_{n+1} in canonical term
+    order, the top chain variable x_{n+2} substituted by zero.  The reduced
+    chain family with top polynomial P_n is the family (x2, ..., x_{n+1}, P_n).
     """
 
     n: int
@@ -120,19 +120,22 @@ class AnsatzSpec:
         kept = {e: c for e, c in poly.terms() if len(e) <= n or e[n] == 0}
         return GradedPoly(VariableFamily.X, poly.nvars, kept).with_nvars(n)
 
+    def __post_init__(self):
+        _check_delta(self.delta)
+        if self.n < 0:
+            raise ValueError("n must be nonnegative")
+        if len(self.ps) != self.n + 1:
+            raise ValueError(f"need the {self.n + 1} polynomials p_2..p_{self.n + 2}")
+        object.__setattr__(self, "ps", tuple(self._cap(poly, self.n, q) for q, poly in enumerate(self.ps, start=2)))
+
     @classmethod
     def general(cls, n: int, delta: int, ps: Sequence[GradedPoly]) -> "AnsatzSpec":
-        _check_delta(delta)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if len(ps) != n + 1:
-            raise ValueError(f"need the {n + 1} polynomials p_2..p_{n + 2}")
-        return cls(n=n, delta=delta, ps=tuple(cls._cap(poly, n, q) for q, poly in enumerate(ps, start=2)))
+        return cls(n, delta, tuple(ps))
 
     @classmethod
     def reduced(cls, n: int, delta: int, top: GradedPoly) -> "AnsatzSpec":
         """The chain family p_q = x_q for q <= n+1 closed by p_{n+2} = P_n, where P_n
-        may use only x2..x_n; ``general`` runs every other check."""
+        may use only x2..x_n; the constructor runs every other check."""
         if top.max_used_position() >= max(n - 1, 0):
             allowed = f"x2..x{n}" if n > 1 else f"constants: n = {n} has no parameters"
             raise ValueError(f"P_n may only use {allowed}")
@@ -157,7 +160,7 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
         Phi_q = 2 sum_{k=2}^{n+1} p_{k+1} dPhi_{q-1}/dx_k
                 + (2q+delta-3)(2q+delta-2) / (2(1+2 delta)) * Phi_2 Phi_{q-2}.
 
-    It runs in the integer working form of ``grpoly``, reading p_3..p_{n+2} and storing each entry once.
+    It runs in the integer working form of ``grpoly``, reading the checked p_3..p_{n+2} and storing each entry once.
     """
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
@@ -165,10 +168,10 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
     entries = [
         GradedPoly.const(VariableFamily.X, n, 1),
         GradedPoly.zero(VariableFamily.X, n),
-        GradedPoly.const(VariableFamily.X, n, -2 * (1 + 2 * delta)) * spec.ps[0].with_nvars(n),
+        GradedPoly.const(VariableFamily.X, n, -2 * (1 + 2 * delta)) * spec.ps[0],
     ]
     work = [_numerators(entry, n) for entry in entries]
-    images = entries[0]._derivation_images(spec.ps[1:], n)
+    images = [(i, _numerators(p, n)) for i, p in enumerate(spec.ps[1:])]
     for q in range(3, q_max + 1):
         quadratic = _times(work[2], work[q - 2])
         work.append(_combination([(2, _derived(work[q - 1], images)), (_quadratic_factor(q, delta), quadratic)]))

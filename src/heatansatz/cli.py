@@ -104,11 +104,15 @@ def _positive_float(text: str) -> float:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type for times: exact, so nan, inf or a malformed value is a usage error."""
+    """argparse type for times: exact and finite as a float; nan, inf, 1e400 or a malformed value is a usage error."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        float(value)  # the rows print it; int / int raises OverflowError where a float would be inf
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}") from None
+    return value
 
 
 def _parse_poles(text: str) -> tuple[MobiusParam, ...]:
@@ -178,7 +182,10 @@ def cmd_trajectory(args) -> int:
         raise OverflowError(f"start state not finite at t = {t0}") from None
     if rk4_step_count(t_end - t0, args.step) > 10**6:
         raise ValueError(f"--step {args.step:g} needs more than 10^6 steps from --t0 to --t1")
-    trajectory = rk4_integrate(_family_spec(args.n, 0), start, t_end, args.step)
+    try:
+        trajectory = rk4_integrate(_family_spec(args.n, 0), start, t_end, args.step)
+    except OverflowError:  # a stage value past the float range: the loop's own message names no time
+        raise OverflowError(f"RK4 stage not finite between t = {t0} and t = {t_end}") from None
     header = ["t"] + [f"x{i + 1}" for i in range(args.n + 1)]
     emit_csv(((t, *x) for t, x in trajectory), header)
     return 0

@@ -195,7 +195,7 @@ def _rk4_loop(spec: AnsatzSpec) -> Callable:
     chained bound ``lo <= x <= hi`` is false for nan and +-inf).  Integer factors
     are written as float literals, which take the same float steps as the ints: float-with-float
     operations are the ones the interpreter specialises.  (Equal specs share a loop:
-    ``AnsatzSpec.general`` stores every p in canonical term order.)
+    every ``AnsatzSpec`` stores its p in canonical term order.)
     """
     xs = [f"x{j}" for j in range(1, spec.n + 2)]
     ys = [f"y{j}" for j in range(1, spec.n + 2)]

@@ -365,18 +365,13 @@ class GradedPoly:
         """sum_i images[i] * dP/dv_i over a ring of ``nvars`` variables.
 
         An image of None, or a position past the end of ``images``, is not
-        differentiated.  One pass over the terms of P and of each image, and
-        one summing of the products image_i * dP/dv_i, all in integers: P over
-        its common denominator and the images over the lcm of theirs.
+        differentiated; the others must be of P's family and fit in ``nvars``
+        variables.  One pass over the terms of P and of each image, and one
+        summing of the products image_i * dP/dv_i, all in integers: P over its
+        common denominator and the images over the lcm of theirs.
         """
         if self.max_used_position() >= nvars:
             raise ValueError(f"polynomial does not fit in {nvars} variables")
-        work = _derived(_numerators(self, nvars), self._derivation_images(images, nvars))
-        return GradedPoly._from_numerators(self.family, nvars, work)
-
-    def _derivation_images(self, images: Sequence[Union["GradedPoly", None]], nvars: int) -> list:
-        """The (position, working form) pairs of the images that are not None among the first
-        ``nvars``, each checked to be of this family and to fit in ``nvars`` variables."""
         used = []
         for i, image in enumerate(images[:nvars]):
             if image is None:
@@ -385,7 +380,7 @@ class GradedPoly:
             if image.max_used_position() >= nvars:
                 raise ValueError(f"derivation image {image.to_text()} does not fit in {nvars} variables")
             used.append((i, _numerators(image, nvars)))
-        return used
+        return GradedPoly._from_numerators(self.family, nvars, _derived(_numerators(self, nvars), used))
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.
@@ -467,9 +462,6 @@ class GradedPoly:
         terms = [(self._pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
         return GradedPoly._trusted(self.family, nvars, terms)
 
-    def trimmed(self) -> "GradedPoly":
-        return self.with_nvars(self.max_used_position() + 1)
-
     # -- serialization and display ------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -483,23 +475,6 @@ class GradedPoly:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GradedPoly":
-        family = VariableFamily(data["family"])
-        entries = data["terms"]
-        nvars = max((len(t["exp"]) for t in entries), default=0)
-        terms = {}
-        for t in entries:
-            exps = tuple(t["exp"])
-            if len(exps) != nvars:
-                raise ValueError("ragged exponent tuples")
-            terms[exps] = Fraction(int(t["num"]), int(t["den"]))
-        return cls(family, nvars, terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GradedPoly":
-        return cls.from_json_dict(json.loads(text))
 
     def to_text(self, names=None) -> str:
         """Canonical human-readable form, leading term first.

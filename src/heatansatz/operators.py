@@ -174,9 +174,6 @@ class BasisDecomposition:
     def uses_y1(self) -> bool:
         return any(exps[0] for exps, _ in self.zpoly.terms())
 
-    def to_text(self) -> str:
-        return self.zpoly.to_text(names=basis_name)
-
 
 @lru_cache(maxsize=None)
 def _inverse_images(m: int) -> tuple[GradedPoly, ...]:

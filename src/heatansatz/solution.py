@@ -499,8 +499,9 @@ class BurgersSolution(_TimeSliced):
     ``series_jets[k]`` holds c_k as an X-family polynomial over the ansatz
     parameters x2..x_{n+1} (not over jets, despite the name), trusted
     through order 2K-1 and evaluated at the source's
-    ``parameter_values(t)``.  The normalized table entry is
-    Psi_k = (2 delta k + 1) (2k-1)! c_k.
+    ``parameter_values(t)``, and ``series_values(t)`` lists the exact c_k(t).
+    The normalized table entry is Psi_k = (2 delta k + 1) (2k-1)! c_k, a scale
+    over ``series_values`` (entries 0 and 1 are zero).
     """
 
     def __init__(self, source: SeriesSolution, series_jets: Sequence[GradedPoly]) -> None:
@@ -528,14 +529,6 @@ class BurgersSolution(_TimeSliced):
     def series_values(self, t: Numeric) -> list:
         xs = self.parameter_values(t)
         return [p.evaluate(xs[1:]) for p in self.series_jets]
-
-    def normalized_coefficients(self, t: Numeric) -> list:
-        """The Psi_k table at time t (entries 0 and 1 are zero)."""
-        out = []
-        for k, value in enumerate(self.series_values(t)):
-            scale = (2 * self.delta * k + 1) * math.factorial(max(2 * k - 1, 0))
-            out.append(scale * value)
-        return out
 
     def _slice(self, t: Numeric, h: float, coeffs: tuple[float, ...]) -> BurgersSlice:
         """v at time t: h(t) and c_2(t), ..., c_K(t)."""

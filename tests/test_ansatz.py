@@ -224,10 +224,25 @@ def test_spec_rejections_name_the_polynomial(build, message):
         build()
 
 
+@pytest.mark.parametrize("n, delta, ps, message", [
+    (2, 0, (x(4) * x(2), x(3), x(4) ** 2), r"^p_2 may only use x2\.\.x3$"),
+    (2, 0, (x(2), x(3), x(5) * x(2)), r"^p_4 may only use x2\.\.x4$"),
+    (1, 0, (x(2, 2),), r"^need the 2 polynomials p_2\.\.p_3$"),
+    (1, 2, (x(2, 2), x(3, 2)), r"^parity must be 0 or 1$"),
+    (-1, 0, (), r"^n must be nonnegative$"),
+])
+def test_plain_constructor_checks_like_general(n, delta, ps, message):
+    # general is the constructor: both run the same checks
+    for build in (AnsatzSpec, AnsatzSpec.general):
+        with pytest.raises(ValueError, match=message):
+            build(n, delta, ps)
+
+
 def test_direct_spec_images_must_fit():
-    # AnsatzSpec built without general skips _cap: the recursion still checks its images
-    with pytest.raises(ValueError, match=r"^derivation image x3 does not fit in 1 variables$"):
-        general_phi_table(AnsatzSpec(1, 0, (x(2, 1), x(3, 2))), 5)
+    # the plain constructor caps the top p_3 of n = 1, so x3 in it is dropped, and checks p_2
+    assert AnsatzSpec(1, 0, (x(2, 1), x(3, 2))) == AnsatzSpec.chain(1, 0)
+    with pytest.raises(ValueError, match=r"^p_2 may only use x2\.\.x2$"):
+        AnsatzSpec(1, 0, (x(3, 2), x(3, 2)))
 
 
 def test_coefficient_recursion_checker():

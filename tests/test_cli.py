@@ -269,14 +269,19 @@ def test_trajectory_step_count_is_bounded(capsys, monkeypatch):
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("option, value", [("--t0", "nan"), ("--t1", "nan"), ("--t1", "x"), ("--t1", "-inf")])
+@pytest.mark.parametrize("option, value", [
+    ("--t0", "nan"), ("--t1", "nan"), ("--t1", "x"), ("--t1", "-inf"),
+    # exact, but too large for the float that the rows print
+    ("--t0", "1e400"), ("--t1", "1e400"),
+])
 def test_trajectory_times_are_rationals(option, value, capsys):
     argv = {"--t0": "3", "--t1": "4"} | {option: value}
     with pytest.raises(SystemExit) as exc:
         run(["trajectory", "--n", "1", "--poles", "1:0,1:1", *(f"{k}={v}" for k, v in argv.items())])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and f"argument {option}: invalid rational value: {value!r}" in captured.err
+    message = f"must be finite, got {value!r}" if value == "1e400" else f"invalid rational value: {value!r}"
+    assert captured.out == "" and f"argument {option}: {message}" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -428,6 +433,7 @@ def test_usage_errors_exit_two():
     ("--z0", "nan", "--znum", "1"), ("--z1", "inf"), ("--z0=-inf",), ("--z1=-Infinity",),
     ("--r0", "nan"), ("--r0", "1e400"), ("--mu", "nan"), ("--mu", "inf"), ("--r0", "x"), ("--mu", "1/2"),
     ("--tnum", "3", "--t1", "nan"), ("--t1", "2", "--tnum", "3", "--t0", "inf"), ("--t", "2,x"), ("--t", "1/0"),
+    ("--t", "1e400"), ("--t", "2,1e400"), ("--tnum", "3", "--t1", "1e400"),
 ])
 def test_empty_grid_is_usage_error(command, grid, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -437,7 +443,9 @@ def test_empty_grid_is_usage_error(command, grid, capsys):
     if grid[0] == {"eval": "--mu", "burgers": "--r0"}[command]:
         message = "unrecognized arguments"  # burgers has no --r0 (v does not depend on it), eval no --mu
     elif len(grid) > 1 and grid[-2] in ("--t", "--t0", "--t1"):  # the bad time, or --t item, comes last
-        message = f"argument {grid[-2]}: invalid rational value: {grid[-1].split(',')[-1]!r}"
+        bad = grid[-1].split(",")[-1]
+        message = f"argument {grid[-2]}: " + (f"must be finite, got {bad!r}" if bad == "1e400"
+                                              else f"invalid rational value: {bad!r}")
     elif grid[-1] in ("x", "1/2"):
         message = "invalid float value"
     elif grid[0].startswith(("--z0", "--z1", "--r0", "--mu")):
@@ -488,6 +496,9 @@ OVERFLOWS = [
     # the exact start state of a trajectory, too large for a float, names t0
     (["trajectory", "--n", "1", "--poles", "1:0,1:1", "--t0", "1e-300", "--t1", "1", "--step", "0.5"],
      "floating-point overflow (start state not finite at t = 1e-300)"),
+    # an RK4 stage past the float range names the integration window, not the C library's errno text
+    (["trajectory", "--n", "1", "--poles", "1:0,1:1", "--t0", "2", "--t1", "1e200", "--step", "1e200"],
+     "floating-point overflow (RK4 stage not finite between t = 2.0 and t = 1e+200)"),
 ]
 
 
