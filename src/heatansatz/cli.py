@@ -72,10 +72,10 @@ POLES_MAX = 16
 # eval --t 2 --znum 1000000 takes 5-7 s and prints 42 MB
 GRID_MAX = 10**6
 # the largest --kmax for 1, 2, ..., 6 and 7 or more poles: the table grows like K^(n-1) and its
-# Cole-Hopf image faster (eval at 4 poles and K = 200 takes 1.4 s, burgers at 4 poles and K = 150
-# 42 s); the costliest admitted runs are eval at 16 poles and K = 40 (1.4 s) and burgers at 3 poles
-# and K = 200 (3.6 s)
-KMAX = {"eval": (200, 200, 200, 150, 90, 60, 40), "burgers": (200, 200, 200, 60, 50, 40, 30)}
+# Cole-Hopf image faster (eval at 4 poles and K = 200 takes 1.4 s, burgers at 4 poles and K = 100
+# 5.2 s); the costliest admitted runs are eval at 16 poles and K = 40 (1.4 s) and burgers at 3 poles
+# and K = 200 (1.7-3.3 s), which burgers at 4, 5 and 6 poles and K = 90, 60 and 50 stay under
+KMAX = {"eval": (200, 200, 200, 150, 90, 60, 40), "burgers": (200, 200, 200, 90, 60, 50, 30)}
 
 
 def _chain_order(text: str) -> int:

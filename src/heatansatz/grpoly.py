@@ -511,17 +511,20 @@ class GradedPoly:
         return f"GradedPoly({self.family.value}[{self.nvars}]: {self.to_text()})"
 
 
-def float_rows(polys: Sequence[GradedPoly]) -> Callable[[Sequence[float]], list[float]]:
-    """A callable that evaluates every polynomial of ``polys`` at one all-float point,
-    bit-identical to ``[float(p.evaluate(point)) for p in polys]``: each coefficient is read
-    once as ``float(c)`` and each exponent tuple as indices into one shared power list; at a
-    point each power ``x_i ** e`` is computed once, each term is ``float(c) * pw[j] * ...``
-    left to right, and the terms are summed from 0.0 in insertion order (a constant first
-    term starts the sum, as its exact value does in ``evaluate``)."""
+def float_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Callable[[Sequence[float]], list[float]]:
+    """A callable that evaluates each p / d, for the polynomials p of ``polys`` and their int
+    ``divisors`` d (default 1), at one all-float point, bit-identical to
+    ``float((p * Fraction(1, d)).evaluate(point))``: each coefficient c is read once, as the
+    correctly rounded int division ``c.numerator / (c.denominator * d)``, which is the float of
+    c / d, and each exponent tuple as indices into one shared power list; at a point each power
+    ``x_i ** e`` is computed once, each term is ``float(c / d) * pw[j] * ...`` left to right, and
+    the terms are summed from 0.0 in insertion order (a constant first term starts the sum, as its
+    exact value does in ``evaluate``)."""
     powers: dict[tuple[int, int], int] = {}
     rows = []
-    for poly in polys:
-        terms = [(float(c), tuple(powers.setdefault((i, e), len(powers)) for i, e in enumerate(exps) if e))
+    for poly, d in zip(polys, divisors or [1] * len(polys), strict=True):
+        terms = [(c.numerator / (c.denominator * d),
+                  tuple(powers.setdefault((i, e), len(powers)) for i, e in enumerate(exps) if e))
                  for exps, c in poly._terms.items()]
         rows.append((terms.pop(0)[0] if terms and not terms[0][1] else 0.0, terms))
     needed = max((i + 1 for i, _ in powers), default=0)

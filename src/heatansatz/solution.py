@@ -19,7 +19,8 @@ Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
 time and converted to float, and each point is then a Horner pass in z^2.
 At a float time the jets, chain values and coefficients take no ``Fraction``
-arithmetic (``grpoly.float_rows``), bit-identical to ``evaluate`` on floats.
+arithmetic (``grpoly.float_rows``), bit-identical to ``evaluate`` on floats:
+each coefficient of Phi_k is read once, divided by (2k+delta)! as ints.
 psi and v share this one slice path, ``_TimeSliced.at``, with its memo of
 the last slice; an overflow while it evaluates the coefficients names t.
 Both finite-difference residuals run on one driver, ``_grid_residual``.
@@ -225,8 +226,8 @@ class _TrajectoryInterp:
 
 
 class _TimeSliced:
-    """A table over x2..x_{n+1} read at x(t) one time slice at a time: a subclass sets
-    ``_table`` and has ``parameter_values(t)`` and ``_slice(t, h, values)``, which packs the slice."""
+    """A table over x2..x_{n+1} read at x(t) one time slice at a time: a subclass has ``_table`` (exact times),
+    may override its float rows ``_rows``, and has ``parameter_values(t)`` and ``_slice(t, h, values)`` to pack a slice."""
 
     _last = None  # the last (t, slice) built by at()
 
@@ -269,7 +270,8 @@ class SeriesSolution(_TimeSliced):
     read ``r0`` differently: an exact source takes it as the constant in
     e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see
     :func:`exp_r`), a trajectory source as the value r(t0) at the first
-    state.  The same r0 therefore gives different psi for the two.
+    state.  The same r0 therefore gives different psi for the two.  Float slices read
+    each Phi_k coefficient over (2k+delta)! once; the exact ``scaled`` table waits for exact work.
     """
 
     def __init__(
@@ -285,11 +287,16 @@ class SeriesSolution(_TimeSliced):
         self.h_source = h_source
         self.r0 = r0
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source, self.n + 1)
-        # the bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!, divided exactly
-        # (the float factorial overflows from K = 86 on): every series and slice of psi and v reads it
-        self.scaled = self._table = tuple(
-            entry * Fraction(1, math.factorial(2 * k + self.delta)) for k, entry in enumerate(phi.entries)
-        )
+        self._factorials = [math.factorial(2 * k + self.delta) for k in range(self.truncation + 1)]
+
+    @cached_property
+    def scaled(self) -> tuple[GradedPoly, ...]:
+        """The bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!, divided exactly
+        (the float factorial overflows from K = 86 on); built at the first exact slice or residual."""
+        return tuple(entry * Fraction(1, f) for entry, f in zip(self.phi.entries, self._factorials))
+
+    _table = property(lambda self: self.scaled)
+    _rows = cached_property(lambda self: float_rows(self.phi.entries, self._factorials))
 
     # -- state access -------------------------------------------------------
 
@@ -333,7 +340,7 @@ class SeriesSolution(_TimeSliced):
 
     def _bracket(self, gauss: Sequence, a: Sequence) -> list:
         """(2k+delta)! * sum_{i+j=k} gauss_i a_j for k < len(a)."""
-        return [math.factorial(2 * k + self.delta) * total for k, total in enumerate(_convolution(gauss, a))]
+        return [f * total for f, total in zip(self._factorials, _convolution(gauss, a))]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -541,16 +548,18 @@ class BurgersSolution(_TimeSliced):
 def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
     """Exact Cole-Hopf image of a series solution (diffusion mu = 1/2).
 
-    With W = sum_k a_k z^(2k) from the scaled table (a_0 = 1), the image is
+    With W = sum_k a_k z^(2k), a_k = Phi_k / (2k+delta)! (a_0 = 1), the image is
     v = -delta/z + h z - W'/W and W'/W = sum_k c_k z^(2k-1).  Matching
     coefficients in W (W'/W) = W' gives c_0 = 0 and the recursion
     c_k = 2k a_k - sum_{j=1}^{k-1} a_j c_{k-j}, one truncated convolution
     over the parameters x2..x_{n+1}, in the integer working form of ``grpoly``:
-    each a_k is read once, and each c_k is stored as a ``GradedPoly`` once.
-    Any source evaluates, an integrated trajectory too.
+    each Phi_k is read once and divided there, in lowest terms, without the
+    source's exact ``scaled`` table, and each c_k is stored as a ``GradedPoly``
+    once.  Any source evaluates, an integrated trajectory too.
     """
-    family, nvars = sol.scaled[0].family, max(entry.nvars for entry in sol.scaled)
-    a = [_numerators(entry, nvars) for entry in sol.scaled]
+    entries = sol.phi.entries
+    family, nvars = entries[0].family, max(entry.nvars for entry in entries)
+    a = [_combination([(Fraction(1, f), _numerators(entry, nvars))]) for entry, f in zip(entries, sol._factorials)]
     c = [({}, 1)]
     for k in range(1, sol.truncation + 1):
         convolution = _combination((1, _times(c[i], a[k - i])) for i in range(k))

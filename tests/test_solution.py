@@ -23,7 +23,7 @@ from heatansatz.dynsys import (
     reduced_initial_state,
     rk4_integrate,
 )
-from heatansatz.grpoly import GradedPoly, VariableFamily
+from heatansatz.grpoly import GradedPoly, VariableFamily, _combination, _numerators, _times
 from heatansatz.operators import derivative_chain
 from heatansatz.solution import (
     BurgersSolution,
@@ -934,6 +934,63 @@ def test_tables_match_the_plain_recursions_property():
         assert _same_terms(cole_hopf(sol).series_jets, c)
 
     check()
+
+
+def _scaled_by_division(sol):
+    """a_k = Phi_k / (2k+delta)!, divided exactly here."""
+    return [entry * Fraction(1, math.factorial(2 * k + sol.delta)) for k, entry in enumerate(sol.phi.entries)]
+
+
+def _image_over_scaled(sol):
+    """The Cole-Hopf recursion c_k = 2k a_k - sum_{j<k} c_j a_{k-j} in working forms read from the a_k."""
+    a = [_numerators(entry, sol.n) for entry in _scaled_by_division(sol)]
+    c = [({}, 1)]
+    for k in range(1, sol.truncation + 1):
+        convolution = _combination((1, _times(c[i], a[k - i])) for i in range(k))
+        c.append(_combination([(2 * k, a[k]), (-1, convolution)]))
+    return [GradedPoly._from_numerators(X, sol.n, w) for w in c]
+
+
+def _assert_slices_divide_once(sol, times):
+    # each coefficient of psi's slice at a float time, bit for bit, against a_k evaluated there
+    table = _scaled_by_division(sol)
+    for t in times:
+        point = sol.parameter_values(t)[1:]
+        assert all(type(v) is float for v in point)
+        assert _bits(sol.at(t).coeffs) == _bits([float(a.evaluate(point)) for a in table])
+
+
+def test_slices_and_image_divide_phi_as_they_read_it_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_general_specs(), st.integers(2, 25), st.lists(st.floats(-1.5, 1.5), min_size=10, max_size=10))
+    def check(spec, K, xs):
+        # a trajectory of two states, so any family has float parameters at a float time
+        n = spec.n
+        sol = SeriesSolution(general_phi_table(spec, K), [DynState(0.0, tuple(xs[: n + 1])),
+                                                          DynState(1.0, tuple(xs[5 : n + 6]))], 0.0)
+        _assert_slices_divide_once(sol, (0.0, 0.375, 1.0))
+        assert _same_terms(cole_hopf(sol).series_jets, _image_over_scaled(sol))
+
+    check()
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_long_float_slices_divide_phi_as_they_read_it(delta):
+    # the two-pole chain at K = 115 and three poles at K = 200, where (2K+delta)! is far past the float range
+    _assert_slices_divide_once(assemble_psi(AnsatzSpec.chain(1, delta), H2, 0.0, 115), (2.0, 3.5))
+    _assert_slices_divide_once(assemble_psi(AnsatzSpec.reduced(2, delta, rational_top(2)), H3, 0.0, 200), (3.0, 17.0))
+
+
+def test_float_work_builds_no_scaled_table():
+    sol = assemble_psi(AnsatzSpec.chain(1, 1), H2, 0, 12)
+    sol.psi(0.5, 2.5)
+    cole_hopf(sol).v(0.5, 2.5)
+    assert "scaled" not in sol.__dict__
+    sol.psi(0.5, Fraction(5, 2))
+    assert "scaled" in sol.__dict__
 
 
 @pytest.mark.parametrize("sliced", [lambda sol: sol, cole_hopf], ids=["psi", "v"])
