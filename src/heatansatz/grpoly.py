@@ -6,13 +6,14 @@ of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
 
-Products, derivations, substitutions and linear combinations run in one integer
-working form (terms, den): exponent tuples mapped to nonzero int numerators, in
-term order, over one positive common denominator.  Each operand is read into it
-once, and a recursion (the Phi and jet tables, the Cole-Hopf image) keeps its
-entries in it, so each stored entry becomes ``Fraction``s once.  Storage stays
-``Fraction``: ints would halve the GC-tracked objects per term, and with them
-how often the cyclic collector runs, so a process that keeps dropping reference
+Every computed polynomial is built in one integer working form (terms, den): exponent
+tuples mapped to nonzero int numerators, in term order, over one positive common
+denominator.  Sums, differences, negation, products, derivations, substitutions, linear
+combinations and a change of ring size all run in it.  Each operand is read into it once,
+and a recursion (the Phi and jet tables, the Cole-Hopf image) keeps its entries in it, so
+each stored entry becomes ``Fraction``s once; no other module reads the storage.
+Storage stays ``Fraction``: ints would halve the GC-tracked objects per term, and with
+them how often the cyclic collector runs, so a process that keeps dropping reference
 cycles (a benchmark re-importing the package) would hold more of them at its peak.
 
 Floats enter only at evaluation: ``float_rows`` evaluates polynomials at an
@@ -164,12 +165,12 @@ class GradedPoly:
 
     Terms are summed by one loop, ``_summed``, one at a time in the order
     given: a key whose sum cancels is dropped, and a later term that brings
-    it back is appended again.  The constructor, ``+``, :meth:`derivation`
+    it back is appended again.  The constructor, ``+``, ``-``, :meth:`derivation`
     and :meth:`substitute` all sum through it, so each keeps the term order
     of the sum built term by term, which is the order a float ``evaluate``
-    adds in.  Results built inside the class skip the checks on outside
-    input (:meth:`_trusted` for ``Fraction`` terms, and
-    :meth:`_from_numerators` for the integer working form).
+    adds in.  The constructor checks outside input; every
+    result computed here is built from the integer working form by
+    :meth:`_from_numerators`, without those checks.
     """
 
     __slots__ = ("family", "nvars", "_terms")
@@ -199,16 +200,6 @@ class GradedPoly:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
-
-    @classmethod
-    def _trusted(
-        cls, family: VariableFamily, nvars: int, items: Iterable[tuple[tuple[int, ...], Fraction]]
-    ) -> "GradedPoly":
-        """Sum ``Fraction`` terms whose exponent tuples already have ``nvars``
-        nonnegative slots, without the constructor's checks."""
-        poly = object.__new__(cls)
-        poly._set(family, nvars, _summed(items))
-        return poly
 
     @classmethod
     def _from_numerators(cls, family: VariableFamily, nvars: int, work: tuple) -> "GradedPoly":
@@ -258,7 +249,11 @@ class GradedPoly:
         return len(self._terms)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        """The coefficient of the monomial ``exps``; as in equality, trailing unused slots do not matter."""
+        exps = tuple(exps)
+        if any(exps[self.nvars :]):
+            return Fraction(0)
+        return self._terms.get(exps[: self.nvars] + (0,) * (self.nvars - len(exps)), Fraction(0))
 
     def max_used_position(self) -> int:
         """Highest variable position occurring with nonzero exponent, -1 if none."""
@@ -276,27 +271,23 @@ class GradedPoly:
         if self.family is not other.family:
             raise FamilyMismatchError(f"cannot combine {self.family.value} with {other.family.value}")
 
-    @staticmethod
-    def _pad(exps: tuple[int, ...], nvars: int) -> tuple[int, ...]:
-        return exps + (0,) * (nvars - len(exps))
-
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        return self._sum(other, other._terms.items()) if isinstance(other, GradedPoly) else NotImplemented
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "GradedPoly", sign: int) -> "GradedPoly":
+        """self + sign * other: the terms of self, then those of ``other``, summed in one pass."""
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self._sum(other, [(exps, -c) for exps, c in other._terms.items()])
-
-    def _sum(self, other: "GradedPoly", other_terms) -> "GradedPoly":
-        """The terms of self, then ``other_terms`` (of ``other``), summed in one pass."""
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        summands = [(self._pad(exps, nvars), c) for terms in (self._terms.items(), other_terms) for exps, c in terms]
-        return GradedPoly._trusted(self.family, nvars, summands)
+        work = _combination([(1, _numerators(self, nvars)), (sign, _numerators(other, nvars))])
+        return GradedPoly._from_numerators(self.family, nvars, work)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._trusted(self.family, self.nvars, [(e, -c) for e, c in self._terms.items()])
+        return self * -1
 
     def __mul__(self, other: Union["GradedPoly", Scalar]) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -459,8 +450,7 @@ class GradedPoly:
             return self
         if nvars < self.max_used_position() + 1:
             raise ValueError("cannot drop a variable that is in use")
-        terms = [(self._pad(exps, nvars)[:nvars], c) for exps, c in self._terms.items()]
-        return GradedPoly._trusted(self.family, nvars, terms)
+        return GradedPoly._from_numerators(self.family, nvars, _numerators(self, nvars))
 
     # -- serialization and display ------------------------------------------
 

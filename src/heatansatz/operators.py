@@ -134,11 +134,12 @@ def basis_name(position: int) -> str:
 
 
 def params_as_basis(poly: GradedPoly) -> GradedPoly:
-    """Read each ansatz parameter x_k as the basis symbol Z_k = D_{k-1} (y1 unused),
-    keeping the term order that a later substitution sums in."""
+    """Read each ansatz parameter x_k as the basis symbol Z_k = D_{k-1} (y1 unused): the working form
+    relabelled, in the term order that a later substitution sums in."""
     if poly.family is not VariableFamily.X:
         raise ValueError("only ansatz parameters read as basis symbols")
-    return GradedPoly._trusted(VariableFamily.Y, poly.nvars + 1, (((0, *e), c) for e, c in poly._terms.items()))
+    terms, den = _numerators(poly, poly.nvars)
+    return GradedPoly._from_numerators(VariableFamily.Y, poly.nvars + 1, ({(0, *e): n for e, n in terms.items()}, den))
 
 
 def basis_as_params(zpoly: GradedPoly) -> GradedPoly:

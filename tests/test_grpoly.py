@@ -77,6 +77,12 @@ def test_mixed_nvars_addition():
     assert s.coefficient((1, 0, 0, 0, 0)) == 1
     assert s.coefficient((0, 0, 1, 0, 0)) == 1
     assert a == GradedPoly.variable(Y, 9, 1)  # trailing zeros do not matter
+    # nor in a coefficient query of another length
+    p, q = GradedPoly(X, 3, {(1, 0, 0): 2}), GradedPoly(X, 1, {(1,): 2})
+    assert p == q
+    assert p.coefficient((1,)) == q.coefficient((1, 0, 0)) == q.coefficient((1,)) == 2
+    assert q.coefficient((1, 0, 1)) == p.coefficient((1, 0, 0, 1)) == 0
+    assert p.coefficient(()) == q.coefficient((0, 0, 0, 0)) == 0
 
 
 def test_family_mismatch_raises():

@@ -153,6 +153,9 @@ def test_with_nvars_padding(p, extra):
     assert wide == p and hash(wide) == hash(p)
     assert wide.terms() == [(exps + (0,) * extra, c) for exps, c in p.terms()]
     assert wide.with_nvars(p.nvars).terms() == p.terms()
+    # and in insertion order, the order a float evaluate sums in
+    assert list(wide._terms.items()) == [(exps + (0,) * extra, c) for exps, c in p._terms.items()]
+    assert list(wide.with_nvars(p.nvars)._terms.items()) == list(p._terms.items())
     trimmed = p.with_nvars(p.max_used_position() + 1)
     assert trimmed == p and trimmed.nvars == p.max_used_position() + 1
     if p.max_used_position() >= 0:
@@ -324,6 +327,7 @@ def test_fractional_sum_matches_fraction_loop(pair):
     assert_same_terms(p - q, add_oracle(p, neg_q))
     # every term of q that p lacks cancels
     assert_same_terms((p + q) - q, add_oracle(p + q, neg_q))
+    assert_same_terms(-q, neg_q)
 
 
 @st.composite

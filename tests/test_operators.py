@@ -19,6 +19,7 @@ from heatansatz.operators import (
     expand_basis,
     is_annihilated,
     jet_derivative,
+    params_as_basis,
     weighted_derivative,
 )
 from heatansatz.verify import random_homogeneous as homogeneous
@@ -306,6 +307,9 @@ def test_working_form_matches_public_arithmetic_property():
         # one homogeneous image with rational coefficients per variable of P, over `width` variables
         images = [homogeneous(rng, rng.randint(1, 3), width) for _ in range(n)]
         assert_same_terms(p.substitute(images, Y, width), substitute_by_arithmetic(p, images, Y, width))
+        # x_k read as Z_k, term by term, over terms in an order that is not sorted
+        px = GradedPoly(VariableFamily.X, n, reversed(p._terms.items()))
+        assert_same_terms(params_as_basis(px), GradedPoly(Y, n + 1, [((0, *e), c) for e, c in px._terms.items()]))
 
     check()
 
