@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import truediv
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .grpoly import GradedPoly, JetPoint, Numeric, VariableFamily, float_rows
+from .grpoly import GradedPoly, JetPoint, Numeric, VariableFamily, exact_rows, float_rows
 from .ansatz import AnsatzSpec
 from .operators import basis_as_params, decompose_basis, derivative_chain
 
@@ -272,16 +272,15 @@ def rk4_integrate(spec: AnsatzSpec, start: DynState, t_end: float, step: float) 
 # -- exact states and residuals ----------------------------------------------
 
 
-_chain_rows = lru_cache(maxsize=8)(lambda n: float_rows(derivative_chain(n)))
+_chain_rows = lru_cache(maxsize=16)(lambda n, rows: rows(derivative_chain(n)))  # rows: float_rows or exact_rows
 
 
 def reduced_initial_state(h: RationalH, n: int, t: Numeric) -> tuple:
-    """Reduced-system state at time t: x1 = h, x_{k+1} = D_k(jets), exact at an exact t
-    and by ``float_rows`` (bit-identical to ``evaluate``) at float jets."""
+    """Reduced-system state at time t: x1 = h, x_{k+1} = D_k(jets), read by ``exact_rows`` at
+    exact jets and by ``float_rows`` (bit-identical to ``evaluate``) at float jets."""
     jets = h.jets(t, n + 1)
-    if n and all(type(v) is float for v in jets):
-        return (jets[0], *_chain_rows(n)(jets))
-    return (jets[0], *(d.evaluate(jets) for d in derivative_chain(n))) if n else jets[:1]
+    rows = float_rows if all(type(v) is float for v in jets) else exact_rows
+    return (jets[0], *_chain_rows(n, rows)(jets)) if n else jets[:1]
 
 
 def ode_residual(n: int, top: Union[GradedPoly, None], jets: JetPoint) -> Numeric:

@@ -16,9 +16,9 @@ Storage stays ``Fraction``: ints would halve the GC-tracked objects per term, an
 them how often the cyclic collector runs, so a process that keeps dropping reference
 cycles (a benchmark re-importing the package) would hold more of them at its peak.
 
-Floats enter only at evaluation: ``float_rows`` evaluates polynomials at an
-all-float point with the float steps of ``evaluate``, bit for bit, without
-``Fraction`` dispatch per term.
+Floats enter only at evaluation: ``float_rows`` takes the float steps of ``evaluate`` at an all-float point,
+bit for bit, with no ``Fraction`` dispatch per term.  Its exact twin ``exact_rows`` gives values and chain-rule
+slopes at a rational point in one integer pass of dual numbers, with no symbolic partials.
 """
 
 from __future__ import annotations
@@ -129,6 +129,17 @@ def _times(left, right):
     """The working form of the product of two working forms, ``left`` in the outer loop."""
     acc = _product(left[0].items(), right[0].items())
     return {e: n for e, n in acc.items() if n}, left[1] * right[1]
+
+
+def _power(work, exponent: int, nvars: int):
+    """``work`` (over ``nvars`` slots) to the power ``exponent`` by square-and-multiply from 1, the result outer."""
+    result = ({(0,) * nvars: 1}, 1)
+    while exponent:
+        if exponent & 1:
+            result = _times(result, work)
+        work = _times(work, work) if exponent > 1 else work
+        exponent >>= 1
+    return result
 
 
 def _combination(pairs: Iterable[tuple[Scalar, tuple]]):
@@ -306,17 +317,11 @@ class GradedPoly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "GradedPoly":
+        """Square-and-multiply in the working form (``_power``, which ``substitute`` shares), stored once."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = GradedPoly.const(self.family, self.nvars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        work = _power(_numerators(self, self.nvars), exponent, self.nvars)
+        return GradedPoly._from_numerators(self.family, self.nvars, work)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
@@ -424,7 +429,8 @@ class GradedPoly:
         The target ring is given explicitly; every image is re-declared to
         it, so an image that uses a position outside it raises ValueError.
         A position with image None must not occur in any term.  Each image
-        power is read once; the products and their one sum run in integers.
+        power is raised in the working form as ``__pow__`` raises it, so no power is
+        stored as ``Fraction``s; the products and their one sum run in integers.
         """
         cache: dict[tuple[int, int], tuple] = {}
         products = []
@@ -439,7 +445,9 @@ class GradedPoly:
                 if key not in cache:
                     if images[i].family is not family:
                         raise FamilyMismatchError(f"cannot combine {family.value} with {images[i].family.value}")
-                    cache[key] = _numerators(images[i].with_nvars(nvars) ** e, nvars)
+                    if images[i].max_used_position() >= nvars:
+                        raise ValueError("cannot drop a variable that is in use")
+                    cache[key] = _power(_numerators(images[i], nvars), e, nvars)
                 prod = _times(prod, cache[key])
             products.append((1, prod))
         return GradedPoly._from_numerators(family, nvars, _combination(products))
@@ -531,5 +539,45 @@ def float_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Cal
                 total += term
             out.append(total)
         return out
+
+    return at
+
+
+def exact_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Callable:
+    """The exact twin of ``float_rows``: ``at(point, rates=None)`` gives each p / d at a point of ints and
+    ``Fraction``s, equal to ``(p * Fraction(1, d)).evaluate(point)``, and given ``rates`` r the pair (values, slopes),
+    the slopes sum_k dp/dx_k * r_k / d.  Each p is read once into the working form.  The point goes over its lcm D as
+    ints a_i, the rates over theirs, R, as ints b_i; a power a_i^e and its rate e a_i^(e-1) b_i D are one dual number,
+    a term's value and rate one dual-number product, and lifted by D^(top - |e|) the terms of a row sum in ints."""
+    powers: dict[tuple[int, int], int] = {}
+    rows = []
+    for poly, d in zip(polys, divisors or [1] * len(polys), strict=True):
+        terms, den = _numerators(poly, poly.nvars)
+        top = max(map(sum, terms), default=0)
+        rows.append((den * d, top, [(n, top - sum(e), [powers.setdefault(p, len(powers)) for p in enumerate(e) if p[1]])
+                                    for e, n in terms.items()]))
+    needed = max((i + 1 for i, _ in powers), default=0)
+
+    def at(point: Sequence[Scalar], rates: Union[Sequence[Scalar], None] = None):
+        if len(point) < needed:
+            raise ValueError(f"point of length {len(point)} too short, need {needed}")
+        coords, rs = point[:needed], [0] * needed if rates is None else rates[:needed]
+        D, R = lcm(*(v.denominator for v in coords)), lcm(*(r.denominator for r in rs))
+        a = [v.numerator * (D // v.denominator) for v in coords]
+        b = [r.numerator * (R // r.denominator) * D for r in rs]
+        pw = [(a[i] ** e, e * a[i] ** (e - 1) * b[i]) for i, e in powers]
+        lifts = [D**k for k in range(max((top for _, top, _ in rows), default=0) + 1)]
+        values, slopes = [], []
+        for den, top, terms in rows:
+            value = slope = 0
+            for n, lift, factors in terms:
+                v, s = n * lifts[lift], 0
+                for j in factors:
+                    pv, ps = pw[j]
+                    v, s = v * pv, s * pv + v * ps
+                value, slope = value + v, slope + s
+            values.append(Fraction(value, den * lifts[top]))
+            slopes.append(Fraction(slope, den * lifts[top] * R))
+        return values if rates is None else (values, slopes)
 
     return at

@@ -13,7 +13,8 @@ arithmetic, over the ansatz parameters x(t) rather than over the jets of
 h.  Floats appear only in pointwise evaluation and in the
 finite-difference residual checks.  Both exact residuals run on one
 driver, ``_series_residual``, which takes the parameters' rates from the
-one vector field, ``dynsys.heat_system_field``.
+one vector field, ``dynsys.heat_system_field``, and the polynomials' values
+and slopes from one integer pass of ``grpoly.exact_rows`` per sample.
 
 Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
-from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _numerators, _times, float_rows
+from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _numerators, _times, exact_rows, float_rows
 
 HALF = Fraction(1, 2)
 
@@ -292,7 +293,7 @@ class SeriesSolution(_TimeSliced):
     @cached_property
     def scaled(self) -> tuple[GradedPoly, ...]:
         """The bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!, divided exactly
-        (the float factorial overflows from K = 86 on); built at the first exact slice or residual."""
+        (the float factorial overflows from K = 86 on); built at the first exact slice or bracket, not by residuals."""
         return tuple(entry * Fraction(1, f) for entry, f in zip(self.phi.entries, self._factorials))
 
     _table = property(lambda self: self.scaled)
@@ -413,28 +414,29 @@ def _gauss(base, count: int) -> list:
     return [base**i * Fraction(1, math.factorial(i)) for i in range(count)]
 
 
-def _series_residual(sol: SeriesSolution, polys: Sequence[GradedPoly], t_samples: Sequence[Numeric], defects: Callable):
-    """Max |defect| over the samples of an exact residual, for polynomials over x2..x_{n+1}.
+def _series_residual(sol: SeriesSolution, polys, divisors, t_samples: Sequence[Numeric], defects: Callable):
+    """Max |defect| over the samples of an exact residual, for polynomials p / d (``divisors`` d) over x2..x_{n+1}.
 
     At each sample the exact (x1, ..., x_{n+1}) and their rates x' come from
     the chain family one size up, whose heat field lines for x1..x_{n+1} read
     x_{n+2} = D_{n+1}(jets) from the profile: off shell that differs from the
     spec's top polynomial.  ``defects(x, x', p, p')`` yields the defects from
-    the polynomials' values p and rates p' = grad p . x' (the chain rule).
+    the polynomials' values p and rates p' = grad p . x' (the chain rule), both
+    from one integer pass of ``grpoly.exact_rows`` per sample.  A sample time
+    that is not an int or a ``Fraction`` raises ValueError before any work.
     """
     if not sol.exact:
         raise ValueError("the exact residual needs a rational profile source")
+    if inexact := [t for t in t_samples if not isinstance(t, (int, Fraction))]:
+        raise ValueError(f"exact residual needs rational sample times: t = {inexact[0]}")
     n = sol.n
-    grads = [[p.partial(k) for k in range(2, n + 2)] for p in polys]
+    rows = exact_rows(polys, divisors)
     chain = AnsatzSpec.chain(n + 1, 0)
     worst = Fraction(0)
     for t in t_samples:
         state = reduced_initial_state(sol.h_source, n + 1, t)
         x, rates = state[:-1], heat_system_field(chain, state)[:-1]
-        point = x[1:]
-        values = [p.evaluate(point) for p in polys]
-        slopes = [sum((g.evaluate(point) * r for g, r in zip(grad, rates[1:]) if g), Fraction(0)) for grad in grads]
-        for defect in defects(x, rates, values, slopes):
+        for defect in defects(x, rates, *rows(x[1:], rates[1:])):
             worst = max(worst, abs(defect))
     return worst
 
@@ -447,7 +449,8 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
     This is psi_k - 2 psi_{k-1}' with the positive prefactor e^{r(t)}
     factored out, so it stays in rational arithmetic.  b_k and b_k' are
     exact numbers at each sample: the chain rule over the parameters, with
-    their exact rates.
+    their exact rates: ``exact_rows`` reads Phi with the factorials as
+    divisors, so no ``scaled`` table is built.  A float sample raises ValueError.
     """
     K, d = sol.truncation, sol.delta
 
@@ -460,7 +463,7 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
         db = [p + q for p, q in zip(sol._bracket(dgauss, values), sol._bracket(gauss, slopes))]
         return (b[k] + (2 * d + 1) * h * b[k - 1] - 2 * db[k - 1] for k in range(1, K))
 
-    return _series_residual(sol, sol.scaled[:K], t_samples, defects)
+    return _series_residual(sol, sol.phi.entries[:K], sol._factorials[:K], t_samples, defects)
 
 
 def _grid_residual(u: Callable, grid: GridSpec, pointwise: Callable) -> float:
@@ -604,7 +607,7 @@ def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Se
         ff = _convolution(f, f)
         return (df[M] + (M - 1) * ff[M] - mu * (2 * M - 1) * (2 * M - 2) * f[M] for M in range(K + 1))
 
-    return _series_residual(image.source, image.series_jets, t_samples, defects)
+    return _series_residual(image.source, image.series_jets, (), t_samples, defects)
 
 
 def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) -> float:

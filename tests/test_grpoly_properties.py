@@ -1,5 +1,5 @@
 """Property tests for GradedPoly: ring axioms, JSON, padding, derivations,
-substitutions, the basis change that is two substitutions, and the float rows."""
+substitutions, the basis change that is two substitutions, and the float and exact rows."""
 
 import json
 import random
@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from heatansatz.grpoly import GradedPoly, VariableFamily, float_rows  # noqa: E402
+from heatansatz.grpoly import GradedPoly, VariableFamily, exact_rows, float_rows  # noqa: E402
 from heatansatz.operators import decompose_basis, expand_basis, is_annihilated  # noqa: E402
 from heatansatz.verify import random_homogeneous  # noqa: E402
 
@@ -382,6 +382,61 @@ def test_fractional_substitute_matches_fraction_loop(case):
     assert_same_terms(p.substitute(images, family, nvars), substitute_oracle(p, images, family, nvars))
 
 
+
+# -- powers: the square-and-multiply sequence of GradedPoly products ----------------------
+
+
+def pow_by_products(poly, exponent):
+    # square-and-multiply from the constant 1, one GradedPoly product per step
+    result, base = GradedPoly.const(poly.family, poly.nvars, 1), poly
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base if exponent > 1 else base
+        exponent >>= 1
+    return result
+
+
+def substitute_by_products(poly, images, family, nvars):
+    # each image re-declared with with_nvars and raised by GradedPoly products, each term's
+    # product of powers one GradedPoly product at a time, and all terms summed in one pass
+    summands = []
+    for exps, coeff in poly._terms.items():
+        prod = GradedPoly.const(family, nvars, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                prod = prod * pow_by_products(images[i].with_nvars(nvars), e)
+        summands += prod._terms.items()
+    return GradedPoly(family, nvars, summands)
+
+
+CANCELLING = GradedPoly(VariableFamily.X, 1, [((0,), Fraction(3, 2)), ((2,), -2), ((1,), -3)])
+
+
+@st.composite
+def power_cases(draw):
+    """(P, images, family, nvars, exponent): P with exponents up to 5, so that its powers take
+    several squares, and images from a pool of two over at most ``nvars`` slots."""
+    size = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 5)] * size)
+    p = GradedPoly(draw(st.sampled_from(list(VariableFamily))), size,
+                   draw(st.lists(st.tuples(exps, fractional | few), max_size=4)))
+    family, nvars = draw(st.sampled_from(list(VariableFamily))), draw(st.integers(0, 3))
+    image = st.integers(0, nvars).flatmap(lambda m: fractional_polys(family, m))
+    pool = draw(st.lists(image, min_size=1, max_size=2))
+    return p, [draw(st.sampled_from(pool)) for _ in range(size)], family, nvars, draw(st.integers(0, 7))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(power_cases())
+# a cancelling sum whose fifth power's term order depends on which factor of each product is outer
+@example((CANCELLING, [CANCELLING], VariableFamily.X, 1, 5))
+def test_powers_match_square_and_multiply_products(case):
+    p, images, family, nvars, exponent = case
+    assert_same_terms(p**exponent, pow_by_products(p, exponent))
+    assert_same_terms(p.substitute(images, family, nvars), substitute_by_products(p, images, family, nvars))
+
+
 # -- float rows: the float steps of evaluate, bit for bit ------------------------------
 
 # zeros of both signs, subnormals, values whose squares or cubes overflow, and any float
@@ -444,3 +499,69 @@ def test_float_rows_start_from_a_leading_constant():
         assert bits(float_rows([poly])(point)) == bits([float(poly.evaluate(point))])
     assert bits(float_rows([poly])([-0.0])) == bits([-0.0])
     assert float_rows([])([]) == []
+
+
+
+# -- exact rows: the values of evaluate and the chain-rule slopes of partial ----------------
+
+exact_values = st.integers(-4, 4) | fractional | st.sampled_from([0, Fraction(0), Fraction(-7, 3)])
+
+
+@st.composite
+def exact_row_cases(draw):
+    """(polys, divisors, point, rates): polynomials of one family over mixed ring sizes, whose
+    exponent tuples come from a pool of at most four cut to each ring, so that terms cancel and
+    the polynomials share powers, with constant-only and zero polynomials among them; an exact
+    point and rates of ints and ``Fraction``s, as long as the widest ring or one slot longer."""
+    family = draw(st.sampled_from(list(VariableFamily)))
+    nvars = draw(st.integers(0, 4))
+    # tuples with every exponent nonzero give terms in several variables, whose slopes take the product rule
+    exps = st.tuples(*[st.integers(0, 3)] * nvars) | st.tuples(*[st.integers(1, 3)] * nvars)
+    pool = draw(st.lists(exps, min_size=1, max_size=4))
+
+    def poly(size):
+        kind = draw(st.sampled_from(["terms", "terms", "constant", "zero"]))
+        if kind == "constant":
+            return GradedPoly.const(family, size, draw(fractional | few))
+        terms = [] if kind == "zero" else draw(st.lists(st.tuples(st.sampled_from(pool), fractional | few), max_size=6))
+        return GradedPoly(family, size, [(e[:size], c) for e, c in terms])
+
+    polys = [poly(draw(st.integers(0, nvars))) for _ in range(draw(st.integers(0, 4)))]
+    divisors = draw(st.lists(st.integers(1, 720), min_size=len(polys), max_size=len(polys)))
+    length = draw(st.integers(nvars, nvars + 1))
+    point = draw(st.lists(exact_values, min_size=length, max_size=length))
+    return polys, divisors, point, draw(st.lists(exact_values, min_size=length, max_size=length))
+
+
+# terms of three degrees and one in two variables, at a point and rates with denominators
+MIXED = GradedPoly(VariableFamily.X, 2, [((1, 1), Fraction(2, 5)), ((1, 0), -1), ((0, 0), Fraction(1, 3)), ((0, 2), 3)])
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(exact_row_cases())
+@example(([MIXED, GradedPoly.const(VariableFamily.X, 1, 7), GradedPoly.zero(VariableFamily.X, 2)], [6, 1, 5],
+          [Fraction(1, 2), Fraction(-2, 3)], [Fraction(3, 4), -1]))
+def test_exact_rows_match_evaluate_and_partial(case):
+    polys, divisors, point, rates = case
+    rows = exact_rows(polys, divisors)
+    values, slopes = rows(point, rates)
+    assert values == rows(point)
+    assert values == [(p * Fraction(1, d)).evaluate(point) for p, d in zip(polys, divisors)]
+    partials = [[p.partial(p.family.first_index + k) for k in range(p.nvars)] for p in polys]
+    assert slopes == [sum((g.evaluate(point) * r for g, r in zip(grad, rates)), Fraction(0)) / d
+                      for grad, d in zip(partials, divisors)]
+    assert all(type(v) is Fraction for v in values + slopes)
+    needed = max((p.max_used_position() + 1 for p in polys), default=0)
+    if needed:
+        short = point[: needed - 1]
+        with pytest.raises(ValueError, match="too short"):
+            rows(short)
+        with pytest.raises(ValueError, match="too short"):
+            [p.evaluate(short) for p in polys]
+
+
+def test_exact_rows_of_nothing():
+    assert exact_rows([])([]) == []
+    assert exact_rows([])([], []) == ([], [])
+    zero = GradedPoly.zero(VariableFamily.X, 2)
+    assert exact_rows([zero], [6])([Fraction(1, 2), 3], [1, 1]) == ([Fraction(0)], [Fraction(0)])

@@ -746,24 +746,47 @@ def _image_by_reciprocal(sol):
     return [zero, zero] + [sum(((2 * j) * (w[j] * u[k - j]) for j in range(1, k + 1)), zero) for k in range(2, K + 1)]
 
 
+def _values_and_slopes(sol, polys, t):
+    """(x, x', p(x), grad p . x') at time t: x1 = h, x_{k+1} = D_k(jets), and from
+    D_{k+1} = (D + 2(k+1) y1) D_k the rates x_{k+1}' = D_{k+1} - 2(k+1) h D_k; each p
+    evaluated, and each slope summed from its partials."""
+    n = sol.n
+    jets = sol.h_source.jets(t, n + 2)
+    d = [dk.evaluate(jets) for dk in derivative_chain(n + 1)]
+    x = (jets[0], *d[:n])
+    rates = (jets[1], *(d[k] - 2 * (k + 1) * jets[0] * d[k - 1] for k in range(1, n + 1)))
+    values = [p.evaluate(x[1:]) for p in polys]
+    slopes = [sum((p.partial(k).evaluate(x[1:]) * rates[k - 1] for k in range(2, n + 2)), Fraction(0)) for p in polys]
+    return x, rates, values, slopes
+
+
+def _heat_residual_by_partials(sol, t_samples):
+    """Max |b_k + (2 delta+1) h b_{k-1} - 2 b_{k-1}'| over k < K, with b_k = (2k+delta)! sum_{i+j=k}
+    (-h/2)^i / i! a_j and b_k' by the product rule, from the a_j = Phi_j / (2j+delta)! and their slopes."""
+    K, d = sol.truncation, sol.delta
+    a = [entry * Fraction(1, math.factorial(2 * j + d)) for j, entry in enumerate(sol.phi.entries[:K])]
+    worst = Fraction(0)
+    for t in t_samples:
+        x, rates, values, slopes = _values_and_slopes(sol, a, t)
+        g = [(-x[0] / 2) ** i / math.factorial(i) for i in range(K)]
+        dg = [Fraction(0)] + [(-x[0] / 2) ** (i - 1) / math.factorial(i - 1) * (-rates[0] / 2) for i in range(1, K)]
+
+        def bracket(u, w):
+            return [math.factorial(2 * k + d) * sum(u[i] * w[k - i] for i in range(k + 1)) for k in range(K)]
+
+        b = bracket(g, values)
+        db = [p + q for p, q in zip(bracket(dg, values), bracket(g, slopes))]
+        worst = max(worst, *(abs(b[k] + (2 * d + 1) * x[0] * b[k - 1] - 2 * db[k - 1]) for k in range(1, K)))
+    return worst
+
+
 def _burgers_residual_by_orders(image, mu, t_samples):
     """Max |coefficient| of v_t + v v_z - mu v_zz through order 2K-3, adding
     each pair of v's Laurent orders into a dict keyed by order."""
-    K, n, h = image.truncation, image.source.n, image.source.h_source
-    chain = derivative_chain(n + 1)
+    K = image.truncation
     worst = Fraction(0)
     for t in t_samples:
-        # x1 = h, x_{k+1} = D_k(jets), and from D_{k+1} = (D + 2(k+1) y1) D_k the
-        # rates x_{k+1}' = D_{k+1} - 2(k+1) h D_k
-        jets = h.jets(t, n + 2)
-        d = [dk.evaluate(jets) for dk in chain]
-        x = (jets[0], *d[:n])
-        rates = (jets[1], *(d[k] - 2 * (k + 1) * jets[0] * d[k - 1] for k in range(1, n + 1)))
-        values = [p.evaluate(x[1:]) for p in image.series_jets]
-        slopes = [
-            sum((p.partial(k).evaluate(x[1:]) * rates[k - 1] for k in range(2, n + 2)), Fraction(0))
-            for p in image.series_jets
-        ]
+        x, rates, values, slopes = _values_and_slopes(image.source, image.series_jets, t)
         v = {1: (x[0], rates[0])}
         if image.delta:
             v[-1] = (-image.delta, 0)
@@ -843,6 +866,48 @@ def test_burgers_series_residual_matches_order_dict_property():
         assert got == _burgers_residual_by_orders(image, mu, samples)
 
     check()
+
+
+def test_exact_residuals_match_partials_property():
+    # chain families with random tops under profiles of one to four poles, mostly off shell
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pole = st.builds(MobiusParam, st.integers(1, 3), st.integers(-3, 1))
+    times = st.fractions(min_value=2, max_value=5, max_denominator=7)
+    coefficient = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 3), st.sampled_from([0, 1]), st.integers(2, 10), st.data())
+    def check(n, delta, K, data):
+        top = GradedPoly(X, n, [(e, data.draw(coefficient)) for e in _monomials(n + 2, n)])
+        spec = AnsatzSpec.general(n, delta, [*(GradedPoly.variable(X, n, k) for k in range(2, n + 2)), top])
+        poles = data.draw(st.lists(pole, min_size=1, max_size=4))
+        sol = assemble_psi(spec, RationalH(len(poles) - 1, tuple(poles)), 0, K)
+        samples = data.draw(st.lists(times, min_size=1, max_size=2))
+        assert heat_residual_series(sol, samples) == _heat_residual_by_partials(sol, samples)
+        image = cole_hopf(sol)
+        for mu in (Fraction(1, 2), Fraction(1, 3)):
+            got = burgers_residual(image, mu=mu, mode="series", t_samples=samples)
+            assert got == _burgers_residual_by_orders(image, mu, samples)
+
+    check()
+
+
+def test_exact_residuals_refuse_float_sample_times(monkeypatch):
+    # the two-pole chain solves exactly; a float t would take the float jets and report rounding noise
+    sol = assemble_psi(AnsatzSpec.chain(1, 0), H2, 0, 6)
+    image = cole_hopf(sol)
+    assert heat_residual_series(sol, [Fraction(5, 2)]) == 0
+    assert burgers_residual(image, mode="series", t_samples=[Fraction(5, 2)]) == 0
+
+    def no_state(*args):
+        raise AssertionError("a state was computed")
+
+    monkeypatch.setattr("heatansatz.solution.reduced_initial_state", no_state)
+    with pytest.raises(ValueError, match=r"exact residual needs rational sample times: t = 2\.5$"):
+        heat_residual_series(sol, [2.5])
+    with pytest.raises(ValueError, match=r"exact residual needs rational sample times: t = 2\.5$"):
+        burgers_residual(image, mode="series", t_samples=[Fraction(2), 2.5])
 
 
 # the Phi table and the Cole-Hopf image over general families, rebuilt in public GradedPoly arithmetic
