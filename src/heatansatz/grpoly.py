@@ -548,7 +548,8 @@ def exact_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Cal
     ``Fraction``s, equal to ``(p * Fraction(1, d)).evaluate(point)``, and given ``rates`` r the pair (values, slopes),
     the slopes sum_k dp/dx_k * r_k / d.  Each p is read once into the working form.  The point goes over its lcm D as
     ints a_i, the rates over theirs, R, as ints b_i; a power a_i^e and its rate e a_i^(e-1) b_i D are one dual number,
-    a term's value and rate one dual-number product, and lifted by D^(top - |e|) the terms of a row sum in ints."""
+    a term's value and rate one dual-number product, and lifted by D^(top - |e|) the terms of a row sum in ints.
+    A short point or short rates raise ValueError; a coordinate or rate not an int or ``Fraction``, TypeError."""
     powers: dict[tuple[int, int], int] = {}
     rows = []
     for poly, d in zip(polys, divisors or [1] * len(polys), strict=True):
@@ -561,7 +562,11 @@ def exact_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Cal
     def at(point: Sequence[Scalar], rates: Union[Sequence[Scalar], None] = None):
         if len(point) < needed:
             raise ValueError(f"point of length {len(point)} too short, need {needed}")
+        if rates is not None and len(rates) < needed:
+            raise ValueError(f"rates of length {len(rates)} too short, need {needed}")
         coords, rs = point[:needed], [0] * needed if rates is None else rates[:needed]
+        if inexact := [v for v in (*coords, *rs) if not isinstance(v, (int, Fraction))]:
+            raise TypeError(f"exact point expected, got {type(inexact[0]).__name__}")
         D, R = lcm(*(v.denominator for v in coords)), lcm(*(r.denominator for r in rs))
         a = [v.numerator * (D // v.denominator) for v in coords]
         b = [r.numerator * (R // r.denominator) * D for r in rs]

@@ -19,11 +19,12 @@ and slopes from one integer pass of ``grpoly.exact_rows`` per sample.
 Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
 time and converted to float, and each point is then a Horner pass in z^2.
-At a float time the jets, chain values and coefficients take no ``Fraction``
-arithmetic (``grpoly.float_rows``), bit-identical to ``evaluate`` on floats:
-each coefficient of Phi_k is read once, divided by (2k+delta)! as ints.
-psi and v share this one slice path, ``_TimeSliced.at``, with its memo of
-the last slice; an overflow while it evaluates the coefficients names t.
+Slices, bracket coefficients and Burgers series values read a table at x(t)
+by one method, ``_TimeSliced._read``: ``grpoly.float_rows`` at an all-float
+x(t) (no ``Fraction`` arithmetic, bit-identical to ``evaluate``), else
+``grpoly.exact_rows``; each Phi_k coefficient is read once, divided by
+(2k+delta)! as ints.  psi and v share one slice path, ``_TimeSliced.at``, with
+its memo of the last slice; an overflow while it evaluates the coefficients names t.
 Both finite-difference residuals run on one driver, ``_grid_residual``.
 """
 
@@ -227,14 +228,22 @@ class _TrajectoryInterp:
 
 
 class _TimeSliced:
-    """A table over x2..x_{n+1} read at x(t) one time slice at a time: a subclass has ``_table`` (exact times),
-    may override its float rows ``_rows``, and has ``parameter_values(t)`` and ``_slice(t, h, values)`` to pack a slice."""
+    """A table p_k / d_k over x2..x_{n+1} read at x(t): a subclass sets the pair ``_polys``, ``_divisors``
+    (d_k = 1 when empty) and has ``parameter_values(t)`` and ``_slice(t, h, values)`` to pack a slice."""
 
     _last = None  # the last (t, slice) built by at()
 
+    def _read(self, xs: tuple) -> list:
+        """The table at xs = (x1, ..., x_{n+1}): by ``float_rows`` if all x_i are floats (bit-identical to evaluate),
+        else by ``exact_rows``.  x1 counts, as at n = 0 the point x2.. is empty.  Each reader is built at first use."""
+        rows = self._float_rows if all(type(v) is float for v in xs) else self._exact_rows
+        return rows(xs[1:])
+
+    _float_rows = cached_property(lambda self: float_rows(self._polys, self._divisors))
+    _exact_rows = cached_property(lambda self: exact_rows(self._polys, self._divisors))
+
     def at(self, t: Numeric):
-        """The float data at time t: h(t) and the table at x(t), by ``grpoly.float_rows`` at an
-        all-float point (bit-identical to ``evaluate``), else evaluated exactly and rounded once.
+        """The float data at time t: h(t) and the table at x(t) by ``_read``, exact values rounded once.
 
         The table comes first, then h; an overflow of either names t.  The last slice is memoised by the value
         and the type of t (2 == 2.0 == Fraction(2), but exact and float times give different
@@ -243,20 +252,15 @@ class _TimeSliced:
         if self._last is not None and type(self._last[0]) is type(t) and self._last[0] == t:
             return self._last[1]
         xs = self.parameter_values(t)
-        point = xs[1:]
         try:
-            if all(type(v) is float for v in point):
-                values = tuple(self._rows(point))
-            else:
-                values = tuple(float(p.evaluate(point)) for p in self._table)
+            values = self._read(xs)
+            coeffs = tuple(map(float, values)) if values and type(values[0]) is Fraction else tuple(values)
             h = float(xs[0])
         except OverflowError:
             raise OverflowError(f"series coefficients not finite at t = {t}") from None
-        data = self._slice(t, h, values)
+        data = self._slice(t, h, coeffs)
         self._last = (t, data)
         return data
-
-    _rows = cached_property(lambda self: float_rows(self._table))  # built at the first float slice
 
 
 class SeriesSolution(_TimeSliced):
@@ -271,8 +275,8 @@ class SeriesSolution(_TimeSliced):
     read ``r0`` differently: an exact source takes it as the constant in
     e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see
     :func:`exp_r`), a trajectory source as the value r(t0) at the first
-    state.  The same r0 therefore gives different psi for the two.  Float slices read
-    each Phi_k coefficient over (2k+delta)! once; the exact ``scaled`` table waits for exact work.
+    state.  The same r0 therefore gives different psi for the two.  Slices and bracket coefficients
+    read a_k = Phi_k / (2k+delta)! by ``_read``, each Phi_k coefficient divided as it is read.
     """
 
     def __init__(
@@ -289,15 +293,7 @@ class SeriesSolution(_TimeSliced):
         self.r0 = r0
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source, self.n + 1)
         self._factorials = [math.factorial(2 * k + self.delta) for k in range(self.truncation + 1)]
-
-    @cached_property
-    def scaled(self) -> tuple[GradedPoly, ...]:
-        """The bracket series W(s) = sum_k a_k s^k with a_k = Phi_k / (2k+delta)!, divided exactly
-        (the float factorial overflows from K = 86 on); built at the first exact slice or bracket, not by residuals."""
-        return tuple(entry * Fraction(1, f) for entry, f in zip(self.phi.entries, self._factorials))
-
-    _table = property(lambda self: self.scaled)
-    _rows = cached_property(lambda self: float_rows(self.phi.entries, self._factorials))
+        self._polys, self._divisors = phi.entries, self._factorials
 
     # -- state access -------------------------------------------------------
 
@@ -326,17 +322,17 @@ class SeriesSolution(_TimeSliced):
     def bracket_coefficients(self, t: Numeric) -> list:
         """b_k = psi_k(t) / e^{r(t)} for k = 0..K, exact for exact sources.
 
-        b_k = (2k+delta)! * sum_{i+j=k} (-h/2)^i / i! * a_j(x).
+        b_k = (2k+delta)! * sum_{i+j=k} (-h/2)^i / i! * a_j(x), with the a_j(x) read by ``_read``.
         """
         xs = self.parameter_values(t)
-        return self._bracket(_gauss(-HALF * xs[0], self.truncation + 1), [a.evaluate(xs[1:]) for a in self.scaled])
+        return self._bracket(_gauss(-HALF * xs[0], self.truncation + 1), self._read(xs))
 
     # kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
     def bracket_jets(self) -> list[GradedPoly]:
         """The b_k as jet polynomials (ansatz parameters substituted by
-        chain polynomials)."""
+        chain polynomials, each a_k = Phi_k / (2k+delta)! divided as it is substituted)."""
         base = -HALF * GradedPoly.variable(VariableFamily.Y, 1, 1)
-        hat = [ansatz_to_jet(a, max(self.n, 1)) for a in self.scaled]
+        hat = [ansatz_to_jet(e * Fraction(1, f), max(self.n, 1)) for e, f in zip(self.phi.entries, self._factorials)]
         return self._bracket(_gauss(base, len(hat)), hat)
 
     def _bracket(self, gauss: Sequence, a: Sequence) -> list:
@@ -449,8 +445,8 @@ def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
     This is psi_k - 2 psi_{k-1}' with the positive prefactor e^{r(t)}
     factored out, so it stays in rational arithmetic.  b_k and b_k' are
     exact numbers at each sample: the chain rule over the parameters, with
-    their exact rates: ``exact_rows`` reads Phi with the factorials as
-    divisors, so no ``scaled`` table is built.  A float sample raises ValueError.
+    their exact rates: ``exact_rows`` reads Phi_0..Phi_{K-1} with the
+    factorials as divisors.  A float sample raises ValueError.
     """
     K, d = sol.truncation, sol.delta
 
@@ -508,8 +504,8 @@ class BurgersSolution(_TimeSliced):
     the z^(2k-1) coefficient of W'/W and W is the bracket series.
     ``series_jets[k]`` holds c_k as an X-family polynomial over the ansatz
     parameters x2..x_{n+1} (not over jets, despite the name), trusted
-    through order 2K-1 and evaluated at the source's
-    ``parameter_values(t)``, and ``series_values(t)`` lists the exact c_k(t).
+    through order 2K-1 and read by ``_read`` at the source's ``parameter_values(t)``:
+    ``series_values(t)`` lists c_0(t), ..., c_K(t), exact at an exact time.
     The normalized table entry is Psi_k = (2 delta k + 1) (2k-1)! c_k, a scale
     over ``series_values`` (entries 0 and 1 are zero).
     """
@@ -517,7 +513,7 @@ class BurgersSolution(_TimeSliced):
     def __init__(self, source: SeriesSolution, series_jets: Sequence[GradedPoly]) -> None:
         self.source = source
         self.series_jets = series_jets
-        self._table = series_jets[2:]
+        self._polys, self._divisors = series_jets, ()
 
     @property
     def delta(self) -> int:
@@ -537,12 +533,11 @@ class BurgersSolution(_TimeSliced):
         return self.source.parameter_values(t)
 
     def series_values(self, t: Numeric) -> list:
-        xs = self.parameter_values(t)
-        return [p.evaluate(xs[1:]) for p in self.series_jets]
+        return self._read(self.parameter_values(t))
 
     def _slice(self, t: Numeric, h: float, coeffs: tuple[float, ...]) -> BurgersSlice:
-        """v at time t: h(t) and c_2(t), ..., c_K(t)."""
-        return BurgersSlice(self.delta, h, coeffs)
+        """v at time t: h(t) and c_2(t), ..., c_K(t), from ``coeffs`` = c_0(t), ..., c_K(t)."""
+        return BurgersSlice(self.delta, h, coeffs[2:])
 
     def v(self, z: float, t: Numeric) -> float:
         return self.at(t).v(z)
@@ -556,9 +551,8 @@ def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
     coefficients in W (W'/W) = W' gives c_0 = 0 and the recursion
     c_k = 2k a_k - sum_{j=1}^{k-1} a_j c_{k-j}, one truncated convolution
     over the parameters x2..x_{n+1}, in the integer working form of ``grpoly``:
-    each Phi_k is read once and divided there, in lowest terms, without the
-    source's exact ``scaled`` table, and each c_k is stored as a ``GradedPoly``
-    once.  Any source evaluates, an integrated trajectory too.
+    each Phi_k is read once and divided there, in lowest terms, and each c_k
+    is stored as a ``GradedPoly`` once.  Any source evaluates, an integrated trajectory too.
     """
     entries = sol.phi.entries
     family, nvars = entries[0].family, max(entry.nvars for entry in entries)

@@ -565,3 +565,12 @@ def test_exact_rows_of_nothing():
     assert exact_rows([])([], []) == ([], [])
     zero = GradedPoly.zero(VariableFamily.X, 2)
     assert exact_rows([zero], [6])([Fraction(1, 2), 3], [1, 1]) == ([Fraction(0)], [Fraction(0)])
+
+
+def test_exact_rows_name_bad_inputs():
+    rows = exact_rows([GradedPoly.variable(VariableFamily.X, 2, 2) * GradedPoly.variable(VariableFamily.X, 2, 3)])
+    with pytest.raises(ValueError, match=r"^rates of length 1 too short, need 2$"):
+        rows([1, 2], [1])
+    for args in (([0.5, Fraction(1)],), ([1, 2], [0.5, 1])):
+        with pytest.raises(TypeError, match=r"^exact point expected, got float$"):
+            rows(*args)

@@ -32,6 +32,7 @@ from heatansatz.solution import (
     _TrajectoryInterp,
     _axis,
     _convolution,
+    _gauss,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
@@ -216,7 +217,7 @@ def test_slice_memo_keys_on_time():
     assert (short.delta, short.truncation, short.pole_coefficient) == (kept[1].delta, kept[1].truncation, -1)
     for t in (Fraction(5, 2), 2.5, Fraction(13, 4), 3.25, Fraction(5, 2), 3.25):
         for obj, fresh in zip(kept, made()):
-            table = obj.scaled if isinstance(obj, SeriesSolution) else obj.series_jets[2:]
+            table = _scaled_by_division(obj) if isinstance(obj, SeriesSolution) else obj.series_jets[2:]
             point = obj.parameter_values(t)[1:]
             assert repr(obj.at(t)) == repr(fresh.at(t))
             assert _bits(obj.at(t).coeffs) == _bits([float(p.evaluate(point)) for p in table])
@@ -249,7 +250,7 @@ def test_float_slices_match_evaluate(n, K, delta):
         for t in (3.0, 3.2, 3.45):
             point = sol.parameter_values(t)[1:]
             assert all(type(v) is float for v in point)
-            assert _bits(sol.at(t).coeffs) == _bits([float(a.evaluate(point)) for a in sol.scaled])
+            assert _bits(sol.at(t).coeffs) == _bits([float(a.evaluate(point)) for a in _scaled_by_division(sol)])
             assert _bits(image.at(t).coeffs) == _bits([float(c.evaluate(point)) for c in image.series_jets[2:]])
 
 
@@ -992,7 +993,7 @@ def test_tables_match_the_plain_recursions_property():
         table = general_phi_table(spec, K)
         assert _same_terms(table.entries, e)
         sol = SeriesSolution(table, H1, 0)
-        a = sol.scaled
+        a = _scaled_by_division(sol)
         c = [0 * a[0]]
         for k in range(1, K + 1):
             c.append(2 * k * a[k] - sum((c[i] * a[k - i] for i in range(k)), 0 * a[k]))
@@ -1049,13 +1050,48 @@ def test_long_float_slices_divide_phi_as_they_read_it(delta):
     _assert_slices_divide_once(assemble_psi(AnsatzSpec.reduced(2, delta, rational_top(2)), H3, 0.0, 200), (3.0, 17.0))
 
 
-def test_float_work_builds_no_scaled_table():
-    sol = assemble_psi(AnsatzSpec.chain(1, 1), H2, 0, 12)
-    sol.psi(0.5, 2.5)
-    cole_hopf(sol).v(0.5, 2.5)
-    assert "scaled" not in sol.__dict__
-    sol.psi(0.5, Fraction(5, 2))
-    assert "scaled" in sol.__dict__
+def test_float_and_exact_times_build_only_their_reader():
+    # every reader of psi's table and of its image's, at a float time, builds no exact reader, and
+    # at an exact time no float reader
+    for t, built, unbuilt in ((2.5, "_float_rows", "_exact_rows"), (Fraction(5, 2), "_exact_rows", "_float_rows")):
+        sol = assemble_psi(AnsatzSpec.chain(1, 1), H2, 0, 12)
+        image = cole_hopf(sol)
+        sol.psi(0.5, t), sol.bracket_coefficients(t), image.v(0.5, t), image.series_values(t)
+        for obj in (sol, image):
+            assert built in obj.__dict__ and unbuilt not in obj.__dict__
+
+
+def test_one_reader_matches_evaluate_at_any_time_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(_general_specs(), hypothesis.strategies.integers(2, 12))
+    def check(spec, K):
+        n = spec.n
+        table = general_phi_table(spec, K)
+        # the chain values of n + 1 poles, and of the profile h = 0, whose parameters stay exact at a float time
+        for h in (RationalH(n, tuple(MobiusParam.parse(p) for p in POLES5[: n + 1])),
+                  RationalH(n, tuple(MobiusParam(0, b) for b in range(1, n + 2)))):
+            sol = SeriesSolution(table, h, 0)
+            image = cole_hopf(sol)
+            for t in (3.3, 4.25, Fraction(17, 4), 5):
+                # each entry a_k = Phi_k / (2k+delta)! and c_k evaluated at the parameters
+                xs = sol.parameter_values(t)
+                a = [p.evaluate(xs[1:]) for p in _scaled_by_division(sol)]
+                b = sol._bracket(_gauss(-Fraction(1, 2) * xs[0], K + 1), a)
+                c = [p.evaluate(xs[1:]) for p in image.series_jets]
+                got_b, got_c = sol.bracket_coefficients(t), image.series_values(t)
+                # exact parameters (an exact time, or h = 0 at any time) give the same Fractions, float ones the same bits
+                if all(type(v) is float for v in xs):
+                    assert _bits(map(float, got_b)) == _bits(map(float, b))
+                    assert _bits(map(float, got_c)) == _bits(map(float, c))
+                else:
+                    assert (got_b, [*map(type, got_b)]) == (b, [*map(type, b)])
+                    assert (got_c, [*map(type, got_c)]) == (c, [*map(type, c)])
+                assert _bits(sol.at(t).coeffs) == _bits(map(float, a))
+                assert _bits(image.at(t).coeffs) == _bits(map(float, c[2:]))
+
+    check()
 
 
 @pytest.mark.parametrize("sliced", [lambda sol: sol, cole_hopf], ids=["psi", "v"])
