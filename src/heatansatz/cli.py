@@ -19,6 +19,7 @@ import itertools
 import math
 import os
 import sys
+from array import array
 from fractions import Fraction
 
 from .ansatz import AnsatzSpec, general_phi_table, jet_phi_remainders, jet_phi_table
@@ -34,19 +35,32 @@ from .dynsys import (
     rk4_step_count,
 )
 from .operators import basis_name, derivative_chain
-from .solution import _axis, _finite, assemble_psi, cole_hopf, rescale_to_mu
+from .solution import _axis, _finite, assemble_psi, cole_hopf
 from .verify import run_suite
 
 
-def emit_csv(rows, header) -> None:
-    """Write rows of floats to stdout as CSV with LF line endings, each cell with 17 significant
-    digits; a row of the wrong width raises TypeError."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+BLOCK = 1024  # lines per CSV write: one write per row made a 10^6-row trajectory into a pipe 35 % slower
+
+
+def _write_csv(header, blocks) -> None:
+    """Write the CSV header, then each block, a format of at most BLOCK lines and its cells, with one %."""
     sys.stdout.write(",".join(header) + "\n")
-    rows = iter(rows)
-    # in blocks of rows: one write per row made a 10^6-row trajectory into a pipe 35 % slower
-    while block := [line % row for row in itertools.islice(rows, 1024)]:
-        sys.stdout.write("".join(block))
+    for line_format, cells in blocks:
+        sys.stdout.write(line_format % cells)
+
+
+def emit_csv(rows, header) -> None:
+    """Write rows of floats to stdout as CSV with LF line endings, each cell with 17 significant digits,
+    each block of BLOCK rows formatted by one %; a row of the wrong width raises TypeError."""
+    line, rows = ",".join(["%.17g"] * len(header)) + "\n", iter(rows)
+
+    def blocks():
+        while block := [*itertools.islice(rows, BLOCK)]:
+            if {*map(len, block)} != {len(header)}:  # one % over the block would let widths cancel
+                raise TypeError(f"CSV rows must have {len(header)} cells")
+            yield line * len(block), tuple(itertools.chain.from_iterable(block))
+
+    _write_csv(header, blocks())
 
 
 def _int(text: str) -> int:
@@ -214,8 +228,9 @@ def _series(args, r0):
     return assemble_psi(_family_spec(n, args.delta), RationalH(n, poles), r0, args.kmax)
 
 
-def _write_grid(args, value) -> int:
-    """Write value(z, t) as CSV over the (t, z) grid of an eval or burgers run, t outside z.
+def _write_grid(args, row) -> int:
+    """Write the (t, z) grid of an eval or burgers run as CSV, t outside z, where ``row(t, zs)`` gives the values
+    at one time from one slice.  Each t and z is formatted once, into the line formats, so a line formats its value.
 
     Every value is computed before the first row is written, so an error leaves stdout empty."""
     if args.t is not None:
@@ -226,19 +241,27 @@ def _write_grid(args, value) -> int:
         ts = _axis(args.t0, args.t1, args.tnum)
     zs = _axis(args.z0, args.z1, args.znum)
     ts = [float(t) for t in ts]
-    values = [[value(z, t) for z in zs] for t in ts]
-    emit_csv(((t, z, v) for t, row in zip(ts, values) for z, v in zip(zs, row)), ["t", "z", "value"])
+    values = [array("d", row(t, zs)) for t in ts]  # 8 bytes a value, as a grid may hold 10^6 of them
+    # one string per block of z lines, "\0z,%.17g\n" each, whose "\0" take a t cell: a float's %.17g holds no \0 or %
+    z_blocks = ["".join(["\0%.17g,%%.17g\n" % z for z in zs[i : i + BLOCK]]) for i in range(0, len(zs), BLOCK)]
+    _write_csv(["t", "z", "value"], ((z_block.replace("\0", t_cell), tuple(vs[i * BLOCK : (i + 1) * BLOCK]))
+                                     for t_cell, vs in zip(["%.17g," % t for t in ts], values)
+                                     for i, z_block in enumerate(z_blocks)))
     return 0
 
 
 def cmd_eval(args) -> int:
-    return _write_grid(args, _series(args, args.r0).psi)
+    sol = _series(args, args.r0)
+    return _write_grid(args, lambda t, zs: map(sol.at(t).psi, zs))
 
 
 def cmd_burgers(args) -> int:
     # the mu-Burgers image of the same family: 2 mu * v(z, 2 mu t)
-    v = rescale_to_mu(cole_hopf(_series(args, 0.0)).v, args.mu)
-    return _write_grid(args, lambda z, t: _finite(2 * args.mu * v(z, t), "v", z))
+    image, two_mu = cole_hopf(_series(args, 0.0)), 2 * args.mu
+    if args.mu == 0:
+        raise ValueError("mu must be nonzero")
+    scaled = lambda v, zs: [_finite(two_mu * v(z), "v", z) for z in zs]
+    return _write_grid(args, lambda t, zs: scaled(image.at(two_mu * t).v, zs))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import truediv
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .grpoly import GradedPoly, JetPoint, Numeric, VariableFamily, exact_rows, float_rows
@@ -103,37 +102,59 @@ class RationalH:
         if len(self.poles) != self.n + 1:
             raise ValueError(f"need {self.n + 1} pole parameters, got {len(self.poles)}")
 
+    @cached_property
+    def _numbers(self) -> tuple:
+        """Each pole's (float alpha, float beta, alpha numerator, alpha denominator), made once per instance, as
+        projectively equal poles round apart; float alpha is None where alpha or beta has no float, or where a nonzero
+        alpha rounds to 0.0."""
+        rows = []
+        for p in self.poles:
+            try:
+                a, b = float(p.alpha), float(p.beta)  # int / int raises OverflowError where a float would be inf
+            except OverflowError:
+                a = b = None
+            rows.append((a if a or not p.alpha else None, b, p.alpha.numerator, p.alpha.denominator))
+        return tuple(rows)
+
     def jets(self, t: Numeric, m: int) -> tuple:
         """(h(t), h'(t), ..., h^(m-1)(t)), exact when t is exact.
 
-        d^j/dt^j of each summand alpha/(alpha t - beta) is
-        (-1)^j j! alpha^(j+1) / (alpha t - beta)^(j+1).  At a float t whose
-        powers (alpha t - beta)^(j+1) leave the float range, OverflowError names t.
-        At a float t the sums take the float steps of the exact ones without ``Fraction``
-        dispatch (int / int rounds as float(Fraction)); h = 0 (all poles (0 : beta)) stays exact.
+        d^j/dt^j of each summand u = alpha/(alpha t - beta) is (-1)^j j! u^(j+1).  At an exact t, and for h = 0
+        at any t, the u_k are ints A_k over the lcm L of their denominators, and jet j is one ``Fraction``
+        (-1)^j j! sum_k A_k^(j+1) / ((n+1) L^(j+1)).  At a float t the sums of alpha^(j+1) / (alpha t - beta)^(j+1)
+        take the float steps of the ``Fraction`` loop from ``_numbers``; OverflowError names t if a power overflows.
         """
         if m < 0:
             raise ValueError("jet length must be nonnegative")
-        out = []
-        denoms = self._denominators(t)
-        # Fraction / float divides in floats: at a float t each sum is float(alpha^(j+1)) / d^(j+1) from 0.0
-        ratio = truediv if type(t) is float and any(p.alpha for p in self.poles) else Fraction
-        for j in range(m):
-            total = ratio(0, 1)
-            for p, d in zip(self.poles, denoms):
-                if p.alpha:
-                    try:
-                        total += ratio(p.alpha.numerator ** (j + 1), p.alpha.denominator ** (j + 1)) / d ** (j + 1)
-                    except (ZeroDivisionError, OverflowError):  # a power overflowed, or one of d underflowed to 0
-                        raise OverflowError(f"profile jets not finite at t = {t}") from None
-            out.append(ratio((-1) ** j * math.factorial(j), self.n + 1) * total)
+        terms = [(num, den, d) for (_, _, num, den), d in zip(self._numbers, self._denominators(t)) if num]
+        if type(t) is not float or not terms:
+            us = [Fraction(num * d.denominator, den * d.numerator) for num, den, d in terms]
+            lcm = math.lcm(*(u.denominator for u in us))
+            tops = [u.numerator * (lcm // u.denominator) for u in us]
+            return tuple(Fraction((-1) ** j * math.factorial(j) * sum(a ** (j + 1) for a in tops),
+                                  (self.n + 1) * lcm ** (j + 1)) for j in range(m))
+        try:
+            out = []
+            for j in range(m):
+                total = 0.0
+                for num, den, d in terms:
+                    total += num ** (j + 1) / den ** (j + 1) / d ** (j + 1)
+                out.append((-1) ** j * math.factorial(j) / (self.n + 1) * total)
+        except (ZeroDivisionError, OverflowError):  # a power overflowed, or one of d underflowed to 0
+            raise OverflowError(f"profile jets not finite at t = {t}") from None
         return tuple(out)
 
     def _denominators(self, t: Numeric) -> list:
-        """alpha_k t - beta_k for each pole, float at a float t; PoleError at a pole, ValueError at an inf or nan t."""
-        if type(t) is float and not math.isfinite(t):
+        """alpha_k t - beta_k for each pole, float at a float t (from ``_numbers``); PoleError at a pole,
+        ValueError at an inf or nan t, or at a float t for a pole with no float route."""
+        if type(t) is not float:
+            denoms = [p.alpha * t - p.beta for p in self.poles]
+        elif not math.isfinite(t):
             raise ValueError(f"profile time not finite: t = {t}")
-        denoms = [float(p.alpha) * t - float(p.beta) if type(t) is float else p.alpha * t - p.beta for p in self.poles]
+        elif None in (floats := [a for a, *_ in self._numbers]):
+            raise ValueError(f"profile pole {floats.index(None) + 1} is out of the float range at t = {t}")
+        else:
+            denoms = [a * t - b for a, b, _, _ in self._numbers]
         if 0 in denoms:
             raise PoleError(f"profile pole at t = {t}")
         return denoms

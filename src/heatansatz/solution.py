@@ -155,13 +155,14 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
     e^{r} = e^{r0} * prod_{alpha_k != 0} (alpha_k/(alpha_k t - beta_k))^p
     with p = (delta + 1/2)/(n+1).  Only evaluated where every base is
     positive; other regions are rejected, and a prefactor that leaves the
-    float range raises OverflowError naming t.
+    float range raises OverflowError naming t.  At a float t a base is the float alpha of
+    ``RationalH._numbers`` over a float denominator, as Fraction / float divides.
     """
     p = (delta + 0.5) / (h.n + 1)
     bases = []
-    for pole, den in zip(h.poles, h._denominators(t)):
-        if pole.alpha:
-            bases.append(float(pole.alpha / den))  # Fraction / float divides in floats
+    for pole, (a, _, num, _), den in zip(h.poles, h._numbers, h._denominators(t)):
+        if num:
+            bases.append(a / den if type(den) is float else float(pole.alpha / den))
             if bases[-1] <= 0:
                 raise ValueError(f"fractional power of non-positive base at t = {t}")
     try:

@@ -6,13 +6,19 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import heatansatz.cli as cli_module
 from heatansatz.cli import build_parser, emit_csv, run
-from heatansatz.dynsys import MobiusParam
-from heatansatz.solution import closed_form_0ansatz, closed_form_1ansatz
+from heatansatz.ansatz import AnsatzSpec
+from heatansatz.dynsys import MobiusParam, RationalH, rational_top
+from heatansatz.solution import _axis, assemble_psi, closed_form_0ansatz, closed_form_1ansatz, cole_hopf, rescale_to_mu
+
+
+def _poles(text):
+    return tuple(MobiusParam.parse(part) for part in text.split(","))
 
 
 def cli(*args):
@@ -36,8 +42,14 @@ def test_emit_csv_contract(capsys):
     values = (1 / 3, 1e-17, 123456.789, -0.1)
     cells = csv([values], ["a", "b", "c", "d"]).splitlines()[1].split(",")
     assert tuple(map(float, cells)) == values
+    # rows run across the block boundary as they would one by one
+    rows = [(i / 7, -i) for i in range(2 * cli_module.BLOCK + 5)]
+    assert csv(rows, ["a", "b"]) == "a,b\n" + "".join("%.17g,%.17g\n" % row for row in rows)
     with pytest.raises(TypeError):
         emit_csv([(1,)], ["a", "b"])
+    # a block is formatted by one %, over which a 3-cell and a 1-cell row would cancel
+    with pytest.raises(TypeError):
+        emit_csv([(1, 2, 3), (4,)], ["a", "b"])
 
 
 def test_dk_prints_chain():
@@ -397,6 +409,74 @@ def test_eval_at_profile_pole_is_domain_error():
     code, _, err = cli("eval", "--family", "0ansatz", "--poles", "1:1", "--t", "1")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--poles", "1e400:0", "--t", "2", "--znum", "2"], "profile pole 1 is out of the float range at t = 2.0"),
+    (["eval", "--poles", "1:1e400", "--t", "2", "--znum", "2"], "profile pole 1 is out of the float range at t = 2.0"),
+    # alpha t - beta = 2e-400 is no pole, but alpha rounds to 0.0
+    (["eval", "--poles", "1e-400:0", "--t", "2", "--znum", "2"], "profile pole 1 is out of the float range at t = 2.0"),
+    (["burgers", "--family", "nansatz", "--poles", "1:0,0:1e400", "--t", "3", "--znum", "2"],
+     "profile pole 2 is out of the float range at t = 3.0"),
+    # a float time that lands on a pole
+    (["eval", "--poles", "3:1", "--t", "1/3", "--znum", "2"], "profile pole at t = 0.3333333333333333"),
+])
+def test_pole_without_a_float_names_t(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_pole_without_a_float_keeps_exact_work(capsys):
+    # the exact start state of (1e400 : 0) is that of (1 : 0), h = 1/t
+    outputs = []
+    for pole in ("1e400:0", "1:0"):
+        assert run(["trajectory", "--n", "0", "--poles", pole, "--t0", "2", "--t1", "3"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def test_grid_matches_the_row_by_row_writer_property(capsys, monkeypatch):
+    # eval and burgers print, byte for byte, "%.17g,%.17g,%.17g\n" % (t, z, v) with v = sol.psi(z, t) or the
+    # rescaled image 2 mu v(z, 2 mu t); an error leaves stdout empty, as it did row by row
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        st.sampled_from(["eval", "burgers"]),
+        st.sampled_from(["1:0", "1:0,1:1", "1:0,1:1,2:-1", "2:-1,0:1"]),
+        st.integers(0, 1),
+        st.integers(2, 12),
+        st.lists(st.sampled_from(["2", "3", "5/2", "2", "4.75", "17/4"]), min_size=1, max_size=4),
+        st.sampled_from([("-1", "1"), ("0.5", "1.5"), ("-0.0", "-0.0"), ("0.25", "0.25"), ("-0.0", "2")]),
+        st.integers(1, 7),
+        st.sampled_from(["0.5", "0.25", "1", "0.3"]),
+        st.sampled_from([cli_module.BLOCK, 1, 2, 5]),  # small blocks split the time rows
+    )
+    def check(command, poles, delta, kmax, times, zs, znum, mu, block):
+        argv = [command, "--family", "nansatz", "--poles", poles, "--delta", str(delta), "--kmax", str(kmax),
+                "--t", ",".join(times), "--z0", zs[0], "--z1", zs[1], "--znum", str(znum)]
+        argv += ["--mu", mu] if command == "burgers" else ["--r0", "0.5"]
+        monkeypatch.setattr(cli_module, "BLOCK", block)
+        n = poles.count(",")
+        r0 = 0.0 if command == "burgers" else 0.5
+        sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)), RationalH(n, _poles(poles)), r0, kmax)
+        if command == "burgers":
+            v, two_mu = rescale_to_mu(cole_hopf(sol).v, float(mu)), 2 * float(mu)
+            value = lambda z, t: two_mu * v(z, t)
+        else:
+            value = sol.psi
+        try:
+            expect = "t,z,value\n" + "".join(
+                "%.17g,%.17g,%.17g\n" % (t, z, value(z, t))
+                for t in (float(Fraction(text)) for text in times) for z in _axis(float(zs[0]), float(zs[1]), znum))
+        except ZeroDivisionError:  # the odd image's pole at z = 0
+            expect = ""
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == ((0, expect) if expect else (1, ""))
+
+    check()
 
 
 @pytest.mark.parametrize("delta", ["0", "1"])

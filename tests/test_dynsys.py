@@ -25,6 +25,7 @@ from heatansatz.dynsys import (
 from heatansatz.dynsys import _field_rows, _rk4_loop
 from heatansatz.grpoly import GradedPoly, VariableFamily
 from heatansatz.operators import derivative_chain
+from heatansatz.solution import exp_r
 from heatansatz.verify import random_homogeneous
 
 X = VariableFamily.X
@@ -108,6 +109,80 @@ def test_float_jets_and_chain_match_the_fraction_route(poles, t):
 def test_projectively_equal_poles_round_apart():
     one, three = (RationalH(1, (MobiusParam(a, 0), MobiusParam(1, 1))) for a in (1, 3))
     assert one == three and one.jets(0.7, 4) != three.jets(0.7, 4)
+
+
+def _jets_by_old_route(h, t, m):
+    # the Fraction loop behind the profile's errors: ValueError for a t that is not finite, PoleError at
+    # a pole, and at a float t an OverflowError naming t when a power leaves the float range
+    if type(t) is float and not math.isfinite(t):
+        raise ValueError(f"profile time not finite: t = {t}")
+    if 0 in [p.alpha * t - p.beta for p in h.poles]:
+        raise PoleError(f"profile pole at t = {t}")
+    try:
+        return _jets_by_fractions(h, t, m)
+    except (ZeroDivisionError, OverflowError):
+        raise OverflowError(f"profile jets not finite at t = {t}") from None
+
+
+def _exp_r_by_fractions(h, delta, r0, t):
+    # the prefactor with each base float(alpha / (alpha t - beta)): Fraction / float divides in floats
+    _jets_by_old_route(h, t, 0)
+    acc, p = math.exp(float(r0)), (delta + 0.5) / (h.n + 1)
+    for pole in h.poles:
+        if pole.alpha:
+            base = float(pole.alpha / (pole.alpha * t - pole.beta))
+            if base <= 0:
+                raise ValueError(f"fractional power of non-positive base at t = {t}")
+            try:
+                acc *= base**p
+            except OverflowError:
+                acc = math.inf
+    if not math.isfinite(acc):
+        raise OverflowError(f"prefactor not finite at t = {t}")
+    return acc
+
+
+def _typed_outcome(fn, *args):
+    # values with their types (floats by their bits), or the error's type and message
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(type(v), v.hex() if type(v) is float else v) for v in (out if isinstance(out, tuple) else (out,))]
+
+
+def test_profile_matches_the_fraction_routes_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.fractions(-6, 6, max_denominator=12)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(st.tuples(small, small), min_size=1, max_size=5),
+        st.sampled_from(["as drawn", "projectively equal pairs", "h = 0", "alpha^2 past the float range", "a pole at 0"]),
+        st.fractions(-3, 3, max_denominator=5).filter(bool),
+        st.data(),
+    )
+    def check(pairs, shape, scale, data):
+        if shape == "projectively equal pairs":
+            pairs = [pair for a, b in pairs for pair in ((a, b), (scale * a, scale * b))][:5]
+        if shape == "h = 0":
+            pairs = [(0, b) for _, b in pairs]
+        if shape == "alpha^2 past the float range":
+            pairs[0] = (Fraction(10**200), pairs[0][1])
+        if shape == "a pole at 0":
+            pairs[0] = (pairs[0][0] or 1, 0)
+        h = RationalH(len(pairs) - 1, tuple(MobiusParam(a, b or 1) if not a else MobiusParam(a, b) for a, b in pairs))
+        exact = data.draw(st.one_of(
+            st.integers(-6, 6), small, st.sampled_from([p.beta / p.alpha for p in h.poles if p.alpha] or [1])))
+        times = [exact, float(exact), data.draw(st.one_of(
+            st.floats(-6, 6), st.sampled_from([math.inf, -math.inf, math.nan, 1e-300, -1e-300, 1e200])))]
+        for t in times:
+            assert _typed_outcome(h.jets, t, 6) == _typed_outcome(_jets_by_old_route, h, t, 6)
+            for delta, r0 in ((0, 0.0), (1, 0.5)):
+                assert _typed_outcome(exp_r, h, delta, r0, t) == _typed_outcome(_exp_r_by_fractions, h, delta, r0, t)
+
+    check()
 
 
 def test_vanishing_profile_stays_exact():
