@@ -58,7 +58,6 @@ from .solution import (
     exp_r,
     gamma_ratio_coeff,
     heat_residual_series,
-    rescale_to_mu,
     residual_report,
 )
 
@@ -104,7 +103,6 @@ __all__ = [
     "ode_residual",
     "rational_top",
     "reduced_initial_state",
-    "rescale_to_mu",
     "residual_report",
     "rk4_integrate",
     "weighted_derivative",

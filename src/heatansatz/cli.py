@@ -85,11 +85,10 @@ DK_MAX = 30
 POLES_MAX = 16
 # eval --t 2 --znum 1000000 takes 5-7 s and prints 42 MB
 GRID_MAX = 10**6
-# the largest --kmax for 1, 2, ..., 6 and 7 or more poles: the table grows like K^(n-1) and its
-# Cole-Hopf image faster (eval at 4 poles and K = 200 takes 1.4 s, burgers at 4 poles and K = 100
-# 5.2 s); the costliest admitted runs are eval at 16 poles and K = 40 (1.4 s) and burgers at 3 poles
-# and K = 200 (1.7-3.3 s), which burgers at 4, 5 and 6 poles and K = 90, 60 and 50 stay under
-KMAX = {"eval": (200, 200, 200, 150, 90, 60, 40), "burgers": (200, 200, 200, 90, 60, 50, 30)}
+# the largest --kmax for 1, 2, ..., 6 and 7 or more poles, for eval and burgers alike, as burgers reads v from
+# psi's slice: the table grows like K^(n-1); the costliest admitted runs, eval or burgers at 16 poles and K = 40,
+# take about 1 s, and at 4 poles and K = 150 0.4-0.6 s
+KMAX = (200, 200, 200, 150, 90, 60, 40)
 
 
 def _chain_order(text: str) -> int:
@@ -219,7 +218,7 @@ def _series(args, r0):
         raise ValueError(f"{args.family} needs {expected} pole parameter(s)")
     if args.kmax < 2:
         raise ValueError("--kmax must be at least 2")
-    if args.kmax > (kmax := KMAX[args.command][min(len(poles), 7) - 1]):
+    if args.kmax > (kmax := KMAX[min(len(poles), 7) - 1]):
         raise ValueError(f"--kmax must be at most {kmax} for {len(poles)} pole(s)")
     times = len(args.t) if args.t is not None else args.tnum or 0
     if times * args.znum > GRID_MAX:

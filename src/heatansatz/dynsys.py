@@ -145,8 +145,9 @@ class RationalH:
         return tuple(out)
 
     def _denominators(self, t: Numeric) -> list:
-        """alpha_k t - beta_k for each pole, float at a float t (from ``_numbers``); PoleError at a pole,
-        ValueError at an inf or nan t, or at a float t for a pole with no float route."""
+        """alpha_k t - beta_k for each pole, float at a float t (from ``_numbers``); PoleError at a pole (a pole
+        (0 : beta) adds nothing to h and is none, even where beta underflows to 0.0), ValueError at an inf or nan t,
+        or at a float t for a pole with no float route."""
         if type(t) is not float:
             denoms = [p.alpha * t - p.beta for p in self.poles]
         elif not math.isfinite(t):
@@ -155,7 +156,7 @@ class RationalH:
             raise ValueError(f"profile pole {floats.index(None) + 1} is out of the float range at t = {t}")
         else:
             denoms = [a * t - b for a, b, _, _ in self._numbers]
-        if 0 in denoms:
+        if 0 in [d for d, (_, _, num, _) in zip(denoms, self._numbers) if num]:
             raise PoleError(f"profile pole at t = {t}")
         return denoms
 

@@ -19,12 +19,13 @@ and slopes from one integer pass of ``grpoly.exact_rows`` per sample.
 Pointwise evaluation goes by time slice: everything that depends on t
 alone (h, the prefactor, the series coefficients) is computed once per
 time and converted to float, and each point is then a Horner pass in z^2.
-Slices, bracket coefficients and Burgers series values read a table at x(t)
-by one method, ``_TimeSliced._read``: ``grpoly.float_rows`` at an all-float
-x(t) (no ``Fraction`` arithmetic, bit-identical to ``evaluate``), else
-``grpoly.exact_rows``; each Phi_k coefficient is read once, divided by
-(2k+delta)! as ints.  psi and v share one slice path, ``_TimeSliced.at``, with
-its memo of the last slice; an overflow while it evaluates the coefficients names t.
+psi's table is read at x(t) by one method, ``SeriesSolution._read``:
+``grpoly.float_rows`` at an all-float x(t) (no ``Fraction`` arithmetic,
+bit-identical to ``evaluate``), else ``grpoly.exact_rows``; each Phi_k
+coefficient is read once, divided by (2k+delta)! as ints.  The Cole-Hopf
+image takes its coefficients from psi's there by one recursion, ``_laurent``.
+psi and v share one slice path, ``_TimeSliced.at``, with its memo of the
+last slice; an overflow while it evaluates the coefficients names t.
 Both finite-difference residuals run on one driver, ``_grid_residual``.
 """
 
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
-from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _numerators, _times, exact_rows, float_rows
+from .grpoly import GradedPoly, Numeric, VariableFamily, exact_rows, float_rows
 
 HALF = Fraction(1, 2)
 
@@ -229,19 +230,10 @@ class _TrajectoryInterp:
 
 
 class _TimeSliced:
-    """A table p_k / d_k over x2..x_{n+1} read at x(t): a subclass sets the pair ``_polys``, ``_divisors``
-    (d_k = 1 when empty) and has ``parameter_values(t)`` and ``_slice(t, h, values)`` to pack a slice."""
+    """Float data at x(t), memoised per time: a subclass has ``parameter_values(t)``, ``_read(xs)``, its table at
+    xs = (x1, ..., x_{n+1}), and ``_slice(t, h, values)`` to pack a slice."""
 
     _last = None  # the last (t, slice) built by at()
-
-    def _read(self, xs: tuple) -> list:
-        """The table at xs = (x1, ..., x_{n+1}): by ``float_rows`` if all x_i are floats (bit-identical to evaluate),
-        else by ``exact_rows``.  x1 counts, as at n = 0 the point x2.. is empty.  Each reader is built at first use."""
-        rows = self._float_rows if all(type(v) is float for v in xs) else self._exact_rows
-        return rows(xs[1:])
-
-    _float_rows = cached_property(lambda self: float_rows(self._polys, self._divisors))
-    _exact_rows = cached_property(lambda self: exact_rows(self._polys, self._divisors))
 
     def at(self, t: Numeric):
         """The float data at time t: h(t) and the table at x(t) by ``_read``, exact values rounded once.
@@ -294,7 +286,6 @@ class SeriesSolution(_TimeSliced):
         self.r0 = r0
         self._interp = None if isinstance(h_source, RationalH) else _TrajectoryInterp(h_source, self.n + 1)
         self._factorials = [math.factorial(2 * k + self.delta) for k in range(self.truncation + 1)]
-        self._polys, self._divisors = phi.entries, self._factorials
 
     # -- state access -------------------------------------------------------
 
@@ -319,6 +310,16 @@ class SeriesSolution(_TimeSliced):
             raise OverflowError(f"prefactor not finite at t = {t}") from None
 
     # -- series data --------------------------------------------------------
+
+    def _read(self, xs: tuple) -> list:
+        """a_k = Phi_k / (2k+delta)! at xs = (x1, ..., x_{n+1}): by ``float_rows`` if all x_i are floats
+        (bit-identical to evaluate), else by ``exact_rows``.  x1 counts, as at n = 0 the point x2.. is empty.
+        Each reader is built at first use."""
+        rows = self._float_rows if all(type(v) is float for v in xs) else self._exact_rows
+        return rows(xs[1:])
+
+    _float_rows = cached_property(lambda self: float_rows(self.phi.entries, self._factorials))
+    _exact_rows = cached_property(lambda self: exact_rows(self.phi.entries, self._factorials))
 
     def bracket_coefficients(self, t: Numeric) -> list:
         """b_k = psi_k(t) / e^{r(t)} for k = 0..K, exact for exact sources.
@@ -368,20 +369,6 @@ def assemble_psi(
     if truncation < 2:
         raise ValueError("truncation order must be at least 2")
     return SeriesSolution(general_phi_table(spec, truncation), h_source, r0)
-
-
-def rescale_to_mu(psi: Callable, mu: float) -> Callable:
-    """Time-rescale a heat solution to the mu-diffusion equation.
-
-    phi(z, t) = psi(z, 2 mu t) satisfies phi_t = mu phi_zz; mu = 1/2 is
-    the identity.
-    """
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    two_mu = 2 * mu
-    if two_mu == 1:
-        return psi
-    return lambda z, t: psi(z, two_mu * t)
 
 
 # -- residuals ----------------------------------------------------------------
@@ -498,40 +485,61 @@ def heat_residual_numeric(psi: Callable, grid: GridSpec) -> float:
 # -- Cole-Hopf ----------------------------------------------------------------
 
 
+def _laurent(a: Sequence, rates: Sequence = ()) -> tuple[list, list]:
+    """W'/W = sum_k c_k z^(2k-1) for W = sum_k a_k z^(2k), a_0 = 1, in any ring: polynomials, Fractions or floats.
+
+    Matching coefficients in W (W'/W) = W' gives c_0 = 0 and c_k = 2k a_k - sum_{i<k} c_i a_{k-i}, each sum
+    from 0 * a[k] in the order of i.  Given the rates a' of the a_k, the rates c' follow by the product rule;
+    else c' is empty.
+    """
+    c, dc = [0 * a[0]], [0 * a[0]] if rates else []
+    for k in range(1, len(a)):
+        total = 0 * a[k]
+        for i in range(k):
+            total = total + c[i] * a[k - i]
+        c.append(2 * k * a[k] - total)
+        if rates:
+            dc.append(2 * k * rates[k] - sum((dc[i] * a[k - i] + c[i] * rates[k - i] for i in range(k)), 0 * a[k]))
+    return c, dc
+
+
 class BurgersSolution(_TimeSliced):
     """The Cole-Hopf image v = -d/dz log psi of a series solution.
 
     v(z, t) = -delta/z + h(t) z - sum_{k>=2} c_k(t) z^(2k-1) where c_k is
-    the z^(2k-1) coefficient of W'/W and W is the bracket series.
-    ``series_jets[k]`` holds c_k as an X-family polynomial over the ansatz
-    parameters x2..x_{n+1} (not over jets, despite the name), trusted
-    through order 2K-1 and read by ``_read`` at the source's ``parameter_values(t)``:
-    ``series_values(t)`` lists c_0(t), ..., c_K(t), exact at an exact time.
-    The normalized table entry is Psi_k = (2 delta k + 1) (2k-1)! c_k, a scale
-    over ``series_values`` (entries 0 and 1 are zero).
+    the z^(2k-1) coefficient of W'/W and W is the bracket series.  At a time,
+    ``_read`` takes the c_k by ``_laurent`` from the source's a_k there, read
+    through the source's own readers: ``series_values(t)`` lists c_0(t), ...,
+    c_K(t), exact at an exact time, and a slice rounds them once.
+    ``series_jets[k]``, built by the same recursion at first use, holds c_k as
+    an X-family polynomial over the ansatz parameters x2..x_{n+1} (not over
+    jets, despite the name), trusted through order 2K-1.  The normalized table
+    entry is Psi_k = (2 delta k + 1) (2k-1)! c_k, a scale over
+    ``series_values`` (entries 0 and 1 are zero).
     """
 
-    def __init__(self, source: SeriesSolution, series_jets: Sequence[GradedPoly]) -> None:
+    def __init__(self, source: SeriesSolution) -> None:
         self.source = source
-        self.series_jets = series_jets
-        self._polys, self._divisors = series_jets, ()
-
-    @property
-    def delta(self) -> int:
-        return self.source.delta
-
-    @property
-    def truncation(self) -> int:
-        return self.source.truncation
+        self.delta = source.delta
+        self.truncation = source.truncation
 
     @property
     def pole_coefficient(self) -> int:
         """Coefficient of 1/z: 0 for even parity, -1 for odd."""
         return -self.delta
 
+    @cached_property
+    def series_jets(self) -> tuple[GradedPoly, ...]:
+        phi, factorials = self.source.phi, self.source._factorials
+        return tuple(_laurent([entry * Fraction(1, f) for entry, f in zip(phi.entries, factorials)])[0])
+
     def parameter_values(self, t: Numeric) -> tuple:
         """The source's (x1, ..., x_{n+1}) at time t."""
         return self.source.parameter_values(t)
+
+    def _read(self, xs: tuple) -> list:
+        """c_0, ..., c_K at xs = (x1, ..., x_{n+1}), from the source's a_k there."""
+        return _laurent(self.source._read(xs))[0]
 
     def series_values(self, t: Numeric) -> list:
         return self._read(self.parameter_values(t))
@@ -545,24 +553,11 @@ class BurgersSolution(_TimeSliced):
 
 
 def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
-    """Exact Cole-Hopf image of a series solution (diffusion mu = 1/2).
-
-    With W = sum_k a_k z^(2k), a_k = Phi_k / (2k+delta)! (a_0 = 1), the image is
-    v = -delta/z + h z - W'/W and W'/W = sum_k c_k z^(2k-1).  Matching
-    coefficients in W (W'/W) = W' gives c_0 = 0 and the recursion
-    c_k = 2k a_k - sum_{j=1}^{k-1} a_j c_{k-j}, one truncated convolution
-    over the parameters x2..x_{n+1}, in the integer working form of ``grpoly``:
-    each Phi_k is read once and divided there, in lowest terms, and each c_k
-    is stored as a ``GradedPoly`` once.  Any source evaluates, an integrated trajectory too.
-    """
-    entries = sol.phi.entries
-    family, nvars = entries[0].family, max(entry.nvars for entry in entries)
-    a = [_combination([(Fraction(1, f), _numerators(entry, nvars))]) for entry, f in zip(entries, sol._factorials)]
-    c = [({}, 1)]
-    for k in range(1, sol.truncation + 1):
-        convolution = _combination((1, _times(c[i], a[k - i])) for i in range(k))
-        c.append(_combination([(2 * k, a[k]), (-1, convolution)]))
-    return BurgersSolution(sol, tuple(GradedPoly._from_numerators(family, nvars, w) for w in c))
+    """Cole-Hopf image of a series solution (diffusion mu = 1/2): v = -delta/z + h z - W'/W with
+    W = sum_k a_k z^(2k), a_k = Phi_k / (2k+delta)!, its c_k read from psi's a_k at each time by
+    ``_laurent`` and exact at an exact time; no polynomial is built until ``series_jets`` is read.
+    Any source evaluates, an integrated trajectory too."""
+    return BurgersSolution(sol)
 
 
 def burgers_residual(
@@ -593,16 +588,18 @@ def burgers_residual(
 def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Sequence[Numeric]):
     # v = sum_m f_m z^(2m-1) with f_0 = -delta, f_1 = h and f_m = -c_m; the
     # z^(2M-3) coefficient of v_t + v v_z - mu v_zz is
-    # f'_{M-1} + (M-1) (f*f)_M - mu (2M-1)(2M-2) f_M, trusted for M <= K
-    K = image.truncation
+    # f'_{M-1} + (M-1) (f*f)_M - mu (2M-1)(2M-2) f_M, trusted for M <= K;
+    # c and c' come by ``_laurent`` from psi's a_k and their rates a_k'
+    K, sol = image.truncation, image.source
 
-    def defects(x, rates, values, slopes):
-        f = [Fraction(-image.delta), x[0], *(-c for c in values[2:])]
-        df = [0, Fraction(0), rates[0], *(-dc for dc in slopes[2:])]  # f'_{M-1} at index M
+    def defects(x, rates, a, da):
+        c, dc = _laurent(a, da)
+        f = [Fraction(-image.delta), x[0], *(-v for v in c[2:])]
+        df = [0, Fraction(0), rates[0], *(-v for v in dc[2:])]  # f'_{M-1} at index M
         ff = _convolution(f, f)
         return (df[M] + (M - 1) * ff[M] - mu * (2 * M - 1) * (2 * M - 2) * f[M] for M in range(K + 1))
 
-    return _series_residual(image.source, image.series_jets, (), t_samples, defects)
+    return _series_residual(sol, sol.phi.entries, sol._factorials, t_samples, defects)
 
 
 def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) -> float:

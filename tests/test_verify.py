@@ -1,6 +1,7 @@
 """The checks that ``verify`` shares with the acceptance gate can fail.
 
-Each case breaks one dependency inside ``heatansatz.verify``.  The shared
+Each case breaks one dependency inside ``heatansatz.verify``, or inside
+``heatansatz.solution`` where the check reaches it only through another call.  The shared
 function must then report a defect, and ``verify --suite <suite>`` must
 print a FAIL line, exit 1 and count fewer passed checks than it ran.
 The operators checks must also read every input their draw holds.
@@ -11,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+import heatansatz.solution as S
 import heatansatz.verify as V
 from heatansatz.ansatz import AnsatzSpec, PhiTable
 from heatansatz.cli import run
 from heatansatz.grpoly import GradedPoly
 from heatansatz.operators import BasisDecomposition
-from heatansatz.solution import BurgersSolution, SeriesSolution
+from heatansatz.solution import SeriesSolution
 
 
 def _plus_one(poly: GradedPoly) -> GradedPoly:
@@ -41,13 +43,14 @@ def _tampered_series(assemble_psi):
     return series
 
 
-def _tampered_image(cole_hopf):
-    def image(sol):
-        jets = list(cole_hopf(sol).series_jets)
-        jets[2] = _plus_one(jets[2])
-        return BurgersSolution(sol, tuple(jets))
+def _broken_recursion(laurent):
+    # the Cole-Hopf recursion with c_2 one too large and its rate unchanged, for every image and residual
+    def broken(a, rates=()):
+        c, dc = laurent(a, rates)
+        c[2] = c[2] + 1
+        return c, dc
 
-    return image
+    return broken
 
 
 def _perturbed_spec(rk4_integrate):
@@ -83,7 +86,8 @@ def _rk4_defect() -> bool:
 
 
 CASES = {
-    # shared function: (suite, name patched in heatansatz.verify, breaker, measurement that is 0 or False when sound)
+    # shared function: (suite, name patched in heatansatz.verify or a (module, name) pair, breaker, measurement
+    # that is 0 or False when sound)
     "chain_defects": ("operators", "annihilator", lambda real: lambda p: real(p) + p, lambda: V.chain_defects(9)),
     "displayed_chain_defects": (
         "ansatz", "derivative_chain", lambda real: lambda k: [_plus_one(d) for d in real(k)],
@@ -111,7 +115,7 @@ CASES = {
     ),
     "rk4_errors": ("dynsys", "rk4_integrate", _perturbed_spec, _rk4_defect),
     "exact_burgers_residual": (
-        "solution", "cole_hopf", _tampered_image, lambda: V.exact_burgers_residual([(V.H2, 0)], 8, V.SAMPLES),
+        "solution", (S, "_laurent"), _broken_recursion, lambda: V.exact_burgers_residual([(V.H2, 0)], 8, V.SAMPLES),
     ),
 }
 
@@ -119,8 +123,9 @@ CASES = {
 @pytest.mark.parametrize("shared", CASES)
 def test_shared_check_reports_a_broken_dependency(shared, monkeypatch, capsys):
     suite, name, breaker, measure = CASES[shared]
+    owner, name = name if isinstance(name, tuple) else (V, name)
     assert not measure()
-    monkeypatch.setattr(V, name, breaker(getattr(V, name)))
+    monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
     assert measure()
     assert run(["verify", "--suite", suite]) == 1
     lines = capsys.readouterr().out.splitlines()
