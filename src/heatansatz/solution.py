@@ -5,28 +5,24 @@ A solution is assembled as
     psi(z, t) = exp(-h(t) z^2 / 2 + r(t)) *
                 (z^delta + sum_{k>=2} Phi_k(x(t)) z^(2k+delta) / (2k+delta)!)
 
-with r'(t) = -(delta + 1/2) h(t) and the parameters x(t) riding a heat
-dynamical system.  For the built-in rational h family everything on the
-series side is exact: coefficients, order-by-order heat residuals, the
-Cole-Hopf image and its Burgers residual are all computed in rational
-arithmetic, over the ansatz parameters x(t) rather than over the jets of
-h.  Floats appear only in pointwise evaluation and in the
-finite-difference residual checks.  Both exact residuals run on one
-driver, ``_series_residual``, which takes the parameters' rates from the
-one vector field, ``dynsys.heat_system_field``, and the polynomials' values
-and slopes from one integer pass of ``grpoly.exact_rows`` per sample.
+with r'(t) = -(delta + 1/2) h(t) and the parameters x(t) riding a heat dynamical system.  For the built-in rational
+h family everything on the series side is exact: coefficients, order-by-order heat residuals, the Cole-Hopf image
+and its Burgers residual are all computed over the ansatz parameters x(t) rather than over the jets of h, and every
+exact sum is taken in ints, with one ``Fraction`` per value: ``_over`` puts exact values over one denominator, and
+``_laurent`` puts each image coefficient over the lcm of its own terms' denominators.  Floats appear only in
+pointwise evaluation and in the finite-difference residual checks.  Both exact residuals run on one driver,
+``_series_residual``: the parameters' rates come from the one vector field, ``dynsys.heat_system_field``, the
+polynomials' values and slopes from one integer pass of ``grpoly.exact_rows`` per sample, and the defects of a
+sample as int numerators over one denominator.
 
-Pointwise evaluation goes by time slice: everything that depends on t
-alone (h, the prefactor, the series coefficients) is computed once per
-time and converted to float, and each point is then a Horner pass in z^2.
-psi's table is read at x(t) by one method, ``SeriesSolution._read``:
-``grpoly.float_rows`` at an all-float x(t) (no ``Fraction`` arithmetic,
-bit-identical to ``evaluate``), else ``grpoly.exact_rows``; each Phi_k
-coefficient is read once, divided by (2k+delta)! as ints.  The Cole-Hopf
-image takes its coefficients from psi's there by one recursion, ``_laurent``.
-psi and v share one slice path, ``_TimeSliced.at``, with its memo of the
-last slice; an overflow while it evaluates the coefficients names t.
-Both finite-difference residuals run on one driver, ``_grid_residual``.
+Pointwise evaluation goes by time slice: everything that depends on t alone (h, the prefactor, the series
+coefficients) is computed once per time and converted to float, and each point is then a Horner pass in z^2.  psi's
+table is read at x(t) by one method, ``SeriesSolution._read``: ``grpoly.float_rows`` at an all-float x(t) (no
+``Fraction`` arithmetic, bit-identical to ``evaluate``), else ``grpoly.exact_rows``; each Phi_k coefficient is read
+once, divided by (2k+delta)! as ints.  The Cole-Hopf image takes its coefficients from psi's there by one recursion,
+``_laurent``, which builds the image's polynomials in ``grpoly``'s working form.  psi and v share one slice path,
+``_TimeSliced.at``, with its memo of the last slice; an overflow while it evaluates the coefficients names t.  Both
+finite-difference residuals run on one driver, ``_grid_residual``.
 """
 
 from __future__ import annotations
@@ -36,12 +32,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import lt
-from typing import Callable, NamedTuple, Sequence, Union
+from operator import lt, mul
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
-from .grpoly import GradedPoly, Numeric, VariableFamily, exact_rows, float_rows
+from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _numerators, _times, exact_rows, float_rows
 
 HALF = Fraction(1, 2)
 
@@ -153,11 +149,10 @@ def _axis(lo, hi, num: int) -> list:
 def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> float:
     """The closed-form prefactor e^{r(t)} solving r' = -(delta+1/2) h.
 
-    e^{r} = e^{r0} * prod_{alpha_k != 0} (alpha_k/(alpha_k t - beta_k))^p
-    with p = (delta + 1/2)/(n+1).  Only evaluated where every base is
-    positive; other regions are rejected, and a prefactor that leaves the
-    float range raises OverflowError naming t.  At a float t a base is the float alpha of
-    ``RationalH._numbers`` over a float denominator, as Fraction / float divides.
+    e^{r} = e^{r0} * prod_{alpha_k != 0} (alpha_k/(alpha_k t - beta_k))^p with p = (delta + 1/2)/(n+1).  Only evaluated
+    where every base is positive; other regions are rejected, and a prefactor that leaves the float range raises
+    OverflowError naming t.  At a float t a base is the float alpha of ``RationalH._numbers`` over a float
+    denominator, as Fraction / float divides.
     """
     p = (delta + 0.5) / (h.n + 1)
     bases = []
@@ -178,14 +173,13 @@ def exp_r(h: RationalH, delta: int, r0: Union[Fraction, float], t: Numeric) -> f
 
 
 class _TrajectoryInterp:
-    """Linear interpolation over an integrated trajectory, plus the
-    running trapezoid integral of x1 (for the r(t) exponent).
+    """Linear interpolation over an integrated trajectory, plus the running trapezoid integral of x1 (for the r(t)
+    exponent).
 
-    ``states`` are (t, x) pairs: ``DynState``s or the plain tuples of ``rk4_integrate``.  Their
-    times must be finite and strictly increasing and each x must have ``width`` components,
-    checked in that order; the first state that fails raises ValueError naming its index.  The
-    checks run as C-level passes over the columns (times that strictly increase hold no nan,
-    so they are finite when the first and the last are).  The integral takes the float steps
+    ``states`` are (t, x) pairs: ``DynState``s or the plain tuples of ``rk4_integrate``.  Their times must be finite
+    and strictly increasing and each x must have ``width`` components, checked in that order; the first state that
+    fails raises ValueError naming its index.  The checks run as C-level passes over the columns (times that strictly
+    increase hold no nan, so they are finite when the first and the last are).  The integral takes the float steps
     acc_i = acc_{i-1} + (t_i - t_{i-1}) * (x1_i + x1_{i-1}) / 2 from 0.0.
     """
 
@@ -259,16 +253,12 @@ class _TimeSliced:
 class SeriesSolution(_TimeSliced):
     """A truncated ansatz solution with an attached profile source.
 
-    The coefficient table fixes the solution's shape: the parity delta is
-    ``phi.delta``, n is the size of the ring x2..x_{n+1} that the entries
-    are declared over, and the truncation order K is the last entry's index.
-    ``h_source`` is either a :class:`RationalH` (exact jets, closed-form
-    prefactor) or an integrated trajectory of (t, x) pairs (floats,
-    interpolated).  The two
-    read ``r0`` differently: an exact source takes it as the constant in
-    e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see
-    :func:`exp_r`), a trajectory source as the value r(t0) at the first
-    state.  The same r0 therefore gives different psi for the two.  Slices and bracket coefficients
+    The coefficient table fixes the solution's shape: the parity delta is ``phi.delta``, n is the size of the ring
+    x2..x_{n+1} that the entries are declared over, and the truncation order K is the last entry's index.
+    ``h_source`` is either a :class:`RationalH` (exact jets, closed-form prefactor) or an integrated trajectory of
+    (t, x) pairs (floats, interpolated).  The two read ``r0`` differently: an exact source takes it as the constant in
+    e^{r(t)} = e^{r0} * prod_k (alpha_k/(alpha_k t - beta_k))^p (see :func:`exp_r`), a trajectory source as the value
+    r(t0) at the first state.  The same r0 therefore gives different psi for the two.  Slices and bracket coefficients
     read a_k = Phi_k / (2k+delta)! by ``_read``, each Phi_k coefficient divided as it is read.
     """
 
@@ -327,18 +317,23 @@ class SeriesSolution(_TimeSliced):
         b_k = (2k+delta)! * sum_{i+j=k} (-h/2)^i / i! * a_j(x), with the a_j(x) read by ``_read``.
         """
         xs = self.parameter_values(t)
-        return self._bracket(_gauss(-HALF * xs[0], self.truncation + 1), self._read(xs))
+        return self._bracket(xs[0], self._read(xs))
 
     # kept only while perfbench/spans.py TARGETS wraps it; nothing in the package calls it
     def bracket_jets(self) -> list[GradedPoly]:
         """The b_k as jet polynomials (ansatz parameters substituted by
         chain polynomials, each a_k = Phi_k / (2k+delta)! divided as it is substituted)."""
-        base = -HALF * GradedPoly.variable(VariableFamily.Y, 1, 1)
         hat = [ansatz_to_jet(e * Fraction(1, f), max(self.n, 1)) for e, f in zip(self.phi.entries, self._factorials)]
-        return self._bracket(_gauss(base, len(hat)), hat)
+        return self._bracket(GradedPoly.variable(VariableFamily.Y, 1, 1), hat)
 
-    def _bracket(self, gauss: Sequence, a: Sequence) -> list:
-        """(2k+delta)! * sum_{i+j=k} gauss_i a_j for k < len(a)."""
+    def _bracket(self, h, a: Sequence) -> list:
+        """(2k+delta)! * sum_{i+j=k} (-h/2)^i / i! a_j for k < len(a).  An exact h and exact a_j are summed as ints
+        (``_gauss``, ``_over``), each value one ``Fraction``; others take ``_convolution`` over (-h/2)^i * (1/i!)."""
+        base = -HALF * h
+        if all(type(v) is Fraction or type(v) is int for v in (h, *a)):
+            (g, dg), (na, da) = _gauss(base, len(a)), _over(a)
+            return [Fraction(f * s, dg * da) for f, s in zip(self._factorials, _int_convolution(g, na))]
+        gauss = [base**i * Fraction(1, math.factorial(i)) for i in range(len(a))]
         return [f * total for f, total in zip(self._factorials, _convolution(gauss, a))]
 
     # -- evaluation ----------------------------------------------------------
@@ -362,9 +357,8 @@ def assemble_psi(
 ) -> SeriesSolution:
     """Build the truncated series solution for the given ansatz family.
 
-    For a rational profile source the parameters are the chain values
-    x_k(t) = D_{k-1}(jets); the caller guarantees the source actually
-    solves the family's profile equation.
+    For a rational profile source the parameters are the chain values x_k(t) = D_{k-1}(jets); the caller guarantees
+    the source actually solves the family's profile equation.
     """
     if truncation < 2:
         raise ValueError("truncation order must be at least 2")
@@ -374,16 +368,24 @@ def assemble_psi(
 # -- residuals ----------------------------------------------------------------
 
 
+def _over(values: Sequence) -> tuple[list[int], int]:
+    """Exact values (ints and ``Fraction``s) as int numerators over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """sum_{i+j=k} a_i b_j in ints for each k < len(b); a may be shorter."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(len(b))]
+
+
 def _convolution(a: Sequence, b: Sequence) -> list:
     """sum_{i+j=k} a_i b_j for each k < len(b); a may be shorter.  Exact entries are summed as int numerators
-    over one denominator, each sum made one ``Fraction``; others (floats, polynomials) take the plain loop,
-    each sum from 0 * b[k] in the order of i."""
+    over one denominator each (``_over``), each sum made one ``Fraction``; others (floats, polynomials) take the
+    plain loop, each sum from 0 * b[k] in the order of i."""
     if all(type(v) is Fraction or type(v) is int for v in (*a, *b)):
-        den_a, den_b = math.lcm(*(v.denominator for v in a)), math.lcm(*(v.denominator for v in b))
-        na = [v.numerator * (den_a // v.denominator) for v in a]
-        nb = [v.numerator * (den_b // v.denominator) for v in b]
-        return [Fraction(sum(na[i] * nb[k - i] for i in range(min(k + 1, len(a)))), den_a * den_b)
-                for k in range(len(b))]
+        (na, da), (nb, db) = _over(a), _over(b)
+        return [Fraction(s, da * db) for s in _int_convolution(na, nb)]
     out = []
     for k in range(len(b)):
         total = 0 * b[k]
@@ -393,21 +395,22 @@ def _convolution(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _gauss(base, count: int) -> list:
-    """base^i / i! for i < count: the series of e^{base s}."""
-    return [base**i * Fraction(1, math.factorial(i)) for i in range(count)]
+def _gauss(u: Union[int, Fraction], count: int) -> tuple[list[int], int]:
+    """u^i / i! for i < count as int numerators U^i V^m m! / i! over V^m m! (u = U/V, m = count - 1)."""
+    g = [u.denominator ** (count - 1) * math.factorial(count - 1)]
+    for i in range(1, count):
+        g.append(g[-1] * u.numerator // (u.denominator * i))
+    return g, g[0]
 
 
 def _series_residual(sol: SeriesSolution, polys, divisors, t_samples: Sequence[Numeric], defects: Callable):
     """Max |defect| over the samples of an exact residual, for polynomials p / d (``divisors`` d) over x2..x_{n+1}.
 
-    At each sample the exact (x1, ..., x_{n+1}) and their rates x' come from
-    the chain family one size up, whose heat field lines for x1..x_{n+1} read
-    x_{n+2} = D_{n+1}(jets) from the profile: off shell that differs from the
-    spec's top polynomial.  ``defects(x, x', p, p')`` yields the defects from
-    the polynomials' values p and rates p' = grad p . x' (the chain rule), both
-    from one integer pass of ``grpoly.exact_rows`` per sample.  A sample time
-    that is not an int or a ``Fraction`` raises ValueError before any work.
+    At each sample the exact (x1, ..., x_{n+1}) and their rates x' come from the chain family one size up, whose heat
+    field lines for x1..x_{n+1} read x_{n+2} = D_{n+1}(jets) from the profile: off shell that differs from the spec's
+    top polynomial.  ``defects(x, x', p, p')`` gives the defects as int numerators over one denominator, from the
+    values p and rates p' = grad p . x' (the chain rule) of one integer pass of ``grpoly.exact_rows`` per sample; a
+    sample's largest |numerator| makes one ``Fraction``.  A time not an int or ``Fraction`` raises ValueError first.
     """
     if not sol.exact:
         raise ValueError("the exact residual needs a rational profile source")
@@ -420,32 +423,30 @@ def _series_residual(sol: SeriesSolution, polys, divisors, t_samples: Sequence[N
     for t in t_samples:
         state = reduced_initial_state(sol.h_source, n + 1, t)
         x, rates = state[:-1], heat_system_field(chain, state)[:-1]
-        for defect in defects(x, rates, *rows(x[1:], rates[1:])):
-            worst = max(worst, abs(defect))
+        numerators, den = defects(x, rates, *rows(x[1:], rates[1:]))
+        worst = max(worst, Fraction(max(map(abs, numerators), default=0), den))
     return worst
 
 
 def heat_residual_series(sol: SeriesSolution, t_samples: Sequence[Numeric]):
-    """Max order-by-order heat defect |b_k + (2 delta+1) h b_{k-1} - 2 b_{k-1}'|
-    over k <= K-1 and the samples; exactly zero iff the source profile
-    solves the family equation there.
+    """Max order-by-order heat defect |b_k + (2 delta+1) h b_{k-1} - 2 b_{k-1}'| over k <= K-1 and the samples; exactly
+    zero iff the source profile solves the family equation there.
 
-    This is psi_k - 2 psi_{k-1}' with the positive prefactor e^{r(t)}
-    factored out, so it stays in rational arithmetic.  b_k and b_k' are
-    exact numbers at each sample: the chain rule over the parameters, with
-    their exact rates: ``exact_rows`` reads Phi_0..Phi_{K-1} with the
-    factorials as divisors.  A float sample raises ValueError.
+    This is psi_k - 2 psi_{k-1}' with the positive prefactor e^{r(t)} factored out, so it stays in rational arithmetic.
+    b_k and b_k' are exact at each sample by the chain rule over the parameters, with their exact rates: ``exact_rows``
+    reads Phi_0..Phi_{K-1} with the factorials as divisors, and every sum is taken in ints (``_gauss``, ``_over``).
+    A float sample raises ValueError.
     """
-    K, d = sol.truncation, sol.delta
+    K, F, odd = sol.truncation, sol._factorials, 2 * sol.delta + 1
 
     def defects(x, rates, values, slopes):
-        h = x[0]
-        gauss = _gauss(-HALF * h, K)
-        # d/dt (-h/2)^i / i! = (-h/2)^(i-1) / (i-1)! * (-h'/2)
-        dgauss = [Fraction(0)] + [g * (-HALF * rates[0]) for g in gauss[:-1]]
-        b = sol._bracket(gauss, values)
-        db = [p + q for p, q in zip(sol._bracket(dgauss, values), sol._bracket(gauss, slopes))]
-        return (b[k] + (2 * d + 1) * h * b[k - 1] - 2 * db[k - 1] for k in range(1, K))
+        # with g_i = u^i / i!, u = -h/2 = U/V, u' = P/Q: b_k = F_k (g*a)_k, b_k' = F_k (u' (g*a)_{k-1} + (g*s)_k)
+        u, du = -HALF * x[0], -HALF * rates[0]
+        (g, dg), (nums, den) = _gauss(u, K), _over([*values, *slopes])
+        ga, gs = [0, *_int_convolution(g, nums[:K])], _int_convolution(g, nums[K:])  # ga[k + 1] = (g*a)_k
+        U, V, P, Q = u.numerator, u.denominator, du.numerator, du.denominator
+        return [V * Q * F[k] * ga[k + 1] - 2 * F[k - 1] * (odd * U * Q * ga[k] + V * (P * ga[k - 1] + Q * gs[k - 1]))
+                for k in range(1, K)], dg * den * V * Q
 
     return _series_residual(sol, sol.phi.entries[:K], sol._factorials[:K], t_samples, defects)
 
@@ -488,11 +489,26 @@ def heat_residual_numeric(psi: Callable, grid: GridSpec) -> float:
 def _laurent(a: Sequence, rates: Sequence = ()) -> tuple[list, list]:
     """W'/W = sum_k c_k z^(2k-1) for W = sum_k a_k z^(2k), a_0 = 1, in any ring: polynomials, Fractions or floats.
 
-    Matching coefficients in W (W'/W) = W' gives c_0 = 0 and c_k = 2k a_k - sum_{i<k} c_i a_{k-i}, each sum
-    from 0 * a[k] in the order of i.  Given the rates a' of the a_k, the rates c' follow by the product rule;
-    else c' is empty.
+    Matching coefficients in W (W'/W) = W' gives c_0 = 0 and c_k = 2k a_k - sum_{i<k} c_i a_{k-i}.  Given the rates a'
+    of the a_k, the rates c' follow by the product rule; else c' is empty.  One recursion, three kernels: polynomials
+    (no rates) in ``grpoly``'s working form, each sum formed and then 2k a_k - sum, each c_k stored once; ``Fraction``s
+    (every a_k and rate past the first) by ``_minus_products``, each c_k and c_k' one ``Fraction``; else (floats)
+    each sum from 0 * a[k] in the order of i.
     """
+    if isinstance(a[0], GradedPoly):
+        nvars = max(p.nvars for p in a)
+        w, c = [_numerators(p, nvars) for p in a], [({}, 1)]
+        for k in range(1, len(w)):
+            c.append(_combination([(2 * k, w[k]), (-1, _combination((1, _times(c[i], w[k - i])) for i in range(k)))]))
+        return [GradedPoly._from_numerators(a[0].family, nvars, v) for v in c], []
     c, dc = [0 * a[0]], [0 * a[0]] if rates else []
+    if all(type(v) is Fraction for v in (*a[1:], *rates[1:])):
+        for k in range(1, len(a)):
+            c.append(_minus_products(2 * k * a[k], zip(c[1:k], a[k - 1 : 0 : -1])))
+            if rates:
+                pairs = [*zip(dc[1:k], a[k - 1 : 0 : -1]), *zip(c[1:k], rates[k - 1 : 0 : -1])]
+                dc.append(_minus_products(2 * k * rates[k], pairs))
+        return c, dc
     for k in range(1, len(a)):
         total = 0 * a[k]
         for i in range(k):
@@ -503,18 +519,28 @@ def _laurent(a: Sequence, rates: Sequence = ()) -> tuple[list, list]:
     return c, dc
 
 
+def _minus_products(lead: Fraction, pairs: Iterable[tuple]) -> Fraction:
+    """lead - sum x y over pairs of exact numbers in one pass: an int numerator over the lcm of the denominators so
+    far, rescaled when a product's denominator does not divide it, made one ``Fraction``."""
+    num, den = lead.numerator, lead.denominator
+    for x, y in pairs:
+        scale, rest = divmod(den, d := x.denominator * y.denominator)
+        if rest:
+            new = math.lcm(den, d)
+            num, den, scale = num * (new // den), new, new // d
+        num -= x.numerator * y.numerator * scale
+    return Fraction(num, den)
+
+
 class BurgersSolution(_TimeSliced):
     """The Cole-Hopf image v = -d/dz log psi of a series solution.
 
-    v(z, t) = -delta/z + h(t) z - sum_{k>=2} c_k(t) z^(2k-1) where c_k is
-    the z^(2k-1) coefficient of W'/W and W is the bracket series.  At a time,
-    ``_read`` takes the c_k by ``_laurent`` from the source's a_k there, read
-    through the source's own readers: ``series_values(t)`` lists c_0(t), ...,
-    c_K(t), exact at an exact time, and a slice rounds them once.
-    ``series_jets[k]``, built by the same recursion at first use, holds c_k as
-    an X-family polynomial over the ansatz parameters x2..x_{n+1} (not over
-    jets, despite the name), trusted through order 2K-1.  The normalized table
-    entry is Psi_k = (2 delta k + 1) (2k-1)! c_k, a scale over
+    v(z, t) = -delta/z + h(t) z - sum_{k>=2} c_k(t) z^(2k-1) where c_k is the z^(2k-1) coefficient of W'/W and W is
+    the bracket series.  At a time, ``_read`` takes the c_k by ``_laurent`` from the source's a_k there, read through
+    the source's own readers: ``series_values(t)`` lists c_0(t), ..., c_K(t), exact at an exact time, and a slice
+    rounds them once.  ``series_jets[k]``, built by the same recursion in ``grpoly``'s working form at first use, holds
+    c_k as an X-family polynomial over the ansatz parameters x2..x_{n+1} (not over jets, despite the name), trusted
+    through order 2K-1.  The normalized table entry is Psi_k = (2 delta k + 1) (2k-1)! c_k, a scale over
     ``series_values`` (entries 0 and 1 are zero).
     """
 
@@ -553,10 +579,9 @@ class BurgersSolution(_TimeSliced):
 
 
 def cole_hopf(sol: SeriesSolution) -> BurgersSolution:
-    """Cole-Hopf image of a series solution (diffusion mu = 1/2): v = -delta/z + h z - W'/W with
-    W = sum_k a_k z^(2k), a_k = Phi_k / (2k+delta)!, its c_k read from psi's a_k at each time by
-    ``_laurent`` and exact at an exact time; no polynomial is built until ``series_jets`` is read.
-    Any source evaluates, an integrated trajectory too."""
+    """Cole-Hopf image of a series solution (diffusion mu = 1/2): v = -delta/z + h z - W'/W with W = sum_k a_k z^(2k),
+    a_k = Phi_k / (2k+delta)!, its c_k read from psi's a_k at each time by ``_laurent`` and exact at an exact time; no
+    polynomial is built until ``series_jets`` is read.  Any source evaluates, an integrated trajectory too."""
     return BurgersSolution(sol)
 
 
@@ -569,10 +594,8 @@ def burgers_residual(
 ):
     """Residual of v_t + v v_z = mu v_zz for a Cole-Hopf image.
 
-    ``series`` mode expands the residual as an exact Laurent series in z
-    (trusted through order 2K-3) and reports the max coefficient
-    magnitude over the samples.  ``grid`` mode uses central differences
-    on the evaluated v.
+    ``series`` mode expands the residual as an exact Laurent series in z (trusted through order 2K-3) and reports the
+    max coefficient magnitude over the samples.  ``grid`` mode uses central differences on the evaluated v.
     """
     if mode == "series":
         if t_samples is None:
@@ -586,18 +609,17 @@ def burgers_residual(
 
 
 def _burgers_series_residual(image: BurgersSolution, mu: Fraction, t_samples: Sequence[Numeric]):
-    # v = sum_m f_m z^(2m-1) with f_0 = -delta, f_1 = h and f_m = -c_m; the
-    # z^(2M-3) coefficient of v_t + v v_z - mu v_zz is
-    # f'_{M-1} + (M-1) (f*f)_M - mu (2M-1)(2M-2) f_M, trusted for M <= K;
-    # c and c' come by ``_laurent`` from psi's a_k and their rates a_k'
+    # v = sum_m f_m z^(2m-1) with f_0 = -delta, f_1 = h and f_m = -c_m, c and c' by ``_laurent`` from psi's a_k and
+    # their rates; the z^(2M-3) coefficient of v_t + v v_z - mu v_zz is f'_{M-1} + (M-1) (f*f)_M - mu (2M-1)(2M-2) f_M,
+    # trusted for M <= K: with f_M, then f'_{M-1} at index M, over one denominator and mu = P/Q, times Q den^2 an int
     K, sol = image.truncation, image.source
 
     def defects(x, rates, a, da):
         c, dc = _laurent(a, da)
-        f = [Fraction(-image.delta), x[0], *(-v for v in c[2:])]
-        df = [0, Fraction(0), rates[0], *(-v for v in dc[2:])]  # f'_{M-1} at index M
-        ff = _convolution(f, f)
-        return (df[M] + (M - 1) * ff[M] - mu * (2 * M - 1) * (2 * M - 2) * f[M] for M in range(K + 1))
+        nums, den = _over([-image.delta, x[0], *(-v for v in c[2:]), 0, 0, rates[0], *(-v for v in dc[2:])])
+        f, df, P, Q = nums[: K + 1], nums[K + 1 :], mu.numerator, mu.denominator
+        return [Q * (den * df[M] + (M - 1) * ff) - P * (2 * M - 1) * (2 * M - 2) * den * f[M]
+                for M, ff in enumerate(_int_convolution(f, f))], Q * den * den
 
     return _series_residual(sol, sol.phi.entries, sol._factorials, t_samples, defects)
 
@@ -609,9 +631,8 @@ def _burgers_grid_residual(image: BurgersSolution, mu: float, grid: GridSpec) ->
 def residual_report(max_residual: Union[Fraction, float], grid: Union[GridSpec, None] = None) -> str:
     """One-line JSON report of a residual check: {max_residual, grid, mode}.
 
-    Floats are rendered with 17 significant digits so the report is
-    byte-deterministic and round-trips exactly; a check on a grid reports
-    mode ``grid``, one without (``grid`` null) mode ``series``.
+    Floats are rendered with 17 significant digits so the report is byte-deterministic and round-trips exactly; a
+    check on a grid reports mode ``grid``, one without (``grid`` null) mode ``series``.
     """
 
     def f(v) -> str:
@@ -677,9 +698,8 @@ def closed_form_1ansatz(
           * exp(-z^2/4 * sum_k alpha_k/(alpha_k t - beta_k) + r0)
           * z^delta * sum_m gamma_m (-1)^m x2(t)^m (z/2)^(4m)
 
-    with x2(t) = -(A - B)^2/4 for the two summands A, B of 2h: the chain
-    value D_1 = h' + h^2 of the profile.  A reference oracle for the n = 1
-    series; a value that leaves the float range raises OverflowError.
+    with x2(t) = -(A - B)^2/4 for the two summands A, B of 2h: the chain value D_1 = h' + h^2 of the profile.  A
+    reference oracle for the n = 1 series; a value that leaves the float range raises OverflowError.
     """
     _check_delta(delta)
     poles = (pole1, pole2)

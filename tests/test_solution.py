@@ -33,7 +33,7 @@ from heatansatz.solution import (
     _TrajectoryInterp,
     _axis,
     _convolution,
-    _gauss,
+    _laurent,
     assemble_psi,
     burgers_residual,
     closed_form_0ansatz,
@@ -662,6 +662,52 @@ def test_convolution_matches_the_plain_loop_property():
     check()
 
 
+def _plain_laurent(a, rates=()):
+    """c_0 = 0 and c_k = 2k a_k - sum_{i<k} c_i a_{k-i}, and with rates c_k' = 2k a_k' - sum_{i<k} (c_i' a_{k-i} +
+    c_i a_{k-i}'), each sum started at 0 * a[k] and added in the order of i."""
+    c, dc = [0 * a[0]], [0 * a[0]] if rates else []
+    for k in range(1, len(a)):
+        total = 0 * a[k]
+        for i in range(k):
+            total = total + c[i] * a[k - i]
+        c.append(2 * k * a[k] - total)
+        if rates:
+            total = 0 * a[k]
+            for i in range(k):
+                total = total + (dc[i] * a[k - i] + c[i] * rates[k - i])
+            dc.append(2 * k * rates[k] - total)
+    return c, dc
+
+
+def test_laurent_matches_the_plain_loops_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # small fractions, and numerators and denominators of up to 300 bits
+    big = st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**300))
+    exact = st.fractions(min_value=-9, max_value=9, max_denominator=12) | big
+    floats = st.sampled_from([0.0, -0.0, 5e-324, -1.5, 1e300, 0.1]) | st.floats(-1e6, 1e6)
+
+    def tables(entries):
+        # a_0 = 1 and up to 40 more entries, with rates of the same length
+        return st.integers(0, 40).flatmap(lambda K: st.tuples(
+            st.lists(entries, min_size=K, max_size=K), st.lists(entries, min_size=K + 1, max_size=K + 1)))
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(tables(exact), st.sampled_from([1, Fraction(1)]), tables(floats))
+    def check(exact_table, one, float_table):
+        a, rates = [one, *exact_table[0]], exact_table[1]
+        for args in ((a,), (a, rates)):
+            got, expect = _laurent(*args), _plain_laurent(*args)
+            assert got == expect
+            assert [[*map(type, v)] for v in got] == [[*map(type, v)] for v in expect]
+        fa, fr = [1.0, *float_table[0]], float_table[1]
+        for args in ((fa,), (fa, fr)):
+            got, expect = _laurent(*args), _plain_laurent(*args)
+            assert [[struct.pack("d", x) for x in v] for v in got] == [[struct.pack("d", x) for x in v] for v in expect]
+
+    check()
+
+
 @pytest.mark.parametrize("delta", [0, 1])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_image_matches_sympy_log_derivative(n, delta):
@@ -857,6 +903,45 @@ def test_burgers_series_residual_matches_order_dict(case, delta):
         got = burgers_residual(image, mu=mu, mode="series", t_samples=samples)
         assert got == _burgers_residual_by_orders(image, mu, samples), f"mu={mu}"
         assert (got == 0) == (case == "on_shell" and mu == Fraction(1, 2))
+
+
+def _heat_residual_by_orders(sol, t_samples):
+    """Max |b_k + (2 delta+1) h b_{k-1} - 2 b_{k-1}'| over k < K as -2 m! times the z^m coefficient, m = 2k-2+delta,
+    of B_t - B_zz / 2 - (delta + 1/2) h B for B = psi e^{-r} = e^{-h z^2/2} sum_j a_j z^(2j+delta): B's orders and
+    their rates added in plain ``Fraction``s into dicts keyed by order, one product of a Gaussian and a W term at a
+    time, with the a_j and their slopes from the partials."""
+    K, d = sol.truncation, sol.delta
+    worst = Fraction(0)
+    for t in t_samples:
+        x, rates, values, slopes = _values_and_slopes(sol, _scaled_by_division(sol)[:K], t)
+        u, du = -x[0] / 2, -rates[0] / 2
+        B, dB = {}, {}
+        for i in range(K):
+            g, dg = u**i / math.factorial(i), (u ** (i - 1) / math.factorial(i - 1) * du if i else Fraction(0))
+            for j in range(K - i):
+                m = 2 * (i + j) + d
+                B[m] = B.get(m, Fraction(0)) + g * values[j]
+                dB[m] = dB.get(m, Fraction(0)) + dg * values[j] + g * slopes[j]
+        for m in range(d, 2 * K - 3 + d, 2):
+            residual = dB[m] - (m + 2) * (m + 1) * B[m + 2] / 2 - (d + Fraction(1, 2)) * x[0] * B[m]
+            worst = max(worst, abs(-2 * math.factorial(m) * residual))
+    return worst
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("case", ["three_poles", "four_poles", "tampered", "on_shell"])
+def test_heat_residual_series_matches_order_dict(case, delta):
+    # the heat twin of the Burgers order-dict check, on the same off-shell tables and one on-shell table
+    sol = {
+        "three_poles": lambda: assemble_psi(AnsatzSpec.chain(2, delta), H3, 0, 8),
+        "four_poles": lambda: assemble_psi(AnsatzSpec.chain(2, delta), H4, 0, 8),
+        "tampered": lambda: _tampered(delta),
+        "on_shell": lambda: assemble_psi(AnsatzSpec.reduced(3, delta, rational_top(3)), H4, 0, 8),
+    }[case]()
+    samples = [Fraction(3), Fraction(7, 2), Fraction(41, 10)]
+    got = heat_residual_series(sol, samples)
+    assert type(got) is Fraction and got == _heat_residual_by_orders(sol, samples)
+    assert (got == 0) == (case == "on_shell")
 
 
 @pytest.mark.parametrize("delta, off_shell", [(0, Fraction(398723166345063424, 63738145151543994091796875)),
@@ -1144,7 +1229,9 @@ def test_one_reader_matches_evaluate_at_any_time_property():
                 # each entry a_k = Phi_k / (2k+delta)! evaluated at the parameters, and the exact image there
                 xs = sol.parameter_values(t)
                 a = [p.evaluate(xs[1:]) for p in _scaled_by_division(sol)]
-                b = sol._bracket(_gauss(-Fraction(1, 2) * xs[0], K + 1), a)
+                base = -Fraction(1, 2) * xs[0]
+                gauss = [base**i * Fraction(1, math.factorial(i)) for i in range(K + 1)]
+                b = [math.factorial(2 * k + spec.delta) * v for k, v in enumerate(_plain_convolution(gauss, a))]
                 c = _exact_image(image, xs[1:])
                 got_b, got_c = sol.bracket_coefficients(t), image.series_values(t)
                 # exact parameters (an exact time, or h = 0 at any time) give the same Fractions; float ones give
