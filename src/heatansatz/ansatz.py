@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _derived, _numerators, _times
@@ -148,10 +147,6 @@ class AnsatzSpec:
         return cls.reduced(n, delta, GradedPoly.zero(VariableFamily.X, 0))
 
 
-def _quadratic_factor(q: int, delta: int) -> Fraction:
-    return Fraction((2 * q + delta - 3) * (2 * q + delta - 2), 2 * (1 + 2 * delta))
-
-
 def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
     """Phi_k over the ansatz parameters for a general polynomial family.
 
@@ -173,8 +168,9 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
     work = [_numerators(entry, n) for entry in entries]
     images = [(i, _numerators(p, n)) for i, p in enumerate(spec.ps[1:])]
     for q in range(3, q_max + 1):
-        quadratic = _times(work[2], work[q - 2])
-        work.append(_combination([(2, _derived(work[q - 1], images)), (_quadratic_factor(q, delta), quadratic)]))
+        terms, den = _times(work[2], work[q - 2])  # the quadratic factor's denominator 2(1+2 delta) joins den
+        quadratic = ((2 * q + delta - 3) * (2 * q + delta - 2), (terms, den * 2 * (1 + 2 * delta)))
+        work.append(_combination([(2, _derived(work[q - 1], images)), quadratic]))
         entries.append(GradedPoly._from_numerators(VariableFamily.X, n, work[q]))
     return PhiTable(delta, tuple(entries))
 

@@ -1,20 +1,19 @@
 """Sparse exact-rational polynomials over graded variable families.
 
 Everything symbolic in this package is a :class:`GradedPoly`: a sparse
-multivariate polynomial with ``fractions.Fraction`` coefficients over one
+multivariate polynomial with exact rational coefficients over one
 of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
 
-Every computed polynomial is built in one integer working form (terms, den): exponent
-tuples mapped to nonzero int numerators, in term order, over one positive common
-denominator.  Sums, differences, negation, products, derivations, substitutions, linear
-combinations and a change of ring size all run in it.  Each operand is read into it once,
-and a recursion (the Phi and jet tables, the Cole-Hopf image) keeps its entries in it, so
-each stored entry becomes ``Fraction``s once; no other module reads the storage.
-Storage stays ``Fraction``: ints would halve the GC-tracked objects per term, and with
-them how often the cyclic collector runs, so a process that keeps dropping reference
-cycles (a benchmark re-importing the package) would hold more of them at its peak.
+A polynomial is stored in one integer working form (terms, den): exponent tuples mapped to
+nonzero int numerators, in term order, over one positive denominator, in lowest terms
+(gcd(den, *numerators) == 1), so the form is canonical.  Sums, differences, negation,
+products, derivations, substitutions, linear combinations and a change of ring size all
+run in it, and each result is stored as computed, after one ``gcd`` pass, so no step reads
+its operands back from ``Fraction``s; no other module reads the storage.  ``Fraction``s
+are made only at the public edge: ``terms()``, ``coefficient()``, the JSON and text forms
+and exact ``evaluate``.
 
 Floats enter only at evaluation: ``float_rows`` takes the float steps of ``evaluate`` at an all-float point,
 bit for bit, with no ``Fraction`` dispatch per term.  Its exact twin ``exact_rows`` gives values and chain-rule
@@ -77,19 +76,17 @@ class VariableFamily(Enum):
         return f"{self.value.lower()}{position + self.first_index}"
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Scalar) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
 def _summed(items: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
     """The one summing loop: terms are added one at a time in the order given,
     a key whose sum cancels is dropped, and a later term that brings it back is
-    appended again.  Coefficients are all ``Fraction``s, or all integer
-    numerators over one common denominator, whose sums vanish exactly where
+    appended again.  Coefficients are all exact numbers (ints and ``Fraction``s), or all
+    integer numerators over one common denominator, whose sums vanish exactly where
     the ``Fraction`` sums would."""
     out: dict = {}
     for exps, c in items:
@@ -105,11 +102,11 @@ def _summed(items: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
 
 
 def _numerators(poly: "GradedPoly", nvars: int) -> tuple[dict[tuple[int, ...], int], int]:
-    """The working form of ``poly``, its terms in insertion order with the exponents padded or
-    cut to ``nvars`` slots, over the lcm of its denominators."""
-    den = lcm(*[c.denominator for c in poly._terms.values()])
+    """The stored working form of ``poly`` (shared: read, never change it), exponents padded or cut to ``nvars``."""
+    if nvars == poly.nvars:
+        return poly._nums, poly._den
     pad = (0,) * (nvars - poly.nvars)
-    return {(e + pad)[:nvars]: c.numerator * (den // c.denominator) for e, c in poly._terms.items()}, den
+    return {(e + pad)[:nvars]: n for e, n in poly._nums.items()}, poly._den
 
 
 def _product(left, right) -> dict[tuple[int, ...], int]:
@@ -169,8 +166,9 @@ def _derived(work, images):
 class GradedPoly:
     """Immutable sparse polynomial over one graded variable family.
 
-    Terms map exponent tuples (one slot per declared variable) to nonzero
-    rational coefficients.  Binary operations require equal families;
+    Terms map exponent tuples (one slot per declared variable) to nonzero int numerators over one
+    positive denominator, in lowest terms (the working form, stored as ``_nums`` and ``_den``;
+    ``_terms`` is a read-only ``Fraction`` view of it).  Binary operations require equal families;
     differing variable counts are reconciled by zero padding, and
     equality/hashing ignore trailing unused variables.
 
@@ -179,12 +177,12 @@ class GradedPoly:
     it back is appended again.  The constructor, ``+``, ``-``, :meth:`derivation`
     and :meth:`substitute` all sum through it, so each keeps the term order
     of the sum built term by term, which is the order a float ``evaluate``
-    adds in.  The constructor checks outside input; every
-    result computed here is built from the integer working form by
-    :meth:`_from_numerators`, without those checks.
+    adds in.  The constructor checks outside input and converts its
+    coefficients to the working form once; every result computed here is
+    stored from the working form by :meth:`_from_numerators`, without those checks.
     """
 
-    __slots__ = ("family", "nvars", "_terms")
+    __slots__ = ("family", "nvars", "_nums", "_den")
 
     def __init__(
         self,
@@ -195,30 +193,39 @@ class GradedPoly:
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._set(family, nvars, _summed(self._checked(nvars, items)))
+        summed = _summed(self._checked(nvars, items))
+        den = lcm(*[c.denominator for c in summed.values()])  # over the lcm of reduced denominators: lowest terms
+        self._set(family, nvars, {e: c.numerator * (den // c.denominator) for e, c in summed.items()}, den)
 
     @staticmethod
-    def _checked(nvars: int, items) -> Iterable[tuple[tuple[int, ...], Fraction]]:
+    def _checked(nvars: int, items) -> Iterable[tuple[tuple[int, ...], Scalar]]:
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            yield exps, _as_fraction(coeff)
+            yield exps, _exact(coeff)
 
-    def _set(self, family: VariableFamily, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> None:
+    def _set(self, family: VariableFamily, nvars: int, nums: dict[tuple[int, ...], int], den: int) -> None:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def _from_numerators(cls, family: VariableFamily, nvars: int, work: tuple) -> "GradedPoly":
-        """Store a working form over ``nvars`` slots, each term as one ``Fraction``."""
+        """Store a working form over ``nvars`` slots in lowest terms after one ``gcd`` pass (one in them, uncopied)."""
         terms, den = work
+        g = gcd(den, *terms.values())
         poly = object.__new__(cls)
-        poly._set(family, nvars, {e: Fraction(n, den) for e, n in terms.items()})
+        poly._set(family, nvars, {e: n // g for e, n in terms.items()} if g > 1 else terms, den // g)
         return poly
+
+    @property
+    def _terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms as ``Fraction``s, in insertion order: a view made at each read, not stored."""
+        return {e: Fraction(n, self._den) for e, n in self._nums.items()}
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GradedPoly is immutable")
@@ -231,7 +238,7 @@ class GradedPoly:
 
     @classmethod
     def const(cls, family: VariableFamily, nvars: int, value: Scalar) -> "GradedPoly":
-        return cls(family, nvars, {(0,) * nvars: _as_fraction(value)})
+        return cls(family, nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, family: VariableFamily, nvars: int, index: int) -> "GradedPoly":
@@ -240,7 +247,7 @@ class GradedPoly:
         if not 0 <= position < nvars:
             raise ValueError(f"variable index {index} outside the declared ring")
         exps = tuple(1 if i == position else 0 for i in range(nvars))
-        return cls(family, nvars, {exps: Fraction(1)})
+        return cls(family, nvars, {exps: 1})
 
     # -- term access -------------------------------------------------------
 
@@ -251,25 +258,24 @@ class GradedPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         """The coefficient of the monomial ``exps``; as in equality, trailing unused slots do not matter."""
         exps = tuple(exps)
-        if any(exps[self.nvars :]):
-            return Fraction(0)
-        return self._terms.get(exps[: self.nvars] + (0,) * (self.nvars - len(exps)), Fraction(0))
+        n = 0 if any(exps[self.nvars :]) else self._nums.get(exps[: self.nvars] + (0,) * (self.nvars - len(exps)), 0)
+        return Fraction(n, self._den)
 
     def max_used_position(self) -> int:
         """Highest variable position occurring with nonzero exponent, -1 if none."""
         best = -1
-        for exps in self._terms:
+        for exps in self._nums:
             for i in range(len(exps) - 1, best, -1):
                 if exps[i]:
                     best = max(best, i)
@@ -328,19 +334,19 @@ class GradedPoly:
             return NotImplemented
         if self.family is not other.family:
             return False
-        return self._trimmed_items() == other._trimmed_items()
+        return self._den == other._den and self._trimmed_items() == other._trimmed_items()  # the form is canonical
 
     def _trimmed_items(self) -> frozenset:
         out = []
-        for exps, coeff in self._terms.items():
+        for exps, num in self._nums.items():
             n = len(exps)
             while n and exps[n - 1] == 0:
                 n -= 1
-            out.append((exps[:n], coeff))
+            out.append((exps[:n], num))
         return frozenset(out)
 
     def __hash__(self) -> int:
-        return hash((self.family, self._trimmed_items()))
+        return hash((self.family, self._den, self._trimmed_items()))
 
     # -- calculus ----------------------------------------------------------
 
@@ -383,15 +389,13 @@ class GradedPoly:
 
         The zero polynomial reports None but still counts as homogeneous.
         """
-        degs = {-sum(self.family.weight(i) * e for i, e in enumerate(exps)) for exps in self._terms}
+        degs = {-sum(self.family.weight(i) * e for i, e in enumerate(exps)) for exps in self._nums}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def is_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        return self.degree() is not None
+        return not self._nums or self.degree() is not None
 
     def evaluate(self, values: Sequence[Numeric]) -> Numeric:
         """Evaluate at the given per-position values (exact in, exact out)."""
@@ -410,10 +414,10 @@ class GradedPoly:
     def float_source(self, names: Sequence[str]) -> str:
         """Source of ``evaluate`` on floats bound to ``names``, float step for float step:
         terms in insertion order, each ``float(coeff)`` times ``name ** e`` left to right,
-        summed from ``0.0``, less the exact steps ``1.0 *`` and ``** 1``."""
+        summed from ``0.0``, less the exact steps ``1.0 *`` and ``** 1``; float(coeff) is n / _den correctly rounded."""
         terms = ["0.0"]
-        for exps, coeff in self._terms.items():
-            factors = [] if coeff == 1 else [repr(float(coeff))]
+        for exps, n in self._nums.items():
+            factors = [] if n == self._den else [repr(n / self._den)]
             factors += [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in enumerate(exps) if e]
             terms.append(" * ".join(factors) or "1.0")
         return "(" + " + ".join(terms) + ")"
@@ -430,12 +434,12 @@ class GradedPoly:
         it, so an image that uses a position outside it raises ValueError.
         A position with image None must not occur in any term.  Each image
         power is raised in the working form as ``__pow__`` raises it, so no power is
-        stored as ``Fraction``s; the products and their one sum run in integers.
+        stored; the products and their one sum run in integers.
         """
         cache: dict[tuple[int, int], tuple] = {}
         products = []
-        for exps, coeff in self._terms.items():
-            prod = ({(0,) * nvars: coeff.numerator}, coeff.denominator)
+        for exps, num in self._nums.items():
+            prod = ({(0,) * nvars: num}, self._den)
             for i, e in enumerate(exps):
                 if not e:
                     continue
@@ -480,7 +484,7 @@ class GradedPoly:
         ``names`` may override the per-position variable names (used for
         printing polynomials in basis symbols).
         """
-        if not self._terms:
+        if not self._nums:
             return "0"
         name = names if names is not None else self.family.var_name
         labels = [name(i) for i in range(self.nvars)]
@@ -512,18 +516,17 @@ class GradedPoly:
 def float_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Callable[[Sequence[float]], list[float]]:
     """A callable that evaluates each p / d, for the polynomials p of ``polys`` and their int
     ``divisors`` d (default 1), at one all-float point, bit-identical to
-    ``float((p * Fraction(1, d)).evaluate(point))``: each coefficient c is read once, as the
-    correctly rounded int division ``c.numerator / (c.denominator * d)``, which is the float of
-    c / d, and each exponent tuple as indices into one shared power list; at a point each power
+    ``float((p * Fraction(1, d)).evaluate(point))``: each stored numerator n over p's denominator
+    den is read once, as the correctly rounded int division ``n / (den * d)``, the float of c / d for
+    the coefficient c = n / den, and each exponent tuple as indices into one shared power list; at a point each power
     ``x_i ** e`` is computed once, each term is ``float(c / d) * pw[j] * ...`` left to right, and
     the terms are summed from 0.0 in insertion order (a constant first term starts the sum, as its
     exact value does in ``evaluate``)."""
     powers: dict[tuple[int, int], int] = {}
     rows = []
     for poly, d in zip(polys, divisors or [1] * len(polys), strict=True):
-        terms = [(c.numerator / (c.denominator * d),
-                  tuple(powers.setdefault((i, e), len(powers)) for i, e in enumerate(exps) if e))
-                 for exps, c in poly._terms.items()]
+        terms = [(n / (poly._den * d), tuple(powers.setdefault((i, e), len(powers)) for i, e in enumerate(exps) if e))
+                 for exps, n in poly._nums.items()]
         rows.append((terms.pop(0)[0] if terms and not terms[0][1] else 0.0, terms))
     needed = max((i + 1 for i, _ in powers), default=0)
 

@@ -380,12 +380,8 @@ def _int_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _convolution(a: Sequence, b: Sequence) -> list:
-    """sum_{i+j=k} a_i b_j for each k < len(b); a may be shorter.  Exact entries are summed as int numerators
-    over one denominator each (``_over``), each sum made one ``Fraction``; others (floats, polynomials) take the
-    plain loop, each sum from 0 * b[k] in the order of i."""
-    if all(type(v) is Fraction or type(v) is int for v in (*a, *b)):
-        (na, da), (nb, db) = _over(a), _over(b)
-        return [Fraction(s, da * db) for s in _int_convolution(na, nb)]
+    """sum_{i+j=k} a_i b_j for each k < len(b); a may be shorter.  The float and polynomial loop: each sum from
+    0 * b[k] in the order of i (exact sums are ``_int_convolution``'s, over ``_over``)."""
     out = []
     for k in range(len(b)):
         total = 0 * b[k]

@@ -1,11 +1,14 @@
 """Ring axioms, grading, evaluation, and serialization for GradedPoly."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from heatansatz.ansatz import AnsatzSpec, general_phi_table, jet_phi_table
+from heatansatz.dynsys import rational_top
 from heatansatz.grpoly import (
     FamilyMismatchError,
     GradedPoly,
@@ -240,3 +243,66 @@ def test_hash_consistency():
     b = GradedPoly.variable(Y, 7, 1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def assert_canonical(poly):
+    """The stored working form: nonzero int numerators over a positive int denominator, in lowest terms."""
+    nums, den = poly._nums, poly._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+
+
+def assert_same_polynomial(a, b):
+    """a and b are one polynomial: equal, with one hash, and one terms() and to_json up to zero padding of the
+    exponents (at one ring size, the same to_json text)."""
+    assert a == b and hash(a) == hash(b)
+    width = max(a.nvars, b.nvars)
+    pad = lambda p, exps: tuple(exps) + (0,) * (width - p.nvars)
+    assert [(pad(a, e), c) for e, c in a.terms()] == [(pad(b, e), c) for e, c in b.terms()]
+    blob = lambda p: [(pad(p, t["exp"]), t["num"], t["den"]) for t in json.loads(p.to_json())["terms"]]
+    assert blob(a) == blob(b)
+    if a.nvars == b.nvars:
+        assert a.to_json() == b.to_json()
+
+
+def test_every_route_stores_the_canonical_form_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+    @st.composite
+    def polys(draw, family, nvars):
+        exps = st.tuples(*[st.integers(0, 2)] * nvars)
+        return GradedPoly(family, nvars, draw(st.lists(st.tuples(exps, coefficients), max_size=5)))
+
+    @st.composite
+    def cases(draw):
+        family, nvars = draw(st.sampled_from(list(VariableFamily))), draw(st.integers(0, 3))
+        p, q = draw(polys(family, nvars)), draw(polys(family, nvars))
+        images = [draw(polys(family, nvars)) for _ in range(nvars)]
+        return p, q, images, draw(coefficients.filter(bool)), draw(st.integers(0, 3))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases(), st.integers(0, 4), st.integers(0, 1), st.integers(2, 12))
+    def check(case, n, delta, k_max):
+        p, q, images, scalar, exponent = case
+        family, nvars = p.family, p.nvars
+        one = [GradedPoly.variable(family, nvars + 1, family.first_index + i) for i in range(nvars)]
+        routes = [p, p + q, p - q, p * scalar, p * q, p**exponent, p.derivation(images, nvars),
+                  p.substitute(images, family, nvars), p.with_nvars(nvars + 2),
+                  *general_phi_table(AnsatzSpec.reduced(n, delta, rational_top(n)), k_max).entries,
+                  *jet_phi_table(delta, k_max).entries]
+        for poly in routes:
+            assert_canonical(poly)
+        # one polynomial by several routes, at nvars, nvars + 1 and nvars + 2 slots
+        for same in [(p + q) - q, p * scalar * (1 / Fraction(scalar)), p**1, p * GradedPoly.const(family, 0, 1),
+                     GradedPoly(family, nvars, p.terms()), p.substitute(one, family, nvars + 1),
+                     p.with_nvars(nvars + 2)]:
+            assert_same_polynomial(same, p)
+        absent = [((1,) * (nvars + 1), 0)] + [((3,) * nvars, 0)] * bool(nvars)  # outside the ring, and in it
+        for exps, c in [*p.terms(), *absent]:
+            got = p.coefficient(exps)
+            assert type(got) is Fraction and got == c
+
+    check()

@@ -130,6 +130,40 @@ def test_bracket_matches_closed_form(delta):
             assert got[k] == expect, f"k={k} t={t}"
 
 
+def heat_jet_oracle(h, delta, t, k_max):
+    """b_k = 2^k k! g_k for k <= k_max from h's time jets alone (no Phi table, spec or chain polynomial).
+
+    psi_t = psi_zz / 2 gives psi_k = 2^k psi_0^(k) with psi_0 = e^r and r' = -(delta + 1/2) h, so b_k = psi_k / e^r(t)
+    is 2^k k! g_k for g(s) = exp(r(t+s) - r(t)) = sum_m g_m s^m: with r_j = -(delta + 1/2) h^(j-1)(t) / j!,
+    g_0 = 1 and g_m = (1/m) sum_{j=1..m} j r_j g_{m-j}."""
+    jets = h.jets(t, k_max)
+    r = [0] + [-(delta + Fraction(1, 2)) * jets[j - 1] / math.factorial(j) for j in range(1, k_max + 1)]
+    g = [Fraction(1)]
+    for m in range(1, k_max + 1):
+        g.append(sum(j * r[j] * g[m - j] for j in range(1, m + 1)) / m)
+    return [2**k * math.factorial(k) * v for k, v in enumerate(g)]
+
+
+def test_bracket_matches_the_heat_jet_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pole = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(any).map(lambda ab: MobiusParam(*ab))
+    times = st.fractions(min_value=-4, max_value=6, max_denominator=5)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 4).flatmap(lambda n: st.lists(pole, min_size=n + 1, max_size=n + 1)),
+                      st.integers(0, 1), st.integers(2, 40), times)
+    def check(poles, delta, k_max, t):
+        hypothesis.assume(all(p.alpha * t != p.beta for p in poles))  # t clear of the poles
+        n = len(poles) - 1
+        h = RationalH(n, tuple(poles))
+        sol = assemble_psi(AnsatzSpec.reduced(n, delta, rational_top(n)), h, 0, k_max)
+        got = sol.bracket_coefficients(t)
+        assert got == heat_jet_oracle(h, delta, t, k_max) and all(type(v) is Fraction for v in got)
+
+    check()
+
+
 @pytest.mark.parametrize("delta", [0, 1])
 def test_closed_form_0ansatz_matches_series(delta):
     psi = closed_form_0ansatz(delta, MobiusParam(1, 0), r0=0.25)
@@ -647,17 +681,14 @@ def test_convolution_matches_the_plain_loop_property():
     exact = st.integers(-9, 9) | st.just(0) | st.fractions(min_value=-9, max_value=9, max_denominator=12)
     floats = st.sampled_from([0.0, -0.0, 5e-324, -1.5, 1e300, -1e300, 0.1]) | st.floats(allow_nan=False)
     both = exact | floats
+    packed = lambda values: [struct.pack("d", v) if type(v) is float else v for v in values]
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(st.lists(exact, max_size=8), st.lists(exact, max_size=8),
-                      st.lists(both, max_size=8), st.lists(both, max_size=8))
-    def check(a, b, fa, fb):
-        got = _convolution(a, b)
-        assert got == _plain_convolution(a, b) and all(type(v) is Fraction for v in got)
-        assert _convolution(a[:2], b) == _plain_convolution(a[:2], b)  # a shorter than b
-        # any float entry takes the plain loop: the same floats, bit for bit (-0.0 too)
-        assert [struct.pack("d", v) if type(v) is float else v for v in _convolution(fa, fb)] == [
-            struct.pack("d", v) if type(v) is float else v for v in _plain_convolution(fa, fb)]
+    @hypothesis.given(st.lists(both, max_size=8), st.lists(both, max_size=8))
+    def check(fa, fb):
+        # floats mixed with exact values: the same floats, bit for bit (-0.0 too)
+        assert packed(_convolution(fa, fb)) == packed(_plain_convolution(fa, fb))
+        assert packed(_convolution(fa[:2], fb)) == packed(_plain_convolution(fa[:2], fb))  # a shorter than b
 
     check()
 
