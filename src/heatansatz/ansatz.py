@@ -64,8 +64,8 @@ def jet_phi_table(delta: int, k_max: int) -> PhiTable:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     ring = max(k_max, 2)
-    z2 = _combination([(1, _monomial(ring, 1)), (1, _times(_monomial(ring, 0), _monomial(ring, 0)))])  # y2 + y1^2
-    work = [_monomial(ring, -1), ({}, 1)]
+    z2 = _combination([(1, _monomial(1)), (1, _times(_monomial(0), _monomial(0)))])  # y2 + y1^2
+    work = [_monomial(-1), ({}, 1)]
     for k in range(2, k_max + 1):
         lead = [(2 * s, part) for s, part in _weighted_parts(k - 1, work[k - 1], ring)]
         work.append(_combination([*lead, (-(2 * k + delta - 2) * (2 * k + delta - 3), _times(z2, work[k - 2]))]))
@@ -165,8 +165,8 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
         GradedPoly.zero(VariableFamily.X, n),
         GradedPoly.const(VariableFamily.X, n, -2 * (1 + 2 * delta)) * spec.ps[0],
     ]
-    work = [_numerators(entry, n) for entry in entries]
-    images = [(i, _numerators(p, n)) for i, p in enumerate(spec.ps[1:])]
+    work = [_numerators(entry) for entry in entries]
+    images = [(i, _numerators(p)) for i, p in enumerate(spec.ps[1:])]
     for q in range(3, q_max + 1):
         terms, den = _times(work[2], work[q - 2])  # the quadratic factor's denominator 2(1+2 delta) joins den
         quadratic = ((2 * q + delta - 3) * (2 * q + delta - 2), (terms, den * 2 * (1 + 2 * delta)))

@@ -6,14 +6,15 @@ of two variable families, each carrying a fixed grading (deg t = 2,
 deg z = 1, variables of negative even degree).  Instances are immutable
 and every operation returns a new polynomial in lowest terms.
 
-A polynomial is stored in one integer working form (terms, den): exponent tuples mapped to
-nonzero int numerators, in term order, over one positive denominator, in lowest terms
-(gcd(den, *numerators) == 1), so the form is canonical.  Sums, differences, negation,
-products, derivations, substitutions, linear combinations and a change of ring size all
-run in it, and each result is stored as computed, after one ``gcd`` pass, so no step reads
-its operands back from ``Fraction``s; no other module reads the storage.  ``Fraction``s
-are made only at the public edge: ``terms()``, ``coefficient()``, the JSON and text forms
-and exact ``evaluate``.
+A polynomial is stored in one integer working form (terms, den): packed exponent keys mapped to nonzero int
+numerators, in term order, over one positive denominator, in lowest terms (gcd(den, *numerators) == 1), so the
+form is canonical.  A key holds the exponent of position i in bits [16 i, 16 i + 16) (packed exponent vectors,
+Monagan and Pearce 2007): a product's key is one int addition, and unused trailing slots are zero.  Exponents stay
+below ``_LIMIT`` = 2^15, so adding two keys never carries: the constructor rejects a larger one (ValueError), and
+every key a kernel makes is checked by one OR against each slot's top bit (OverflowError).  Every operation runs
+in this form, each result stored after one ``gcd`` pass; no other module reads the storage or the key layout.
+``Fraction``s and exponent tuples are made only at the public edge: ``terms()``, ``coefficient()``, JSON, text and
+``evaluate``.
 
 Floats enter only at evaluation: ``float_rows`` takes the float steps of ``evaluate`` at an all-float point,
 bit for bit, with no ``Fraction`` dispatch per term.  Its exact twin ``exact_rows`` gives values and chain-rule
@@ -26,8 +27,9 @@ import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import add, mul
+from operator import index, mul, or_
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -36,6 +38,10 @@ Numeric = Union[int, float, Fraction]
 #: A jet point: entry k (0-based) is the k-th derivative of the profile
 #: function, i.e. the value bound to the jet variable y_{k+1}.
 JetPoint = Sequence[Numeric]
+
+_SLOT = 16  # bits per exponent slot of a packed key
+_MASK = (1 << _SLOT) - 1
+_LIMIT = 1 << (_SLOT - 1)  # every stored exponent is below this, so a sum of two keys cannot carry
 
 
 class FamilyMismatchError(ValueError):
@@ -82,42 +88,75 @@ def _exact(value: Scalar) -> Scalar:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
-def _summed(items: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
+def _pack(exps: Sequence[int]) -> int:
+    key = 0
+    for e in reversed(exps):
+        key = key << _SLOT | index(e)
+    return key
+
+
+def _slots(key: int) -> list[tuple[int, int]]:
+    """The (position, exponent) pairs of the nonzero slots of ``key``, by position; no full tuple."""
+    out, i = [], 0
+    while key:
+        if e := key & _MASK:
+            out.append((i, e))
+        key >>= _SLOT
+        i += 1
+    return out
+
+
+def _unit(position: int) -> int:  # the key of the variable at ``position``
+    return 1 << _SLOT * position
+
+
+def _shifted(terms: dict[int, int]) -> dict[int, int]:
+    return {e << _SLOT: n for e, n in terms.items()}  # every exponent moved up one position, slot 0 left empty
+
+
+_guard = lru_cache(maxsize=None)(lambda nslots: ((1 << _SLOT * nslots) - 1) // _MASK << _SLOT - 1)  # top bit per slot
+
+
+def _fits(terms: dict[int, int]) -> dict[int, int]:
+    """``terms``, once one OR of its keys shows no slot at or past ``_LIMIT``; else OverflowError."""
+    if (used := reduce(or_, terms, 0)) & _guard(-(-used.bit_length() // _SLOT)):
+        raise OverflowError(f"an exponent would reach the limit {_LIMIT}")
+    return terms
+
+
+def _summed(items: Iterable[tuple[int, Scalar]]) -> dict:
     """The one summing loop: terms are added one at a time in the order given,
     a key whose sum cancels is dropped, and a later term that brings it back is
     appended again.  Coefficients are all exact numbers (ints and ``Fraction``s), or all
     integer numerators over one common denominator, whose sums vanish exactly where
     the ``Fraction`` sums would."""
     out: dict = {}
-    for exps, c in items:
-        if exps in out:
-            c += out[exps]
+    for key, c in items:
+        if key in out:
+            c += out[key]
             if not c:
-                del out[exps]
+                del out[key]
                 continue
         elif not c:
             continue
-        out[exps] = c
+        out[key] = c
     return out
 
 
-def _numerators(poly: "GradedPoly", nvars: int) -> tuple[dict[tuple[int, ...], int], int]:
-    """The stored working form of ``poly`` (shared: read, never change it), exponents padded or cut to ``nvars``."""
-    if nvars == poly.nvars:
-        return poly._nums, poly._den
-    pad = (0,) * (nvars - poly.nvars)
-    return {(e + pad)[:nvars]: n for e, n in poly._nums.items()}, poly._den
+def _numerators(poly: "GradedPoly") -> tuple[dict[int, int], int]:
+    """The stored working form of ``poly`` (shared: read, never change it), over any ring its terms fit in."""
+    return poly._nums, poly._den
 
 
-def _product(left, right) -> dict[tuple[int, ...], int]:
-    """The integer product loop: n1 * n2 summed at e1 + e2 over the (exponents, numerator)
+def _product(left, right) -> dict[int, int]:
+    """The integer product loop: n1 * n2 summed at the key e1 + e2 over the (key, numerator)
     terms of ``left`` (outer) and ``right`` (inner), keys in first-seen order; a key whose
     sum cancels stays, at 0."""
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for e1, n1 in left:
         for e2, n2 in right:
-            key = tuple(map(add, e1, e2))
+            key = e1 + e2
             acc[key] = get(key, 0) + n1 * n2
     return acc
 
@@ -125,12 +164,15 @@ def _product(left, right) -> dict[tuple[int, ...], int]:
 def _times(left, right):
     """The working form of the product of two working forms, ``left`` in the outer loop."""
     acc = _product(left[0].items(), right[0].items())
-    return {e: n for e, n in acc.items() if n}, left[1] * right[1]
+    return _fits({e: n for e, n in acc.items() if n}), left[1] * right[1]
 
 
-def _power(work, exponent: int, nvars: int):
-    """``work`` (over ``nvars`` slots) to the power ``exponent`` by square-and-multiply from 1, the result outer."""
-    result = ({(0,) * nvars: 1}, 1)
+def _power(work, exponent: int):
+    """``work`` to the power ``exponent`` by square-and-multiply from 1, the result outer; a power past the
+    limit fails before any product (each ``_times`` would raise the same error when it reached it)."""
+    if exponent * max((e for key in work[0] for _, e in _slots(key)), default=0) >= _LIMIT:
+        raise OverflowError(f"an exponent would reach the limit {_LIMIT}")
+    result = ({0: 1}, 1)
     while exponent:
         if exponent & 1:
             result = _times(result, work)
@@ -155,22 +197,22 @@ def _derived(work, images):
     ``_product`` per image (image outer), P's terms lowered at i over the lcm of the images' denominators."""
     terms, den = work
     image_den = lcm(*(d for _, (_, d) in images))
-    summands: list[tuple[tuple[int, ...], int]] = []
+    summands: list[tuple[int, int]] = []
     for i, (image_terms, own_den) in images:
-        scale = image_den // own_den
-        lowered = [(e[:i] + (e[i] - 1,) + e[i + 1 :], n * e[i] * scale) for e, n in terms.items() if e[i]]
+        scale, unit = image_den // own_den, _unit(i)
+        lowered = [(e - unit, n * s * scale) for e, n in terms.items() if (s := e >> _SLOT * i & _MASK)]
         summands += _product(image_terms.items(), lowered).items()
-    return _summed(summands), den * image_den
+    return _fits(_summed(summands)), den * image_den
 
 
 class GradedPoly:
     """Immutable sparse polynomial over one graded variable family.
 
-    Terms map exponent tuples (one slot per declared variable) to nonzero int numerators over one
+    Terms map packed exponent keys (the module docstring) to nonzero int numerators over one
     positive denominator, in lowest terms (the working form, stored as ``_nums`` and ``_den``;
-    ``_terms`` is a read-only ``Fraction`` view of it).  Binary operations require equal families;
-    differing variable counts are reconciled by zero padding, and
-    equality/hashing ignore trailing unused variables.
+    ``_terms`` is a read-only view of it, exponent tuples to ``Fraction``s).  Binary operations
+    require equal families; differing variable counts need no padding, as unused slots are zero,
+    and equality/hashing ignore them.
 
     Terms are summed by one loop, ``_summed``, one at a time in the order
     given: a key whose sum cancels is dropped, and a later term that brings
@@ -188,7 +230,7 @@ class GradedPoly:
         self,
         family: VariableFamily,
         nvars: int,
-        terms: Union[Mapping[tuple[int, ...], Scalar], Iterable[tuple[tuple[int, ...], Scalar]]] = (),
+        terms: Union[Mapping[Sequence[int], Scalar], Iterable[tuple[Sequence[int], Scalar]]] = (),
     ) -> None:
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
@@ -198,16 +240,16 @@ class GradedPoly:
         self._set(family, nvars, {e: c.numerator * (den // c.denominator) for e, c in summed.items()}, den)
 
     @staticmethod
-    def _checked(nvars: int, items) -> Iterable[tuple[tuple[int, ...], Scalar]]:
+    def _checked(nvars: int, items) -> Iterable[tuple[int, Scalar]]:
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            yield exps, _exact(coeff)
+            if any(not 0 <= e < _LIMIT for e in exps):
+                raise ValueError(f"exponent in {exps} is negative or not below the limit {_LIMIT}")
+            yield _pack(exps), _exact(coeff)
 
-    def _set(self, family: VariableFamily, nvars: int, nums: dict[tuple[int, ...], int], den: int) -> None:
+    def _set(self, family: VariableFamily, nvars: int, nums: dict[int, int], den: int) -> None:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_nums", nums)
@@ -224,8 +266,9 @@ class GradedPoly:
 
     @property
     def _terms(self) -> dict[tuple[int, ...], Fraction]:
-        """The terms as ``Fraction``s, in insertion order: a view made at each read, not stored."""
-        return {e: Fraction(n, self._den) for e, n in self._nums.items()}
+        """The terms as exponent tuples to ``Fraction``s, in insertion order: a view made at each read, not stored."""
+        slots = range(0, _SLOT * self.nvars, _SLOT)
+        return {tuple(e >> s & _MASK for s in slots): Fraction(n, self._den) for e, n in self._nums.items()}
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GradedPoly is immutable")
@@ -246,8 +289,7 @@ class GradedPoly:
         position = index - family.first_index
         if not 0 <= position < nvars:
             raise ValueError(f"variable index {index} outside the declared ring")
-        exps = tuple(1 if i == position else 0 for i in range(nvars))
-        return cls(family, nvars, {exps: 1})
+        return cls._from_numerators(family, nvars, ({_unit(position): 1}, 1))
 
     # -- term access -------------------------------------------------------
 
@@ -267,20 +309,13 @@ class GradedPoly:
         return len(self._nums)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        """The coefficient of the monomial ``exps``; as in equality, trailing unused slots do not matter."""
+        """The coefficient of ``exps`` (trailing unused slots ignored); 0 if an exponent is outside [0, ``_LIMIT``)."""
         exps = tuple(exps)
-        n = 0 if any(exps[self.nvars :]) else self._nums.get(exps[: self.nvars] + (0,) * (self.nvars - len(exps)), 0)
-        return Fraction(n, self._den)
+        return Fraction(self._nums.get(_pack(exps), 0) if all(0 <= e < _LIMIT for e in exps) else 0, self._den)
 
     def max_used_position(self) -> int:
         """Highest variable position occurring with nonzero exponent, -1 if none."""
-        best = -1
-        for exps in self._nums:
-            for i in range(len(exps) - 1, best, -1):
-                if exps[i]:
-                    best = max(best, i)
-                    break
-        return best
+        return -(-reduce(or_, self._nums, 0).bit_length() // _SLOT) - 1
 
     # -- ring structure ----------------------------------------------------
 
@@ -300,7 +335,7 @@ class GradedPoly:
             return NotImplemented
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        work = _combination([(1, _numerators(self, nvars)), (sign, _numerators(other, nvars))])
+        work = _combination([(1, _numerators(self)), (sign, _numerators(other))])
         return GradedPoly._from_numerators(self.family, nvars, work)
 
     def __neg__(self) -> "GradedPoly":
@@ -308,13 +343,13 @@ class GradedPoly:
 
     def __mul__(self, other: Union["GradedPoly", Scalar]) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
-            work = _combination([(other, _numerators(self, self.nvars))])
+            work = _combination([(other, _numerators(self))])
             return GradedPoly._from_numerators(self.family, self.nvars, work)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        work = _times(_numerators(self, nvars), _numerators(other, nvars))
+        work = _times(_numerators(self), _numerators(other))
         return GradedPoly._from_numerators(self.family, nvars, work)
 
     def __rmul__(self, other: Scalar) -> "GradedPoly":
@@ -326,7 +361,7 @@ class GradedPoly:
         """Square-and-multiply in the working form (``_power``, which ``substitute`` shares), stored once."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        work = _power(_numerators(self, self.nvars), exponent, self.nvars)
+        work = _power(_numerators(self), exponent)
         return GradedPoly._from_numerators(self.family, self.nvars, work)
 
     def __eq__(self, other: object) -> bool:
@@ -334,19 +369,10 @@ class GradedPoly:
             return NotImplemented
         if self.family is not other.family:
             return False
-        return self._den == other._den and self._trimmed_items() == other._trimmed_items()  # the form is canonical
-
-    def _trimmed_items(self) -> frozenset:
-        out = []
-        for exps, num in self._nums.items():
-            n = len(exps)
-            while n and exps[n - 1] == 0:
-                n -= 1
-            out.append((exps[:n], num))
-        return frozenset(out)
+        return self._den == other._den and self._nums == other._nums  # the form is canonical
 
     def __hash__(self) -> int:
-        return hash((self.family, self._den, self._trimmed_items()))
+        return hash((self.family, self._den, frozenset(self._nums.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -381,15 +407,15 @@ class GradedPoly:
             self._check_family(image)
             if image.max_used_position() >= nvars:
                 raise ValueError(f"derivation image {image.to_text()} does not fit in {nvars} variables")
-            used.append((i, _numerators(image, nvars)))
-        return GradedPoly._from_numerators(self.family, nvars, _derived(_numerators(self, nvars), used))
+            used.append((i, _numerators(image)))
+        return GradedPoly._from_numerators(self.family, nvars, _derived(_numerators(self), used))
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.
 
         The zero polynomial reports None but still counts as homogeneous.
         """
-        degs = {-sum(self.family.weight(i) * e for i, e in enumerate(exps)) for exps in self._nums}
+        degs = {-sum(self.family.weight(i) * e for i, e in _slots(key)) for key in self._nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -403,11 +429,10 @@ class GradedPoly:
         if len(values) < needed:
             raise ValueError(f"point of length {len(values)} too short, need {needed}")
         total: Numeric = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term: Numeric = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * values[i] ** e
+        for key, n in self._nums.items():
+            term: Numeric = Fraction(n, self._den)
+            for i, e in _slots(key):
+                term = term * values[i] ** e
             total = total + term
         return total
 
@@ -416,9 +441,9 @@ class GradedPoly:
         terms in insertion order, each ``float(coeff)`` times ``name ** e`` left to right,
         summed from ``0.0``, less the exact steps ``1.0 *`` and ``** 1``; float(coeff) is n / _den correctly rounded."""
         terms = ["0.0"]
-        for exps, n in self._nums.items():
+        for key, n in self._nums.items():
             factors = [] if n == self._den else [repr(n / self._den)]
-            factors += [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in enumerate(exps) if e]
+            factors += [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in _slots(key)]
             terms.append(" * ".join(factors) or "1.0")
         return "(" + " + ".join(terms) + ")"
 
@@ -438,11 +463,9 @@ class GradedPoly:
         """
         cache: dict[tuple[int, int], tuple] = {}
         products = []
-        for exps, num in self._nums.items():
-            prod = ({(0,) * nvars: num}, self._den)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
+        for mono, num in self._nums.items():
+            prod = ({0: num}, self._den)
+            for i, e in _slots(mono):
                 if i >= len(images) or images[i] is None:
                     raise ValueError(f"no substitution image for position {i}")
                 key = (i, e)
@@ -451,7 +474,7 @@ class GradedPoly:
                         raise FamilyMismatchError(f"cannot combine {family.value} with {images[i].family.value}")
                     if images[i].max_used_position() >= nvars:
                         raise ValueError("cannot drop a variable that is in use")
-                    cache[key] = _power(_numerators(images[i], nvars), e, nvars)
+                    cache[key] = _power(_numerators(images[i]), e)
                 prod = _times(prod, cache[key])
             products.append((1, prod))
         return GradedPoly._from_numerators(family, nvars, _combination(products))
@@ -462,7 +485,7 @@ class GradedPoly:
             return self
         if nvars < self.max_used_position() + 1:
             raise ValueError("cannot drop a variable that is in use")
-        return GradedPoly._from_numerators(self.family, nvars, _numerators(self, nvars))
+        return GradedPoly._from_numerators(self.family, nvars, _numerators(self))
 
     # -- serialization and display ------------------------------------------
 
@@ -525,8 +548,8 @@ def float_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Cal
     powers: dict[tuple[int, int], int] = {}
     rows = []
     for poly, d in zip(polys, divisors or [1] * len(polys), strict=True):
-        terms = [(n / (poly._den * d), tuple(powers.setdefault((i, e), len(powers)) for i, e in enumerate(exps) if e))
-                 for exps, n in poly._nums.items()]
+        terms = [(n / (poly._den * d), tuple(powers.setdefault(p, len(powers)) for p in _slots(key)))
+                 for key, n in poly._nums.items()]
         rows.append((terms.pop(0)[0] if terms and not terms[0][1] else 0.0, terms))
     needed = max((i + 1 for i, _ in powers), default=0)
 
@@ -556,10 +579,10 @@ def exact_rows(polys: Sequence[GradedPoly], divisors: Sequence[int] = ()) -> Cal
     powers: dict[tuple[int, int], int] = {}
     rows = []
     for poly, d in zip(polys, divisors or [1] * len(polys), strict=True):
-        terms, den = _numerators(poly, poly.nvars)
-        top = max(map(sum, terms), default=0)
-        rows.append((den * d, top, [(n, top - sum(e), [powers.setdefault(p, len(powers)) for p in enumerate(e) if p[1]])
-                                    for e, n in terms.items()]))
+        terms = [(n, _slots(key)) for key, n in poly._nums.items()]
+        top = max((sum(e for _, e in s) for _, s in terms), default=0)
+        row = [(n, top - sum(e for _, e in s), [powers.setdefault(p, len(powers)) for p in s]) for n, s in terms]
+        rows.append((poly._den * d, top, row))
     needed = max((i + 1 for i, _ in powers), default=0)
 
     def at(point: Sequence[Scalar], rates: Union[Sequence[Scalar], None] = None):

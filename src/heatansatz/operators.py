@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .grpoly import GradedPoly, NonHomogeneousError, Scalar, VariableFamily, _combination, _derived, _numerators, _times
+from .grpoly import (GradedPoly, NonHomogeneousError, Scalar, VariableFamily, _combination, _derived, _numerators,
+                     _shifted, _times, _unit)
 
 
 def _require_y(poly: GradedPoly) -> None:
@@ -35,25 +36,25 @@ def _require_y(poly: GradedPoly) -> None:
         raise ValueError("jet-space operator applied outside the Y family")
 
 
-def _monomial(nvars: int, position: int, coeff: int = 1) -> tuple:
-    """The working form of coeff times the variable at ``position`` over ``nvars`` slots; at -1, the constant coeff."""
-    return {tuple(int(i == position) for i in range(nvars)): coeff}, 1
+def _monomial(position: int, coeff: int = 1) -> tuple:
+    """The working form of coeff times the variable at ``position``; at -1, the constant coeff."""
+    return {_unit(position) if position >= 0 else 0: coeff}, 1
 
 
 def _derivation(poly: GradedPoly, nvars: int, images: list) -> GradedPoly:
     """``poly`` over ``nvars`` slots under the derivation with the (position, working form) ``images``."""
-    return GradedPoly._from_numerators(VariableFamily.Y, nvars, _derived(_numerators(poly, nvars), images))
+    return GradedPoly._from_numerators(VariableFamily.Y, nvars, _derived(_numerators(poly), images))
 
 
 def _jet_images(nvars: int) -> list:
     """The images of D over ``nvars`` slots: y_{i+2} for y_{i+1}, the last slot left alone."""
-    return [(i, _monomial(nvars, i + 1)) for i in range(nvars - 1)]
+    return [(i, _monomial(i + 1)) for i in range(nvars - 1)]
 
 
 def _weighted_parts(k: Fraction, work: tuple, nvars: int) -> list:
     """The (scalar, working form) pairs D P and 2k * y1 P, whose combination is (D + 2k*y1) P,
     for P in the working form over ``nvars`` slots whose last one P leaves unused."""
-    return [(1, _derived(work, _jet_images(nvars))), (2 * k, _times(_monomial(nvars, 0), work))]
+    return [(1, _derived(work, _jet_images(nvars))), (2 * k, _times(_monomial(0), work))]
 
 
 def jet_derivative(poly: GradedPoly) -> GradedPoly:
@@ -72,7 +73,7 @@ def weighted_derivative(k: Union[Scalar, float], poly: GradedPoly) -> GradedPoly
     k = Fraction(k)
     _require_y(poly)
     nvars = poly.nvars + 1
-    work = _combination(_weighted_parts(k, _numerators(poly, nvars), nvars))
+    work = _combination(_weighted_parts(k, _numerators(poly), nvars))
     return GradedPoly._from_numerators(VariableFamily.Y, nvars, work)
 
 
@@ -81,14 +82,14 @@ def annihilator(poly: GradedPoly) -> GradedPoly:
     _require_y(poly)
     nvars = poly.nvars
     # y_{s+1} goes to 1 for s = 0, else to -(s+1)s * y_s
-    return _derivation(poly, nvars, [(s, _monomial(nvars, s - 1, -(s + 1) * s if s else 1)) for s in range(nvars)])
+    return _derivation(poly, nvars, [(s, _monomial(s - 1, -(s + 1) * s if s else 1)) for s in range(nvars)])
 
 
 def euler_operator(poly: GradedPoly) -> GradedPoly:
     """Apply the grading operator -2 sum_s s * ys * d/dys."""
     _require_y(poly)
     nvars = poly.nvars
-    return _derivation(poly, nvars, [(s - 1, _monomial(nvars, s - 1, -2 * s)) for s in range(1, nvars + 1)])
+    return _derivation(poly, nvars, [(s - 1, _monomial(s - 1, -2 * s)) for s in range(1, nvars + 1)])
 
 
 _CHAIN: list[GradedPoly] = []  # D_1, D_2, ... as far as any caller has asked
@@ -138,8 +139,8 @@ def params_as_basis(poly: GradedPoly) -> GradedPoly:
     relabelled, in the term order that a later substitution sums in."""
     if poly.family is not VariableFamily.X:
         raise ValueError("only ansatz parameters read as basis symbols")
-    terms, den = _numerators(poly, poly.nvars)
-    return GradedPoly._from_numerators(VariableFamily.Y, poly.nvars + 1, ({(0, *e): n for e, n in terms.items()}, den))
+    terms, den = _numerators(poly)
+    return GradedPoly._from_numerators(VariableFamily.Y, poly.nvars + 1, (_shifted(terms), den))
 
 
 def basis_as_params(zpoly: GradedPoly) -> GradedPoly:

@@ -493,7 +493,7 @@ def _laurent(a: Sequence, rates: Sequence = ()) -> tuple[list, list]:
     """
     if isinstance(a[0], GradedPoly):
         nvars = max(p.nvars for p in a)
-        w, c = [_numerators(p, nvars) for p in a], [({}, 1)]
+        w, c = [_numerators(p) for p in a], [({}, 1)]
         for k in range(1, len(w)):
             c.append(_combination([(2 * k, w[k]), (-1, _combination((1, _times(c[i], w[k - i])) for i in range(k)))]))
         return [GradedPoly._from_numerators(a[0].family, nvars, v) for v in c], []

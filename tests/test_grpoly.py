@@ -1,15 +1,21 @@
 """Ring axioms, grading, evaluation, and serialization for GradedPoly."""
 
+import functools
+import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from heatansatz.ansatz import AnsatzSpec, general_phi_table, jet_phi_table
+from heatansatz import grpoly
 from heatansatz.dynsys import rational_top
 from heatansatz.grpoly import (
+    _LIMIT,
+    _SLOT,
     FamilyMismatchError,
     GradedPoly,
     VariableFamily,
@@ -166,6 +172,45 @@ def test_evaluate_const_empty():
     assert c.evaluate([]) == Fraction(5, 3)
 
 
+def plain_evaluate(poly, values):
+    """The per-term loop that ``evaluate`` follows: each ``Fraction`` coefficient times ``values[i] ** e`` left to
+    right, in insertion order, summed from ``Fraction(0)``."""
+    total = Fraction(0)
+    for exps, coeff in poly._terms.items():
+        term = coeff
+        for i, e in enumerate(exps):
+            if e:
+                term = term * values[i] ** e
+        total = total + term
+    return total
+
+
+def test_evaluate_matches_the_plain_term_loop_property():
+    """At float, exact and mixed points, value and type equal the plain loop's over the ``Fraction`` terms, floats
+    bit for bit, so reading the stored numerators and packed keys keeps its steps (a constant stays a ``Fraction``)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9, max_denominator=10**20)
+    floats = st.floats(-8, 8) | st.sampled_from([0.0, -0.0, 1e-300, 3.0])
+    exacts = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.example(([((1, 1), Fraction(1, 10))], [3, 0.5]))  # exact first: 3/10 * 0.5, not 0.1 * 3 * 0.5
+    @hypothesis.example(([((0,), Fraction(-1, 10**400)), ((1,), 1)], [-0.0]))  # a sum from the constant -0.0
+    @hypothesis.example(([((1,), 10**16), ((2,), 1), ((3,), 1)], [1.0]))  # 1e16 + 1 + 1 = 1e16, in insertion order
+    @hypothesis.given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), coefficients), max_size=6),
+        st.sampled_from([floats, exacts, floats | exacts]).flatmap(lambda v: st.lists(v, min_size=n, max_size=n)))))
+    def check(case):
+        terms, point = case
+        p = GradedPoly(Y, len(point), terms)
+        got, want = p.evaluate(point), plain_evaluate(p, point)
+        assert type(got) is type(want)
+        assert got.hex() == want.hex() if isinstance(want, float) else got == want
+
+    check()
+
+
 def test_float_source_matches_evaluate_bitwise():
     # insertion order differs from terms() order, and the float sum is not associative
     terms = [((0, 0, 1), Fraction(1, 3)), ((1, 1, 0), Fraction(-7, 5)), ((3, 0, 0), Fraction(1)),
@@ -246,11 +291,15 @@ def test_hash_consistency():
 
 
 def assert_canonical(poly):
-    """The stored working form: nonzero int numerators over a positive int denominator, in lowest terms."""
+    """The stored working form: nonzero int numerators over a positive int denominator, in lowest terms, each
+    key an int within the ring's slots with no exponent at the limit (no slot's top bit set)."""
     nums, den = poly._nums, poly._den
     assert type(den) is int and den > 0
     assert all(type(n) is int and n for n in nums.values())
     assert math.gcd(den, *nums.values()) == 1
+    for key in nums:
+        assert type(key) is int and 0 <= key and key.bit_length() <= _SLOT * poly.nvars
+        assert all(key >> _SLOT * i & (_LIMIT | _LIMIT - 1) < _LIMIT for i in range(poly.nvars))
 
 
 def assert_same_polynomial(a, b):
@@ -304,5 +353,90 @@ def test_every_route_stores_the_canonical_form_property():
         for exps, c in [*p.terms(), *absent]:
             got = p.coefficient(exps)
             assert type(got) is Fraction and got == c
+
+    check()
+
+
+
+def test_a_power_past_the_limit_raises_before_any_product(monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("a product was formed")
+
+    cases = [(y(1, 2) + y(2, 2), _LIMIT), (y(1, 2) ** 3 - GradedPoly.const(Y, 2, 1), _LIMIT // 3 + 1)]
+    monkeypatch.setattr(grpoly, "_times", forbidden)
+    for base, exponent in cases:
+        with pytest.raises(OverflowError):
+            base**exponent
+
+
+def test_packed_keys_hold_every_exponent_below_the_limit_property():
+    """Exponents up to the limit over up to 40 variables: the constructor, terms(), coefficient() and to_json give
+    them back, and equality and hash hold across ring sizes; the limit itself is refused; a product or power past
+    it raises OverflowError, never wrapping into the next slot; an exponent out of range, even one whose packed key
+    would be a stored term's, has coefficient 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.integers(0, 3) | st.integers(_LIMIT // 2 - 2, _LIMIT // 2 + 2) | st.integers(0, _LIMIT - 1)
+
+    @st.composite
+    def cases(draw):
+        family, nvars = draw(st.sampled_from(list(VariableFamily))), draw(st.integers(1, 40))
+        terms = st.dictionaries(st.tuples(*[exponents] * nvars), st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
+        return family, nvars, draw(terms), draw(terms)
+
+    def by_tuples(left, right):
+        """The product of two term dicts, exponents added as tuples."""
+        out = {}
+        for (e1, c1), (e2, c2) in itertools.product(left.items(), right.items()):
+            key = tuple(map(operator.add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases(), st.integers(0, 2 * _LIMIT), st.integers(0, 39), st.integers(1, 5))
+    def check(case, power, position, extra):
+        family, nvars, terms, other = case
+        p, q, position = GradedPoly(family, nvars, terms), GradedPoly(family, nvars, other), position % nvars
+        assert_canonical(p)
+        assert sorted(p.terms()) == sorted(terms.items()) and dict(p._terms) == terms
+        assert all(p.coefficient(e) == c for e, c in terms.items())
+        blob = json.loads(p.to_json())["terms"]
+        assert sorted((tuple(t["exp"]), Fraction(int(t["num"]), int(t["den"]))) for t in blob) == sorted(terms.items())
+        wide = p.with_nvars(nvars + extra)
+        assert wide == p and hash(wide) == hash(p) and wide.with_nvars(nvars) == p and (p == q) == (terms == other)
+
+        with pytest.raises(ValueError):
+            GradedPoly(family, nvars, {tuple(_LIMIT * (i == position) for i in range(nvars)): 1})
+
+        product = by_tuples(terms, other)
+        if all(e < _LIMIT for exps in product for e in exps):
+            assert_canonical(p * q)
+            assert dict((p * q)._terms) == product
+        else:
+            with pytest.raises(OverflowError):
+                p * q
+        lead, top = next(iter(terms)), max(map(max, terms))
+        monomial = GradedPoly(family, nvars, {lead: 1})
+        if power * max(lead) < _LIMIT:
+            assert (monomial**power).terms() == [(tuple(e * power for e in lead), 1)]
+        else:
+            with pytest.raises(OverflowError):
+                monomial**power
+        if top >= _LIMIT // 8:  # a power of two or more terms whose exponents reach the limit in a few products
+            for k in (_LIMIT // top, _LIMIT // top + 1):
+                if k * top < _LIMIT:
+                    assert p**k == functools.reduce(operator.mul, [p] * k, GradedPoly.const(family, nvars, 1))
+                else:
+                    with pytest.raises(OverflowError):
+                        p**k
+
+        # one more in slot i + 1 packs like 2^16 more in slot i: that exponent is out of range, not the stored term
+        for exps in terms:
+            if position + 1 < nvars and exps[position + 1]:
+                wrapped = list(exps)
+                wrapped[position] += 1 << _SLOT
+                wrapped[position + 1] -= 1
+                assert p.coefficient(wrapped) == 0
+        assert p.coefficient([70000]) == 0 and p.coefficient([-1]) == 0
 
     check()

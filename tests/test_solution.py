@@ -1152,7 +1152,7 @@ def _scaled_by_division(sol):
 
 def _image_over_scaled(sol):
     """The Cole-Hopf recursion c_k = 2k a_k - sum_{j<k} c_j a_{k-j} in working forms read from the a_k."""
-    a = [_numerators(entry, sol.n) for entry in _scaled_by_division(sol)]
+    a = [_numerators(entry) for entry in _scaled_by_division(sol)]
     c = [({}, 1)]
     for k in range(1, sol.truncation + 1):
         convolution = _combination((1, _times(c[i], a[k - i])) for i in range(k))
