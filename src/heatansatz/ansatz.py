@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _derived, _numerators, _times
+from .grpoly import (GradedPoly, Numeric, VariableFamily, _combination, _derivation_part, _form_part, _numerators,
+                     _product_part)
 from .operators import _monomial, _weighted_parts, expand_basis, params_as_basis
 
 
@@ -58,17 +59,19 @@ def jet_phi_table(delta: int, k_max: int) -> PhiTable:
                 - (2k+delta-2)(2k+delta-3) (y2 + y1^2) Phi_{k-2},
 
     each entry homogeneous of degree -2k over y1..y_{k_max}.  It runs in the integer working form
-    of ``grpoly``, sharing the (D + 2k*y1) loop with ``weighted_derivative``, and stores each entry once.
+    of ``grpoly``, sharing the (D + 2k*y1) parts with ``weighted_derivative``: each entry is one
+    ``_combination`` of them and the z2 product, over the denominator 1 (so in lowest terms), stored once.
     """
     _check_delta(delta)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     ring = max(k_max, 2)
-    z2 = _combination([(1, _monomial(1)), (1, _times(_monomial(0), _monomial(0)))])  # y2 + y1^2
+    z2 = _combination([(1, _form_part(_monomial(1))), (1, _product_part(_monomial(0), _monomial(0)))])  # y2 + y1^2
     work = [_monomial(-1), ({}, 1)]
     for k in range(2, k_max + 1):
         lead = [(2 * s, part) for s, part in _weighted_parts(k - 1, work[k - 1], ring)]
-        work.append(_combination([*lead, (-(2 * k + delta - 2) * (2 * k + delta - 3), _times(z2, work[k - 2]))]))
+        quadratic = (-(2 * k + delta - 2) * (2 * k + delta - 3), _product_part(z2, work[k - 2]))
+        work.append(_combination([*lead, quadratic]))
     return PhiTable(delta, tuple(GradedPoly._from_numerators(VariableFamily.Y, ring, w) for w in work))
 
 
@@ -116,8 +119,7 @@ class AnsatzSpec:
             raise ValueError(f"p_{q} must be homogeneous")
         if not poly.is_zero and poly.degree() != -2 * q:
             raise ValueError(f"p_{q} must have degree {-2 * q}, got {poly.degree()}")
-        kept = {e: c for e, c in poly.terms() if len(e) <= n or e[n] == 0}
-        return GradedPoly(VariableFamily.X, poly.nvars, kept).with_nvars(n)
+        return poly.capped(n)
 
     def __post_init__(self):
         _check_delta(self.delta)
@@ -155,7 +157,9 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
         Phi_q = 2 sum_{k=2}^{n+1} p_{k+1} dPhi_{q-1}/dx_k
                 + (2q+delta-3)(2q+delta-2) / (2(1+2 delta)) * Phi_2 Phi_{q-2}.
 
-    It runs in the integer working form of ``grpoly``, reading the checked p_3..p_{n+2} and storing each entry once.
+    It runs in the integer working form of ``grpoly``, reading the checked p_2..p_{n+2}: each entry is one
+    ``_combination`` of the derivation and the product -p_2 Phi_{q-2} (Phi_2 / (2(1+2 delta)) is -p_2, one term),
+    stored once.
     """
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
@@ -166,12 +170,12 @@ def general_phi_table(spec: AnsatzSpec, q_max: int) -> PhiTable:
         GradedPoly.const(VariableFamily.X, n, -2 * (1 + 2 * delta)) * spec.ps[0],
     ]
     work = [_numerators(entry) for entry in entries]
-    images = [(i, _numerators(p)) for i, p in enumerate(spec.ps[1:])]
+    p2, images = _numerators(spec.ps[0]), [(i, _numerators(p)) for i, p in enumerate(spec.ps[1:])]
     for q in range(3, q_max + 1):
-        terms, den = _times(work[2], work[q - 2])  # the quadratic factor's denominator 2(1+2 delta) joins den
-        quadratic = ((2 * q + delta - 3) * (2 * q + delta - 2), (terms, den * 2 * (1 + 2 * delta)))
-        work.append(_combination([(2, _derived(work[q - 1], images)), quadratic]))
-        entries.append(GradedPoly._from_numerators(VariableFamily.X, n, work[q]))
+        quadratic = (-(2 * q + delta - 3) * (2 * q + delta - 2), _product_part(p2, work[q - 2]))
+        parts = [(2, _derivation_part(work[q - 1], images)), quadratic]
+        entries.append(GradedPoly._from_numerators(VariableFamily.X, n, _combination(parts)))
+        work.append(_numerators(entries[q]))
     return PhiTable(delta, tuple(entries))
 
 

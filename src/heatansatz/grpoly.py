@@ -28,6 +28,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
 from operator import index, mul, or_
 from typing import Union
@@ -151,7 +152,13 @@ def _numerators(poly: "GradedPoly") -> tuple[dict[int, int], int]:
 def _product(left, right) -> dict[int, int]:
     """The integer product loop: n1 * n2 summed at the key e1 + e2 over the (key, numerator)
     terms of ``left`` (outer) and ``right`` (inner), keys in first-seen order; a key whose
-    sum cancels stays, at 0."""
+    sum cancels stays, at 0.  An operand with one term is a key shift, one comprehension."""
+    if len(left) == 1:
+        ((e1, n1),) = left
+        return {e1 + e2: n1 * n2 for e2, n2 in right}
+    if len(right) == 1:
+        ((e2, n2),) = right
+        return {e1 + e2: n1 * n2 for e1, n1 in left}
     acc: dict[int, int] = {}
     get = acc.get
     for e1, n1 in left:
@@ -162,7 +169,8 @@ def _product(left, right) -> dict[int, int]:
 
 
 def _times(left, right):
-    """The working form of the product of two working forms, ``left`` in the outer loop."""
+    """The working form of the product of two working forms, ``left`` in the outer loop, its keys
+    checked by ``_fits``: the product that is multiplied again (``__mul__``, ``_power``, ``substitute``)."""
     acc = _product(left[0].items(), right[0].items())
     return _fits({e: n for e, n in acc.items() if n}), left[1] * right[1]
 
@@ -181,28 +189,59 @@ def _power(work, exponent: int):
     return result
 
 
-def _combination(pairs: Iterable[tuple[Scalar, tuple]]):
-    """The working form of sum s * w over the (scalar s, working form w) ``pairs``: one ``_summed`` pass
-    over the lcm of the denominators, in the order given, then one ``gcd`` pass to lowest terms."""
-    pairs = [(s.numerator, s.denominator * den, terms) for s, (terms, den) in pairs]
-    den = lcm(*(d for _, d, _ in pairs))
-    scaled = [(p * (den // d), part) for p, d, part in pairs]
-    terms = _summed((e, n * m) for m, part in scaled for e, n in part.items())
-    g = gcd(den, *terms.values())
-    return ({e: n // g for e, n in terms.items()}, den // g) if g > 1 else (terms, den)
+def _scaled(terms: dict[int, int], m: int):
+    return terms.items() if m == 1 else [(e, n * m) for e, n in terms.items()]
 
 
-def _derived(work, images):
-    """The working form of sum_i images_i * dP/dv_i over the (i, working form of images_i) pairs: one
-    ``_product`` per image (image outer), P's terms lowered at i over the lcm of the images' denominators."""
+def _form_part(work):
+    """A working form as a part."""
+    return work[1], lambda m: _scaled(work[0], m)
+
+
+def _product_part(left, right):
+    """The product of two working forms as a part, ``left`` outer: m goes into an operand of one term, whose
+    product is a key shift, else onto the product's terms, so no step of the double loop grows by it."""
+    (lt, ld), (rt, rd) = left, right
+    if len(lt) == 1:
+        return ld * rd, lambda m: _product(_scaled(lt, m), rt.items()).items()
+    if len(rt) == 1:
+        return ld * rd, lambda m: _product(lt.items(), _scaled(rt, m)).items()
+    return ld * rd, lambda m: _scaled(_product(lt.items(), rt.items()), m)
+
+
+def _derivation_part(work, images):
+    """sum_i images_i * dP/dv_i over the (i, working form of images_i) pairs as a part: per image one ``_product``,
+    the image outer (times m, over the lcm of the images' denominators), P's terms with slot i lowered by one inner;
+    an image of one term (each chain image) is one key shift of the lowered terms, made in the same pass.  Its keys
+    are checked in the combination's sum."""
     terms, den = work
     image_den = lcm(*(d for _, (_, d) in images))
-    summands: list[tuple[int, int]] = []
-    for i, (image_terms, own_den) in images:
-        scale, unit = image_den // own_den, _unit(i)
-        lowered = [(e - unit, n * s * scale) for e, n in terms.items() if (s := e >> _SLOT * i & _MASK)]
-        summands += _product(image_terms.items(), lowered).items()
-    return _fits(_summed(summands)), den * image_den
+
+    def summands(m):
+        out: list[tuple[int, int]] = []
+        for i, (image_terms, own_den) in images:
+            shift, scale = _SLOT * i, m * (image_den // own_den)
+            if len(image_terms) == 1:
+                ((e1, n1),) = image_terms.items()
+                e1, n1 = e1 - (1 << shift), n1 * scale
+                out += [(e + e1, n * k * n1) for e, n in terms.items() if (k := e >> shift & _MASK)]
+            elif image_terms:
+                lowered = [(e - (1 << shift), n * k) for e, n in terms.items() if (k := e >> shift & _MASK)]
+                out += _product(_scaled(image_terms, scale), lowered).items()
+        return out
+
+    return den * image_den, summands
+
+
+def _combination(pairs: Iterable[tuple[Scalar, tuple]]):
+    """The working form of sum s * part over the (scalar s, part) ``pairs`` in one pass.  A part is (den, terms): its
+    denominator, known before any term exists, and a callable giving its (key, numerator) terms over den times an
+    int multiplier (a product's may include zeros).  The lcm L of the parts' denominators comes first, each part's
+    terms are made over L (multiplier s * L / den), all are summed by one ``_summed`` in the order given and the sum's
+    keys checked by one ``_fits`` (``_times`` checks the products it returns).  Not reduced: ``_from_numerators`` is."""
+    pairs = [(s.numerator, s.denominator * den, terms) for s, (den, terms) in pairs]
+    den = lcm(*(d for _, d, _ in pairs))
+    return _fits(_summed(chain.from_iterable(terms(p * (den // d)) for p, d, terms in pairs))), den
 
 
 class GradedPoly:
@@ -214,14 +253,11 @@ class GradedPoly:
     require equal families; differing variable counts need no padding, as unused slots are zero,
     and equality/hashing ignore them.
 
-    Terms are summed by one loop, ``_summed``, one at a time in the order
-    given: a key whose sum cancels is dropped, and a later term that brings
-    it back is appended again.  The constructor, ``+``, ``-``, :meth:`derivation`
-    and :meth:`substitute` all sum through it, so each keeps the term order
-    of the sum built term by term, which is the order a float ``evaluate``
-    adds in.  The constructor checks outside input and converts its
-    coefficients to the working form once; every result computed here is
-    stored from the working form by :meth:`_from_numerators`, without those checks.
+    Terms are summed by one loop, ``_summed``, one at a time in the order given: a key whose sum cancels is
+    dropped, and a later term that brings it back is appended again.  The constructor and every linear
+    combination (``_combination``: ``+``, ``-``, scalar ``*``, :meth:`derivation`, :meth:`substitute`) sum through
+    it, so each keeps the term order of the sum built term by term, the order a float ``evaluate`` adds in.  The
+    constructor checks outside input; every result computed here is stored by :meth:`_from_numerators`.
     """
 
     __slots__ = ("family", "nvars", "_nums", "_den")
@@ -267,8 +303,14 @@ class GradedPoly:
     @property
     def _terms(self) -> dict[tuple[int, ...], Fraction]:
         """The terms as exponent tuples to ``Fraction``s, in insertion order: a view made at each read, not stored."""
-        slots = range(0, _SLOT * self.nvars, _SLOT)
-        return {tuple(e >> s & _MASK for s in slots): Fraction(n, self._den) for e, n in self._nums.items()}
+        exps = lambda e: tuple(map(_MASK.__and__, map(e.__rshift__, range(0, _SLOT * self.nvars, _SLOT))))
+        return {exps(e): Fraction(n, self._den) for e, n in self._nums.items()}
+
+    def _canonical(self) -> list[tuple[int, int, tuple[int, ...], Fraction]]:
+        """(weight, key, exponents, coefficient) of each term, sorted: by weight, then by key, whose int order is that
+        of the reversed exponents (the highest slot is the most significant), so in the canonical term order."""
+        w = [self.family.weight(i) for i in range(self.nvars)]
+        return sorted((sum(map(mul, w, exps)), e, exps, c) for e, (exps, c) in zip(self._nums, self._terms.items()))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GradedPoly is immutable")
@@ -295,8 +337,13 @@ class GradedPoly:
 
     def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical graded-lexicographic order (ascending): by weight, then by the reversed exponents."""
-        weights = [self.family.weight(i) for i in range(self.nvars)]
-        return sorted(self._terms.items(), key=lambda item: (sum(map(mul, weights, item[0])), item[0][::-1]))
+        return [(exps, c) for _, _, exps, c in self._canonical()]
+
+    def capped(self, nvars: int) -> "GradedPoly":
+        """Over ``nvars`` variables, each variable at a position from ``nvars`` on capped to zero (the terms that
+        use one dropped) and the rest in the canonical order of ``terms()``."""
+        kept = {e: self._nums[e] for _, e, _, _ in self._canonical() if e < _unit(nvars)}
+        return GradedPoly._from_numerators(self.family, nvars, (kept, self._den))
 
     @property
     def is_zero(self) -> bool:
@@ -335,7 +382,7 @@ class GradedPoly:
             return NotImplemented
         self._check_family(other)
         nvars = max(self.nvars, other.nvars)
-        work = _combination([(1, _numerators(self)), (sign, _numerators(other))])
+        work = _combination([(1, _form_part(_numerators(self))), (sign, _form_part(_numerators(other)))])
         return GradedPoly._from_numerators(self.family, nvars, work)
 
     def __neg__(self) -> "GradedPoly":
@@ -343,7 +390,7 @@ class GradedPoly:
 
     def __mul__(self, other: Union["GradedPoly", Scalar]) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
-            work = _combination([(other, _numerators(self))])
+            work = _combination([(other, _form_part(_numerators(self)))])
             return GradedPoly._from_numerators(self.family, self.nvars, work)
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -408,7 +455,8 @@ class GradedPoly:
             if image.max_used_position() >= nvars:
                 raise ValueError(f"derivation image {image.to_text()} does not fit in {nvars} variables")
             used.append((i, _numerators(image)))
-        return GradedPoly._from_numerators(self.family, nvars, _derived(_numerators(self), used))
+        work = _combination([(1, _derivation_part(_numerators(self), used))])
+        return GradedPoly._from_numerators(self.family, nvars, work)
 
     def degree(self) -> Union[int, None]:
         """Common graded degree of all monomials, or None if non-homogeneous.
@@ -459,12 +507,12 @@ class GradedPoly:
         it, so an image that uses a position outside it raises ValueError.
         A position with image None must not occur in any term.  Each image
         power is raised in the working form as ``__pow__`` raises it, so no power is
-        stored; the products and their one sum run in integers.
+        stored; each term's last product is made inside the one integer sum.
         """
         cache: dict[tuple[int, int], tuple] = {}
-        products = []
+        parts = []
         for mono, num in self._nums.items():
-            prod = ({0: num}, self._den)
+            work, last = ({0: num}, self._den), None
             for i, e in _slots(mono):
                 if i >= len(images) or images[i] is None:
                     raise ValueError(f"no substitution image for position {i}")
@@ -475,9 +523,9 @@ class GradedPoly:
                     if images[i].max_used_position() >= nvars:
                         raise ValueError("cannot drop a variable that is in use")
                     cache[key] = _power(_numerators(images[i]), e)
-                prod = _times(prod, cache[key])
-            products.append((1, prod))
-        return GradedPoly._from_numerators(family, nvars, _combination(products))
+                work, last = _times(work, last) if last else work, cache[key]
+            parts.append((1, _product_part(work, last) if last else _form_part(work)))
+        return GradedPoly._from_numerators(family, nvars, _combination(parts))
 
     def with_nvars(self, nvars: int) -> "GradedPoly":
         """Re-declare the ring size, padding with (or dropping) unused slots."""

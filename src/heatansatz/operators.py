@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .grpoly import (GradedPoly, NonHomogeneousError, Scalar, VariableFamily, _combination, _derived, _numerators,
-                     _shifted, _times, _unit)
+from .grpoly import (GradedPoly, NonHomogeneousError, Scalar, VariableFamily, _combination, _derivation_part,
+                     _numerators, _product_part, _shifted, _unit)
 
 
 def _require_y(poly: GradedPoly) -> None:
@@ -43,7 +43,8 @@ def _monomial(position: int, coeff: int = 1) -> tuple:
 
 def _derivation(poly: GradedPoly, nvars: int, images: list) -> GradedPoly:
     """``poly`` over ``nvars`` slots under the derivation with the (position, working form) ``images``."""
-    return GradedPoly._from_numerators(VariableFamily.Y, nvars, _derived(_numerators(poly), images))
+    work = _combination([(1, _derivation_part(_numerators(poly), images))])
+    return GradedPoly._from_numerators(VariableFamily.Y, nvars, work)
 
 
 def _jet_images(nvars: int) -> list:
@@ -52,9 +53,9 @@ def _jet_images(nvars: int) -> list:
 
 
 def _weighted_parts(k: Fraction, work: tuple, nvars: int) -> list:
-    """The (scalar, working form) pairs D P and 2k * y1 P, whose combination is (D + 2k*y1) P,
+    """The (scalar, part) pairs D P and 2k * y1 P, whose combination is (D + 2k*y1) P,
     for P in the working form over ``nvars`` slots whose last one P leaves unused."""
-    return [(1, _derived(work, _jet_images(nvars))), (2 * k, _times(_monomial(0), work))]
+    return [(1, _derivation_part(work, _jet_images(nvars))), (2 * k, _product_part(_monomial(0), work))]
 
 
 def jet_derivative(poly: GradedPoly) -> GradedPoly:

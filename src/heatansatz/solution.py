@@ -37,7 +37,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .ansatz import AnsatzSpec, PhiTable, _check_delta, ansatz_to_jet, general_phi_table
 from .dynsys import DynState, MobiusParam, PoleError, RationalH, heat_system_field, reduced_initial_state
-from .grpoly import GradedPoly, Numeric, VariableFamily, _combination, _numerators, _times, exact_rows, float_rows
+from .grpoly import (GradedPoly, Numeric, VariableFamily, _combination, _form_part, _numerators, _product_part,
+                     exact_rows, float_rows)
 
 HALF = Fraction(1, 2)
 
@@ -487,16 +488,17 @@ def _laurent(a: Sequence, rates: Sequence = ()) -> tuple[list, list]:
 
     Matching coefficients in W (W'/W) = W' gives c_0 = 0 and c_k = 2k a_k - sum_{i<k} c_i a_{k-i}.  Given the rates a'
     of the a_k, the rates c' follow by the product rule; else c' is empty.  One recursion, three kernels: polynomials
-    (no rates) in ``grpoly``'s working form, each sum formed and then 2k a_k - sum, each c_k stored once; ``Fraction``s
-    (every a_k and rate past the first) by ``_minus_products``, each c_k and c_k' one ``Fraction``; else (floats)
-    each sum from 0 * a[k] in the order of i.
+    (no rates) in ``grpoly``'s working form, each sum one ``_combination`` of its products and then 2k a_k - sum a
+    second, each c_k stored once; ``Fraction``s (every a_k and rate past the first) by ``_minus_products``, each c_k
+    and c_k' one ``Fraction``; else (floats) each sum from 0 * a[k] in the order of i.
     """
     if isinstance(a[0], GradedPoly):
-        nvars = max(p.nvars for p in a)
-        w, c = [_numerators(p) for p in a], [({}, 1)]
+        family, nvars, w = a[0].family, max(p.nvars for p in a), [_numerators(p) for p in a]
+        c = [GradedPoly.zero(family, nvars)]
         for k in range(1, len(w)):
-            c.append(_combination([(2 * k, w[k]), (-1, _combination((1, _times(c[i], w[k - i])) for i in range(k)))]))
-        return [GradedPoly._from_numerators(a[0].family, nvars, v) for v in c], []
+            total = _form_part(_combination((1, _product_part(_numerators(c[i]), w[k - i])) for i in range(1, k)))
+            c.append(GradedPoly._from_numerators(family, nvars, _combination([(2 * k, _form_part(w[k])), (-1, total)])))
+        return c, []
     c, dc = [0 * a[0]], [0 * a[0]] if rates else []
     if all(type(v) is Fraction for v in (*a[1:], *rates[1:])):
         for k in range(1, len(a)):

@@ -273,3 +273,79 @@ def test_chain_variables_spec_equals_chain():
             spec = AnsatzSpec.general(n, delta, ps)
             assert spec == AnsatzSpec.chain(n, delta)
             assert general_phi_table(spec, 10) == general_phi_table(AnsatzSpec.chain(n, delta), 10)
+
+
+def _weighted_monomials(weight, nvars):
+    """Exponent tuples over x2..x_{nvars+1} whose weight sum_k k e_k is ``weight``."""
+    if nvars == 0:
+        return [()] if weight == 0 else []
+    top = nvars + 1
+    return [e + (m,) for m in range(weight // top + 1) for e in _weighted_monomials(weight - m * top, nvars - 1)]
+
+
+def _summed_terms(items):
+    """The summing rule of the tables, over exponent tuples and Fractions: terms added in the order given, a key
+    whose sum cancels dropped, and a later term that brings it back appended again."""
+    out = {}
+    for key, c in items:
+        if total := out.get(key, 0) + c:
+            out[key] = total  # a key already there keeps its place
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _product_terms(left, right):
+    """The product's terms before summing: c1 * c2 accumulated at e1 + e2, ``left`` outer, keys in first-seen order,
+    a key whose sum cancels kept at 0."""
+    acc = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return list(acc.items())
+
+
+def _plain_phi_table(spec, q_max):
+    """Phi_0..Phi_{q_max} by the recursion written out over exponent tuples and Fractions: each Phi_q is one sum of
+    2 p_{k+1} dPhi_{q-1}/dx_k (per image, its terms outer and Phi_{q-1}'s inner) and then of the quadratic product
+    Phi_2 Phi_{q-2} times (2q+delta-3)(2q+delta-2) / (2(1+2 delta)), Phi_2 outer."""
+    n, delta = spec.n, spec.delta
+    images = [dict(p.terms()) for p in spec.ps]
+    phi = [{(0,) * n: Fraction(1)}, {}, {e: -2 * (1 + 2 * delta) * c for e, c in images[0].items()}]
+    for q in range(3, q_max + 1):
+        items = []
+        for i in range(n):
+            lowered = {e[:i] + (e[i] - 1,) + e[i + 1 :]: 2 * e[i] * c for e, c in phi[q - 1].items() if e[i]}
+            items += _product_terms(images[i + 1], lowered)
+        factor = Fraction((2 * q + delta - 3) * (2 * q + delta - 2), 2 * (1 + 2 * delta))
+        items += [(e, factor * c) for e, c in _product_terms(phi[2], phi[q - 2])]
+        phi.append(_summed_terms(items))
+    return phi
+
+
+def test_general_table_matches_the_plain_recursion_property():
+    # random multi-term families, not only chains: each entry has the values and the term order (the order in which
+    # float_source adds) of the recursion written out term by term
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 4), st.sampled_from([0, 1]), st.integers(2, 16), st.data())
+    def check(n, delta, q_max, data):
+        # the top p_{n+2} may use x_{n+2}, which the spec caps
+        ps = [{e: data.draw(coefficient) for e in _weighted_monomials(q, n + (q == n + 2))} for q in range(2, n + 3)]
+        a, b = (ps[0][(1,) + (0,) * (n - 1)], ps[1][(0, 1) + (0,) * (n - 2)]) if n >= 2 else (0, 0)
+        if a and b and data.draw(st.booleans()):
+            # Phi_4 = 4 A b p_4 + (5+delta)(6+delta) A^2 x2^2 / (2(1+2 delta)), A = -2(1+2 delta) a: p_4's x2^2
+            # coefficient d = (5+delta)(6+delta) a / (4b) cancels that key in Phi_4's sum
+            ps[2][(2,) + (0,) * (len(next(iter(ps[2]))) - 1)] = (5 + delta) * (6 + delta) * a / (4 * b)
+        spec = AnsatzSpec.general(n, delta, [GradedPoly(X, len(next(iter(p))), p) for p in ps])
+        names = [f"x{k}" for k in range(2, n + 2)]
+        for entry, plain in zip(general_phi_table(spec, q_max).entries, _plain_phi_table(spec, q_max), strict=True):
+            expected = GradedPoly(X, n, plain.items())
+            assert entry.to_json() == expected.to_json()
+            assert entry.float_source(names) == expected.float_source(names)
+
+    check()

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from heatansatz.ansatz import AnsatzSpec, PhiTable, general_phi_table
+from heatansatz.ansatz import AnsatzSpec, PhiTable, general_phi_table, jet_phi_table
 from heatansatz.dynsys import (
     DynState,
     MobiusParam,
@@ -24,8 +24,8 @@ from heatansatz.dynsys import (
     reduced_initial_state,
     rk4_integrate,
 )
-from heatansatz.grpoly import GradedPoly, VariableFamily, _combination, _numerators, _times
-from heatansatz.operators import derivative_chain
+from heatansatz.grpoly import GradedPoly, VariableFamily, _combination, _form_part, _numerators, _product_part
+from heatansatz.operators import derivative_chain, weighted_derivative
 from heatansatz.solution import (
     BurgersSolution,
     GridSpec,
@@ -44,6 +44,7 @@ from heatansatz.solution import (
     heat_residual_series,
     residual_report,
 )
+from heatansatz.verify import _operator_draws
 
 X = VariableFamily.X
 
@@ -331,6 +332,37 @@ def test_float_slices_golden_digest(n, delta, K, source, times, digest):
     # the burgers digest of test_cli.py: the P = 1:0,1:1,2:-1,1:-2 family at K = 20, the
     # two-pole family at K = 115 and a series on a three-pole trajectory
     assert _slice_digest(_solutions(n, delta, K)[source], times) == digest
+
+
+def _general_family(n, delta, ps):
+    return AnsatzSpec.general(n, delta, [GradedPoly(X, len(next(iter(p))), p) for p in ps])
+
+
+def test_stored_forms_golden_digest():
+    # the stored form of every kind of exact result, the term order (float_source) and the values (to_json), at
+    # sizes the table properties do not reach: the chain tables for n = 0..4 at K = 40, two multi-term families at
+    # K = 20, both jet tables at k = 12, the weighted derivatives of the verify suite's draws and the Cole-Hopf
+    # image of a 3-pole family at K = 16
+    third, half, quarter = Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)
+    families = [
+        _general_family(3, 0, [{(1,): 3 * half}, {(0, 1): -2}, {(0, 0, 1): 5, (2, 0, 0): -7 * third},
+                               {(1, 1, 0, 0): quarter, (0, 0, 0, 1): -3}]),
+        _general_family(4, 1, [{(1,): -1}, {(0, 1): 2 * third}, {(0, 0, 1): 1, (2, 0, 0): 4},
+                               {(0, 0, 0, 1): -5, (1, 1, 0, 0): half},
+                               {(3, 0, 0, 0, 0): 7, (0, 2, 0, 0, 0): Fraction(-1, 5), (1, 0, 1, 0, 0): 2,
+                                (0, 0, 0, 0, 1): 1}]),
+    ]
+    polys = [p for n in range(5) for delta in (0, 1) for p in general_phi_table(AnsatzSpec.chain(n, delta), 40)]
+    polys += [p for spec in families for p in general_phi_table(spec, 20)]
+    polys += [p for delta in (0, 1) for p in jet_phi_table(delta, 12)]
+    polys += [weighted_derivative(k, p) for k, p in _operator_draws()[0]]
+    polys += cole_hopf(assemble_psi(AnsatzSpec.reduced(2, 0, rational_top(2)), H3, 0, 16)).series_jets
+    out = hashlib.sha256()
+    for p in polys:
+        out.update(p.float_source([f"v{i}" for i in range(p.nvars)]).encode())
+        out.update(p.to_json().encode())
+    assert (len(polys), sum(map(len, polys))) == (520, 6178)
+    assert out.hexdigest() == "a9157b0c3ee799270ea0acb80b5dd713c241671cddfb8c4530416b18b42ec382"
 
 
 def test_slice_overflow_comes_before_the_prefactor():
@@ -1155,8 +1187,9 @@ def _image_over_scaled(sol):
     a = [_numerators(entry) for entry in _scaled_by_division(sol)]
     c = [({}, 1)]
     for k in range(1, sol.truncation + 1):
-        convolution = _combination((1, _times(c[i], a[k - i])) for i in range(k))
-        c.append(_combination([(2 * k, a[k]), (-1, convolution)]))
+        convolution = _combination((1, _product_part(c[i], a[k - i])) for i in range(k))
+        work = _combination([(2 * k, _form_part(a[k])), (-1, _form_part(convolution))])
+        c.append(_numerators(GradedPoly._from_numerators(X, sol.n, work)))
     return [GradedPoly._from_numerators(X, sol.n, w) for w in c]
 
 
